@@ -1,36 +1,18 @@
-"""E17 — the columnar hot path: rows vs columns vs columns + shared
-memory, from storage to report.
+"""E17 — the columnar hot path: rows vs columns, from storage to report.
 
-PR 10's data plane claims two wins, and this bench measures both on the
-80k-row QUIS workload:
-
-* **no row objects on the hot path** — every backend's native
-  ``column_batches()`` lane against the row-major ``chunks()`` lane
-  (ingest only), then the in-memory representations through fit, audit,
-  and the full storage→report pipeline (``io_path="rows"`` vs
-  ``"columns"``), with byte-identity asserted at every stage;
-* **no pickled column payloads** — the shared-memory dispatch publishes
-  the encoded arrays once and ships descriptors, so the per-worker
-  pickle shrinks from the whole table to a few hundred bytes; the bench
-  records both payload sizes and times a 2-job audit on each transport.
-
-Wall-clock speedup assertions are gated on the cores the machine
-actually has (a single-core box cannot show a parallel win); the payload
-reduction and byte-identity assertions hold everywhere.
+The columnar data plane claims one win — **no row objects on the hot
+path** — and this bench measures it on the 80k-row QUIS workload: every
+backend's native ``column_batches()`` lane against the row-major
+``chunks()`` lane (ingest only), then the in-memory representations
+through fit, audit, and the full storage→report pipeline
+(``io_path="rows"`` vs ``"columns"``), with byte-identity asserted at
+every stage.
 """
 
 import os
-import pickle
 import time
 
-from repro.core import AuditorConfig, AuditReport, AuditSession, DataAuditor
-from repro.core.auditor import ColumnCache
-from repro.core.parallel import audit_table_parallel, dispatch_payload
-from repro.core.shm import (
-    SharedColumnStore,
-    publish_audit_columns,
-    shared_memory_available,
-)
+from repro.core import AuditorConfig, AuditReport, AuditSession
 from repro.io import ColumnBatch, open_source, write_table
 from repro.quis import generate_quis_sample
 
@@ -86,7 +68,6 @@ def test_columnar_ingest(tmp_path, record_table):
 
     row_session, fit_row_seconds = _timed(lambda: _fit(table))
     col_session, fit_col_seconds = _timed(lambda: _fit(batch))
-    auditor = row_session.auditor
 
     # -- stage 3: audit on each in-memory representation
     row_report, audit_row_seconds = _timed(lambda: row_session.audit(table))
@@ -109,46 +90,8 @@ def test_columnar_ingest(tmp_path, record_table):
         e2e[io_path] = seconds
         assert merged.findings == row_report.findings
 
-    # -- stage 5: dispatch transports — what crosses the worker boundary
-    pickle_payload = len(pickle.dumps((dispatch_payload(auditor), table)))
-    shm_lines = []
-    if shared_memory_available():
-        with SharedColumnStore() as store:
-            shared = publish_audit_columns(auditor, ColumnCache(table), store)
-            shm_payload = len(pickle.dumps((dispatch_payload(auditor), shared)))
-        pickle_report, dispatch_pickle_seconds = _timed(
-            lambda: audit_table_parallel(auditor, table, 2, dispatch="pickle")
-        )
-        shared_report, dispatch_shared_seconds = _timed(
-            lambda: audit_table_parallel(auditor, table, 2, dispatch="shared")
-        )
-        assert pickle_report.findings == row_report.findings
-        assert shared_report.findings == row_report.findings
-        assert shared_report.record_confidence == row_report.record_confidence
-        shm_lines = [
-            "",
-            "2-job dispatch transports (bit-exact with serial on both)",
-            f"{'transport':>10}  {'payload[B]':>11}  {'time[s]':>8}",
-            f"{'pickle':>10}  {pickle_payload:>11}  {dispatch_pickle_seconds:>8.2f}",
-            f"{'shared':>10}  {shm_payload:>11}  {dispatch_shared_seconds:>8.2f}",
-            f"shared-memory descriptors: {pickle_payload / shm_payload:.0f}× "
-            f"smaller than the pickled column payload",
-        ]
-        # the transport's reason to exist: the per-worker pickle no longer
-        # carries the columns — descriptors only (deterministic, so this
-        # holds on any machine)
-        assert shm_payload * 50 < pickle_payload
-        if cores >= 4:
-            required = 1.0 if os.environ.get("CI") else 1.1
-            assert (
-                dispatch_pickle_seconds / dispatch_shared_seconds >= required
-            ), (
-                f"shared dispatch {dispatch_shared_seconds:.2f}s vs pickle "
-                f"{dispatch_pickle_seconds:.2f}s on a {cores}-core machine"
-            )
-
     lines = [
-        "E17 — columnar ingest & dispatch: rows vs columns vs columns+shm",
+        "E17 — columnar ingest: rows vs columns",
         f"workload: QUIS sample, {N_RECORDS} records; machine: {cores} core(s)",
         "",
         f"ingest only (chunked at {CHUNK_SIZE}; byte-identical batches)",
@@ -173,7 +116,7 @@ def test_columnar_ingest(tmp_path, record_table):
         f"{'rows':>8}  {e2e['rows']:>8.2f}  {N_RECORDS / e2e['rows']:>9.0f}",
         f"{'columns':>8}  {e2e['columns']:>8.2f}  "
         f"{N_RECORDS / e2e['columns']:>9.0f}",
-    ] + shm_lines
+    ]
     record_table("E17_columnar_ingest", "\n".join(lines))
 
     # the columnar lane must not cost more than the row lane it bypasses

@@ -7,11 +7,11 @@ transport cost over calling the library in-process? This bench boots
 the real `ThreadingHTTPServer` on an ephemeral port with one fitted
 QUIS model in a registry and measures:
 
-* ``POST /audit`` round trips per second for a staged load, swept over
-  the per-request ``jobs`` knob (1, 2, 4) — asserting the streamed
-  JSONL bodies stay **byte-identical** across every jobs setting and
-  client pattern (the parity guarantee, which must hold everywhere;
-  wall-clock speedups are machine-dependent and not asserted),
+* sequential ``POST /audit`` round trips per second for a staged load —
+  asserting the streamed JSONL bodies stay **byte-identical** across
+  every request and client pattern (the parity guarantee, which must
+  hold everywhere; wall-clock rates are machine-dependent and not
+  asserted),
 * the same audit issued by 4 concurrent client threads (the threading
   server's request-level parallelism),
 * the raw transport floor via ``GET /healthz``, and
@@ -34,9 +34,8 @@ from repro.serve import make_server
 
 FIT_RECORDS = 20_000
 LOAD_RECORDS = 2_000
-#: sequential audit round trips timed per jobs setting
+#: sequential audit round trips timed
 REQUESTS = 6
-JOBS_SWEEP = (1, 2, 4)
 CLIENT_THREADS = 4
 HEALTH_REQUESTS = 200
 
@@ -75,28 +74,24 @@ def test_service_throughput(tmp_path, record_table):
         f"(QUIS model fitted on {FIT_RECORDS} rows; "
         f"{LOAD_RECORDS}-row load per request)",
         "",
-        f"{'pattern':>24} {'jobs':>4} {'req/s':>8} {'rows/s':>10}",
+        f"{'pattern':>24} {'req/s':>8} {'rows/s':>10}",
     ]
     bodies = set()
+    payload = {"model": "quis", "source": str(load_csv)}
     try:
-        for jobs in JOBS_SWEEP:
-            payload = {"model": "quis", "source": str(load_csv), "jobs": jobs}
-            bodies.add(_post_audit(base, payload))  # warm the model cache
-            started = time.perf_counter()
-            for _ in range(REQUESTS):
-                bodies.add(_post_audit(base, payload))
-            elapsed = time.perf_counter() - started
-            rate = REQUESTS / elapsed
-            lines.append(
-                f"{'sequential audit':>24} {jobs:>4} {rate:>8.2f} "
-                f"{rate * LOAD_RECORDS:>10.0f}"
-            )
+        bodies.add(_post_audit(base, payload))  # warm the model cache
+        started = time.perf_counter()
+        for _ in range(REQUESTS):
+            bodies.add(_post_audit(base, payload))
+        elapsed = time.perf_counter() - started
+        rate = REQUESTS / elapsed
+        lines.append(
+            f"{'sequential audit':>24} {rate:>8.2f} {rate * LOAD_RECORDS:>10.0f}"
+        )
 
         # request-level parallelism: one slow audit per client thread
         def client():
-            bodies.add(
-                _post_audit(base, {"model": "quis", "source": str(load_csv)})
-            )
+            bodies.add(_post_audit(base, payload))
 
         clients = [threading.Thread(target=client) for _ in range(CLIENT_THREADS)]
         started = time.perf_counter()
@@ -107,7 +102,7 @@ def test_service_throughput(tmp_path, record_table):
         elapsed = time.perf_counter() - started
         rate = CLIENT_THREADS / elapsed
         lines.append(
-            f"{f'{CLIENT_THREADS} concurrent clients':>24} {1:>4} {rate:>8.2f} "
+            f"{f'{CLIENT_THREADS} concurrent clients':>24} {rate:>8.2f} "
             f"{rate * LOAD_RECORDS:>10.0f}"
         )
 
@@ -117,14 +112,14 @@ def test_service_throughput(tmp_path, record_table):
             with urllib.request.urlopen(f"{base}/healthz", timeout=30) as resp:
                 resp.read()
         health_rate = HEALTH_REQUESTS / (time.perf_counter() - started)
-        lines.append(f"{'GET /healthz':>24} {'-':>4} {health_rate:>8.1f} {'-':>10}")
+        lines.append(f"{'GET /healthz':>24} {health_rate:>8.1f} {'-':>10}")
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
 
-    # the parity bar: every response, at every jobs setting and client
-    # pattern, carried the identical findings bytes
+    # the parity bar: every response, sequential or concurrent, carried
+    # the identical findings bytes
     assert len(bodies) == 1, f"{len(bodies)} distinct audit bodies"
     (body,) = bodies
     assert body.count("\n") > 0  # the noisy load must yield findings
@@ -134,10 +129,10 @@ def test_service_throughput(tmp_path, record_table):
     in_process = session.audit(load)
     in_process_seconds = time.perf_counter() - started
     lines += [
-        f"{'in-process audit':>24} {1:>4} {1 / in_process_seconds:>8.2f} "
+        f"{'in-process audit':>24} {1 / in_process_seconds:>8.2f} "
         f"{LOAD_RECORDS / in_process_seconds:>10.0f}",
         "",
-        f"responses byte-identical across jobs settings and client "
+        f"responses byte-identical across requests and client "
         f"patterns: yes ({body.count(chr(10))} findings per response; "
         f"in-process audit found {len(in_process.findings)})",
     ]

@@ -19,16 +19,11 @@ The load is checked **where it lives**: the arriving batch lands in a
 SQLite staging table and the online job audits that table directly
 through the pluggable storage layer
 (:meth:`AuditSession.audit_source <repro.core.session.AuditSession.audit_source>`
-over ``sqlite:///…?table=…``) — no CSV export step. The online check
-takes an ``n_jobs=`` knob (the multi-core executor of
-:mod:`repro.core.parallel`): on a multi-core load box, chunks are
-audited concurrently with bit-identical results. This script uses all
-available cores when there are several and stays serial on one.
+over ``sqlite:///…?table=…``) — no CSV export step.
 
 Run with:  python examples/warehouse_loading.py
 """
 
-import os
 import random
 import tempfile
 import time
@@ -71,18 +66,16 @@ def online_load_check(model_path: Path, warehouse_path: Path) -> None:
     write_table(batch, staging)
     print(f"  load staged in {staging}")
 
-    n_jobs = os.cpu_count() or 1  # parallel chunk screening where possible
     started = time.perf_counter()
     reports = []
-    for report in session.audit_source(staging, chunk_size=500, n_jobs=n_jobs):
+    for report in session.audit_source(staging, chunk_size=500):
         reports.append(report)
         print(f"  chunk {len(reports)}: {report.n_rows} records screened, "
               f"{report.n_suspicious} quarantined")
     elapsed = time.perf_counter() - started
     report = AuditReport.merge(reports)
     print(f"  checked {batch.n_rows} records in {elapsed * 1000:.0f} ms "
-          f"({n_jobs} worker(s); no re-training, memory bounded by the "
-          f"chunk size times the in-flight window)")
+          f"(no re-training, memory bounded by the chunk size)")
 
     quarantine = set(report.suspicious_rows())
     print(f"  loading {batch.n_rows - len(quarantine)} records, "

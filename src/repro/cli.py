@@ -39,11 +39,11 @@ for unrecognized names, and can be forced with ``--input-format`` /
 an :class:`~repro.core.session.AuditSession` in N-row chunks (sec. 2.2's
 online load check: memory stays bounded by the chunk size plus the
 findings retained for ranking, not by the load's row count);
-``--format jsonl`` emits machine-readable findings; ``--jobs N`` runs
-the deviation check on N worker processes (per column for whole-table
-audits, per chunk when combined with ``--chunk-size``) with bit-identical
-output — including across storage backends: auditing a SQLite table is
-bit-identical to auditing the equivalent CSV export.
+``--format jsonl`` emits machine-readable findings. Output is
+bit-identical across chunk sizes and storage backends: auditing a SQLite
+table is bit-identical to auditing the equivalent CSV export.
+``repro fit --jobs N`` fits the per-attribute classifiers on N worker
+processes; the model is byte-identical at any job count.
 ``--io-path {auto,columns,rows}`` on ``fit`` and ``audit`` selects the
 ingest representation: ``columns`` reads the backend's native column
 batches (:mod:`repro.io.columnar` — no row objects on the hot path),
@@ -327,13 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "JSON object per finding to stdout",
     )
     p_audit.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the deviation check (default 1 = serial; "
-        "-1 = all cores); output is identical regardless of job count",
-    )
-    p_audit.add_argument(
         "--io-path",
         choices=IO_PATHS,
         default="auto",
@@ -454,12 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 256)",
     )
     p_monitor.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes per window audit (default 1 = serial)",
-    )
-    p_monitor.add_argument(
         "--drift-threshold",
         type=float,
         default=0.0,
@@ -519,13 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8181,
         help="listen port (0 picks an ephemeral port, printed at start-up)",
-    )
-    p_serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="default worker processes per audit request (requests may "
-        "override per call); 1 = serial, -1 = all cores",
     )
 
     return parser
@@ -651,8 +631,8 @@ def _load_model(path, registry_dir: Optional[str] = None) -> DataAuditor:
     broken (missing, not JSON, wrong format, truncated payload, unfitted)
     into one clear CLI error instead of a traceback. The translation
     itself lives in :meth:`AuditSession.load
-    <repro.core.session.AuditSession.load>`, so parallel-mode model
-    configs get the same one-line errors everywhere.
+    <repro.core.session.AuditSession.load>`, so every caller gets the
+    same one-line errors.
 
     A *path* containing ``@`` is a registry reference (``name@v3``) and
     resolves through the :mod:`repro.registry` store named by
@@ -687,8 +667,6 @@ def _write_findings(findings: list[Finding], args: argparse.Namespace) -> None:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     # flag validation first — don't pay a model load to report a bad flag
-    if args.jobs == 0:
-        raise SystemExit("error: --jobs must not be 0 (use 1 for serial, -1 for all cores)")
     if args.chunk_size is not None and args.chunk_size < 1:
         raise SystemExit("error: --chunk-size must be at least 1")
     # without --findings-out, jsonl streams to stdout and csv (the
@@ -751,7 +729,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 session.audit_source(
                     args.input,
                     chunk_size=args.chunk_size,
-                    n_jobs=args.jobs,
                     engine="sql",
                 )
             )
@@ -763,7 +740,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                     session.audit_source(
                         source,
                         chunk_size=args.chunk_size,
-                        n_jobs=args.jobs,
                         io_path=args.io_path,
                     )
                 )
@@ -786,7 +762,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 args.null_marker,
                 io_path=args.io_path,
             )
-            report = auditor.audit(table, n_jobs=args.jobs)
+            report = auditor.audit(table)
         findings = report.findings
         n_rows = report.n_rows
     n_suspicious = len({finding.row for finding in findings})
@@ -945,7 +921,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             null_marker=args.null_marker,
             window_rows=args.window_rows,
             poll_interval=args.poll_interval,
-            n_jobs=args.jobs,
             drift=drift,
             refit=refit,
             model_ref=model_ref,
@@ -993,7 +968,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     registry = _open_registry(args.registry)
-    return serve(registry, args.host, args.port, n_jobs=args.jobs)
+    return serve(registry, args.host, args.port)
 
 
 _COMMANDS = {

@@ -4,8 +4,8 @@ Multiple classification / regression auditor (sec. 5), error-confidence
 measures (Defs. 7–9), ranked findings and correction proposals
 (sec. 5.2–5.3), structure model, model persistence, the streaming
 :class:`~repro.core.session.AuditSession` facade for the asynchronous
-warehouse-loading workflow (sec. 2.2), and the multi-core audit executor
-(:mod:`repro.core.parallel`) behind every ``n_jobs=`` parameter.
+warehouse-loading workflow (sec. 2.2), and the per-attribute fit fan-out
+(:mod:`repro.core.parallel`) behind ``fit(n_jobs=)``.
 """
 
 from repro.core.auditor import AuditorConfig, ColumnCache, DataAuditor
@@ -24,11 +24,7 @@ from repro.core.findings import (
     findings_schema,
     findings_to_table,
 )
-from repro.core.parallel import (
-    audit_chunks_parallel,
-    audit_table_parallel,
-    resolve_n_jobs,
-)
+from repro.core.parallel import resolve_n_jobs
 from repro.core.review import Decision, DecisionKind, ReviewItem, ReviewSession
 from repro.core.serialize import (
     auditor_from_dict,
@@ -46,8 +42,6 @@ __all__ = [
     "ModelPersistenceError",
     "AuditReport",
     "resolve_n_jobs",
-    "audit_table_parallel",
-    "audit_chunks_parallel",
     "Finding",
     "findings_schema",
     "findings_to_table",

@@ -19,13 +19,11 @@ Domain knowledge plugs in through :attr:`AuditorConfig.base_attributes`
 attribute, it can be removed from the set of base attributes") and
 :attr:`AuditorConfig.audited_attributes`.
 
-Deviation detection is embarrassingly parallel across class attributes:
-each classifier's check reads shared encoded columns and writes only its
-own confidences and findings. :meth:`DataAuditor.audit_attribute` is that
-independent unit of work; ``audit(table, n_jobs=N)`` fans the units out
-over a process pool (:mod:`repro.core.parallel`) and folds the results
-into the same :class:`~repro.core.findings.AuditReport` the serial path
-produces, bit for bit.
+Structure induction fans out per attribute: ``fit(table, n_jobs=N)``
+fits the classifiers on a process pool (:mod:`repro.core.parallel`) and
+produces the same serialized model as the serial fit, byte for byte.
+Deviation detection runs serially, one batch-vectorized
+:meth:`DataAuditor.audit_attribute` check per class attribute.
 """
 
 from __future__ import annotations
@@ -70,8 +68,8 @@ class ColumnCache:
     Base-attribute encoders are deterministic per schema attribute, so an
     encoded column is identical no matter which classifier requests it;
     caching by attribute name turns the audit's encoding cost from
-    O(attributes²) into O(attributes). The serial audit keeps one cache
-    per table; each parallel worker keeps one per (table, process).
+    O(attributes²) into O(attributes). An audit keeps one cache per
+    table.
 
     ``table`` may be a row-major :class:`~repro.schema.table.Table` or a
     :class:`~repro.io.columnar.ColumnBatch` — the cache reads only the
@@ -148,9 +146,7 @@ class ColumnCache:
         return class_encoder.encode_column(self.raw(name))
 
     def observed_value(self, name: str, row: int):
-        """One raw cell, for a finding's ``observed_value``. A cache
-        without raw cells at hand (the shared-memory worker cache) may
-        answer ``None``; the dispatcher rehydrates parent-side."""
+        """One raw cell, for a finding's ``observed_value``."""
         return self.raw(name)[row]
 
 
@@ -311,17 +307,13 @@ class AuditorConfig:
         attribute (default: all other attributes).
     audited_attributes:
         Restrict auditing to these attributes (default: all).
-    n_jobs:
-        Default worker count for deviation detection: ``1`` (the default)
-        audits serially in-process, ``N > 1`` fans out over *N* worker
-        processes, negative counts are cpu-relative (``-1`` = all cores).
-        The per-call ``n_jobs=`` argument of :meth:`DataAuditor.audit`
-        overrides it. Parallel and serial audits are bit-identical.
     fit_n_jobs:
-        Default worker count for structure induction, with the same
-        conventions; overridden per call by ``fit(n_jobs=)``. Each task
-        is one audited attribute's classifier fit. Parallel and serial
-        fits produce byte-identical serialized models.
+        Default worker count for structure induction: ``1`` (the
+        default) fits serially in-process, ``N > 1`` fans out over *N*
+        worker processes, negative counts are cpu-relative (``-1`` = all
+        cores); overridden per call by ``fit(n_jobs=)``. Each task is
+        one audited attribute's classifier fit. Parallel and serial fits
+        produce byte-identical serialized models.
     fit_path:
         Encoding path of structure induction. ``"columns"`` (the
         default) encodes each table column once and runs the fit on
@@ -337,7 +329,6 @@ class AuditorConfig:
     classifier_factory: Optional[Callable[["AuditorConfig"], AttributeClassifier]] = None
     base_attributes: Mapping[str, Sequence[str]] = field(default_factory=dict)
     audited_attributes: Optional[Sequence[str]] = None
-    n_jobs: int = 1
     fit_n_jobs: int = 1
     fit_path: str = "columns"
 
@@ -346,12 +337,11 @@ class AuditorConfig:
             raise ValueError("min_error_confidence must lie strictly in (0, 1)")
         if self.n_bins < 2:
             raise ValueError("n_bins must be at least 2")
-        for name, value in (("n_jobs", self.n_jobs), ("fit_n_jobs", self.fit_n_jobs)):
-            if value == 0:
-                raise ValueError(
-                    f"{name} must be a positive worker count or a negative "
-                    f"cpu-relative count (-1 = all cores), not 0"
-                )
+        if self.fit_n_jobs == 0:
+            raise ValueError(
+                "fit_n_jobs must be a positive worker count or a negative "
+                "cpu-relative count (-1 = all cores), not 0"
+            )
         if self.fit_path not in _FIT_PATHS:
             raise ValueError(
                 f"fit_path must be one of {_FIT_PATHS}, got {self.fit_path!r}"
@@ -476,20 +466,14 @@ class DataAuditor:
         cache: Optional[FitColumnCache] = None,
     ) -> AttributeClassifier:
         """Fit one class attribute's classifier — the independent unit of
-        work the serial loop and the parallel executor are built from."""
+        work the serial loop and the parallel fit are built from."""
         classifier = self.config.make_classifier()
         classifier.fit(self.fit_dataset(class_attr, table, cache))
         return classifier
 
     # -- deviation detection ---------------------------------------------------
 
-    def audit(
-        self,
-        table,
-        *,
-        n_jobs: Optional[int] = None,
-        engine: Optional[str] = None,
-    ) -> AuditReport:
+    def audit(self, table, *, engine: Optional[str] = None) -> AuditReport:
         """Check every record of *table* for deviations (sec. 5.2).
 
         The table may be the training table itself (the paper: "a data
@@ -512,14 +496,6 @@ class DataAuditor:
         shared across all classifiers that use it instead of being
         rebuilt per class attribute.
 
-        *n_jobs* (default: :attr:`AuditorConfig.n_jobs`) selects the
-        executor: ``1`` runs the serial in-process fast path; ``N > 1``
-        fans the per-attribute checks out over *N* worker processes
-        (:func:`repro.core.parallel.audit_table_parallel`); negative
-        counts are cpu-relative (``-1`` = all cores). The report is
-        bit-identical either way — the fold over per-attribute results
-        is deterministic.
-
         *engine* selects the execution engine: ``"memory"`` (the
         default) is the in-process batch path above; ``"sql"`` compiles
         the fitted models to SQL (:mod:`repro.compile`), stages the
@@ -527,10 +503,8 @@ class DataAuditor:
         deviations in-database — same ranked findings, confidences
         recomputed Python-side (``docs/sql_compilation.md``). A model
         with no SQL form (e.g. kNN) falls back to the in-memory path
-        cleanly; ``n_jobs`` applies only to that path.
+        cleanly.
         """
-        from repro.core.parallel import audit_table_parallel, resolve_n_jobs
-
         if engine not in (None, "memory", "sql"):
             raise ValueError(
                 f"engine must be 'memory' or 'sql', got {engine!r}"
@@ -547,9 +521,6 @@ class DataAuditor:
                 return audit_table_sql(self, staged)
             except NotCompilable:
                 pass  # clean fallback to the in-memory batch path
-        jobs = resolve_n_jobs(self.config.n_jobs if n_jobs is None else n_jobs)
-        if jobs > 1 and len(self.classifiers) > 1 and table.n_rows > 0:
-            return audit_table_parallel(self, table, jobs)
         cache = ColumnCache(table)
         record_confidence = np.zeros(table.n_rows, dtype=float)
         findings: list[Finding] = []
@@ -568,14 +539,12 @@ class DataAuditor:
     def audit_attribute(
         self, class_attr: str, cache: ColumnCache
     ) -> tuple[np.ndarray, list[Finding]]:
-        """One class attribute's deviation check — the independent unit of
-        work both executors are built from.
+        """One class attribute's deviation check.
 
         Returns the per-record Def.-7 error confidences of this
         classifier (the Def.-8 record confidence is the elementwise
         maximum over all attributes) and the findings at or above the
-        configured threshold. Reads only the shared *cache*; writes
-        nothing — safe to run concurrently for different attributes.
+        configured threshold. Reads only the shared *cache*.
         """
         classifier = self.classifiers[class_attr]
         dataset = classifier.dataset

@@ -1,105 +1,40 @@
-"""The multi-core audit executor: deviation detection on a process pool.
+"""Per-attribute fit fan-out: structure induction on a process pool.
 
-The paper's warehouse workflow (sec. 2.2) makes the online check the
-latency-critical half of auditing, and that check is embarrassingly
-parallel along two axes:
-
-* **per column** — each class attribute's classifier reads shared encoded
-  columns and produces its own confidences and findings
-  (:meth:`DataAuditor.audit_attribute
-  <repro.core.auditor.DataAuditor.audit_attribute>` is the independent
-  unit). :func:`audit_table_parallel` fans those units out and folds the
-  results with the same elementwise-maximum / concatenate-then-sort fold
-  the serial loop uses.
-* **per chunk** — a streaming load's chunks are independent audits whose
-  reports concatenate losslessly (:meth:`AuditReport.merge
-  <repro.core.findings.AuditReport.merge>`). :func:`audit_chunks_parallel`
-  keeps a bounded window of chunks in flight and yields reports in
-  stream order, shifted by :meth:`AuditReport.with_row_offset
-  <repro.core.findings.AuditReport.with_row_offset>`.
-
-Both folds are deterministic, so a parallel audit is **bit-identical** to
-the serial one: per-attribute confidences fold through ``max`` (order
-independent, exact for floats), findings are re-sorted by
-:class:`~repro.core.findings.AuditReport` on construction, and chunk
-reports are folded in stream order regardless of completion order.
-
-**Structure induction** parallelizes along the same per-attribute axis:
-each audited attribute's classifier fit is independent
-(:meth:`DataAuditor.fit_attribute
-<repro.core.auditor.DataAuditor.fit_attribute>`), and
+Structure induction (sec. 5) fits one classifier per audited attribute,
+and each fit is independent (:meth:`DataAuditor.fit_attribute
+<repro.core.auditor.DataAuditor.fit_attribute>`).
 :func:`fit_table_parallel` fans those fits out, each worker holding the
 shared table plus its own encode-once
 :class:`~repro.core.auditor.FitColumnCache`. Fitted classifiers return
-to the parent as their lean prediction payloads and fold in
-audited-attribute order, so the serialized model is byte-identical to a
-serial fit at any job count.
+to the parent as their lean
+:meth:`~repro.mining.base.AttributeClassifier.prediction_payload` and
+fold in audited-attribute order, so the serialized model is
+byte-identical to a serial fit at any job count.
 
-Workers receive the fitted model once, at pool start-up: the dispatch
-payload is the auditor with each classifier swapped for its
-:meth:`~repro.mining.base.AttributeClassifier.prediction_payload` (for
-trees, a clone without the encoded training matrix) and with the
-non-picklable ``classifier_factory`` dropped — only :meth:`fit
-<repro.core.auditor.DataAuditor.fit>` needs the factory, and workers
-never fit. The ``fork`` start method is preferred where available
-(payload shared via copy-on-write); ``spawn`` is the fallback and works
-because the payload is fully picklable.
+Workers receive the auditor and the table once, at pool start-up. The
+``fork`` start method is preferred where available: workers inherit the
+payload copy-on-write, so even a multi-million-row table reaches them
+without a serialization pass. ``spawn`` is the fallback and pickles the
+payload, so a custom ``classifier_factory`` must then be picklable.
 
-**Column transport** (the ``dispatch`` knob of the per-column
-executors): under ``"auto"`` (default, when
-:func:`repro.core.shm.shared_memory_available` says yes) the parent
-encodes every column once and publishes the encoded arrays through
-POSIX shared memory; workers attach read-only views instead of
-receiving the table and re-encoding it privately — one physical copy of
-the encoded columns at any worker count, and no pickled column payloads
-under ``spawn`` (:mod:`repro.core.shm`). ``"pickle"`` forces the legacy
-table-shipping path (the parity oracle); ``"shared"`` requires shared
-memory and raises where it is unavailable. Failures while *setting up*
-the shared store fall back to the pickle path under ``"auto"``; worker
-errors propagate unchanged on every path. The per-chunk executor
-(:func:`audit_chunks_parallel`) keeps the pickle transport: each chunk
-is consumed by exactly one worker, so there is nothing to share.
-Shared-memory fit dispatch exists only for the column fit path — the
-row path (the parity oracle) has no array formulation to share.
+Deviation detection has no parallel executor. Every audit fan-out that
+was measured — per column, per chunk, over pickle or shared memory —
+ran slower than the serial batch audit on a 2-core host
+(``docs/architecture.md``, "Parallel fit").
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import multiprocessing
 import os
 import pickle
-from collections import deque
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
-
-import numpy as np
-
-from repro.core.findings import AuditReport, Finding
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
     from repro.core.auditor import DataAuditor
-    from repro.schema.table import Table
 
-__all__ = [
-    "resolve_n_jobs",
-    "dispatch_payload",
-    "fit_dispatch_payload",
-    "audit_table_parallel",
-    "audit_chunks_parallel",
-    "fit_table_parallel",
-    "DISPATCH_MODES",
-]
-
-#: Column-transport modes of the per-column executors (see module
-#: docstring): auto picks shared memory where available, the explicit
-#: modes force one transport.
-DISPATCH_MODES = ("auto", "shared", "pickle")
-
-
-class _SharedSetupError(RuntimeError):
-    """Internal: publishing the shared store failed (not a worker error)
-    — ``dispatch="auto"`` falls back to the pickle transport."""
+__all__ = ["resolve_n_jobs", "fit_table_parallel"]
 
 
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:
@@ -126,34 +61,10 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def dispatch_payload(auditor: "DataAuditor") -> "DataAuditor":
-    """The lean auditor clone shipped to worker processes.
-
-    Classifiers are swapped for their
-    :meth:`~repro.mining.base.AttributeClassifier.prediction_payload`
-    and the config's ``classifier_factory`` (often a closure, hence not
-    picklable) is dropped — workers only predict, never fit.
-    """
-    clone = object.__new__(type(auditor))
-    clone.schema = auditor.schema
-    clone.config = dataclasses.replace(auditor.config, classifier_factory=None)
-    clone.classifiers = {
-        class_attr: classifier.prediction_payload()
-        for class_attr, classifier in auditor.classifiers.items()
-    }
-    clone.fit_seconds = auditor.fit_seconds
-    return clone
-
-
-def fit_dispatch_payload(auditor: "DataAuditor") -> "DataAuditor":
-    """The auditor clone shipped to *fit* worker processes.
-
-    Unlike :func:`dispatch_payload`, fit workers must construct fresh
-    classifiers, so the config keeps its ``classifier_factory``; any
-    already-fitted classifiers are dropped — every worker fits from
-    scratch. Under ``spawn`` a custom factory must be picklable
-    (:func:`fit_table_parallel` pre-checks and raises a clear error).
-    """
+def _fit_payload(auditor: "DataAuditor") -> "DataAuditor":
+    """The auditor clone shipped to fit workers: same schema and config
+    (workers construct classifiers through its factory), no fitted
+    classifiers — every worker fits from scratch."""
     clone = object.__new__(type(auditor))
     clone.schema = auditor.schema
     clone.config = auditor.config
@@ -164,91 +75,48 @@ def fit_dispatch_payload(auditor: "DataAuditor") -> "DataAuditor":
 
 # -- worker side -----------------------------------------------------------
 #
-# One payload per pool, installed by the initializer; tasks then name only
-# the class attribute (per-column mode) or carry only the chunk (per-chunk
-# mode). Module globals are per worker process.
-#
-# Under ``fork`` the payload is staged in a parent-side global instead of
-# being pickled through initargs: forked children inherit the parent's
-# memory copy-on-write, so even a multi-million-row table reaches the
-# workers without a serialization pass. ``spawn`` workers get pickled
-# bytes — the only portable channel.
+# One (auditor, table) payload per pool, installed by the initializer;
+# tasks then name only the class attribute. Module globals are per
+# worker process.
 
 _WORKER_AUDITOR: Optional["DataAuditor"] = None
-_WORKER_CACHE = None  # ColumnCache/FitColumnCache over the shared table
-_WORKER_TABLE: Optional["Table"] = None  # the shared table (fit mode)
+_WORKER_TABLE = None
+_WORKER_CACHE = None  # FitColumnCache over the shared table (columns path)
 
 #: payloads staged in the parent for fork-inheriting workers, keyed by a
-#: per-pool token; each entry holds (auditor, table, mode) — table is the
-#: shared table in per-column audit and fit modes, None in per-chunk
-#: mode — and lives for the whole pool
-#: lifetime — a worker respawned after a crash forks from the parent
-#: later and must still find it, and concurrent audits (from threads)
-#: each own their token instead of racing on one slot
-_DISPATCH_REGISTRY: dict[int, tuple] = {}
-_dispatch_tokens = itertools.count()
+#: per-pool token. An entry lives for the whole pool lifetime: a worker
+#: respawned after a crash forks from the parent later and must still
+#: find it, and concurrent fits (from threads) each own their token.
+_POOL_PAYLOADS: dict[int, tuple] = {}
+_pool_tokens = itertools.count()
 
 
-def _install_dispatch(
-    auditor: "DataAuditor", table, mode: str = "audit"
-) -> None:
-    """Adopt one pool's payload. *table* is the shared table (pickle
-    transports), a shared-column descriptor (shared-memory transports),
-    or ``None`` (per-chunk mode)."""
-    from repro.core.auditor import ColumnCache, FitColumnCache
+def _install_payload(auditor: "DataAuditor", table) -> None:
+    from repro.core.auditor import FitColumnCache
 
-    global _WORKER_AUDITOR, _WORKER_CACHE, _WORKER_TABLE
+    global _WORKER_AUDITOR, _WORKER_TABLE, _WORKER_CACHE
     _WORKER_AUDITOR = auditor
-    if mode == "audit-shared":
-        from repro.core.shm import SharedAuditCache
-
-        _WORKER_TABLE = None
-        _WORKER_CACHE = SharedAuditCache(table)
-    elif mode == "fit-shared":
-        from repro.core.shm import SharedFitCache
-
-        _WORKER_TABLE = None
-        _WORKER_CACHE = SharedFitCache(table)
-    elif mode == "fit":
-        # the encode-once fit cache, built lazily per worker; the rows
-        # (oracle) path fits cache-less, exactly like the serial path
-        _WORKER_TABLE = table
-        _WORKER_CACHE = (
-            FitColumnCache(table, n_bins=auditor.config.n_bins)
-            if table is not None and auditor.config.fit_path == "columns"
-            else None
-        )
-    else:
-        _WORKER_TABLE = table
-        _WORKER_CACHE = ColumnCache(table) if table is not None else None
+    _WORKER_TABLE = table
+    # the rows (oracle) path fits cache-less, exactly like the serial path
+    _WORKER_CACHE = (
+        FitColumnCache(table, n_bins=auditor.config.n_bins)
+        if auditor.config.fit_path == "columns"
+        else None
+    )
 
 
-def _init_worker_from_registry(token: int) -> None:
-    """Initializer for fork-start workers: adopt the payload inherited
-    from the parent's registry."""
-    _install_dispatch(*_DISPATCH_REGISTRY[token])
+def _init_worker_from_token(token: int) -> None:
+    """Initializer for fork-start workers: adopt the inherited payload."""
+    _install_payload(*_POOL_PAYLOADS[token])
 
 
 def _init_worker_from_bytes(payload: bytes) -> None:
     """Initializer for spawn-start workers: unpickle the payload."""
-    _install_dispatch(*pickle.loads(payload))
-
-
-def _audit_attribute_task(class_attr: str) -> tuple[np.ndarray, list[Finding]]:
-    assert _WORKER_AUDITOR is not None and _WORKER_CACHE is not None
-    return _WORKER_AUDITOR.audit_attribute(class_attr, _WORKER_CACHE)
-
-
-def _audit_chunk_task(chunk: "Table") -> AuditReport:
-    assert _WORKER_AUDITOR is not None
-    return _WORKER_AUDITOR.audit(chunk, n_jobs=1)
+    _install_payload(*pickle.loads(payload))
 
 
 def _fit_attribute_task(class_attr: str):
-    # shared-memory fit workers hold a cache but no table — fit_dataset
-    # consults only the cache when one is present
     assert _WORKER_AUDITOR is not None
-    assert _WORKER_TABLE is not None or _WORKER_CACHE is not None
     classifier = _WORKER_AUDITOR.fit_attribute(
         class_attr, _WORKER_TABLE, _WORKER_CACHE
     )
@@ -261,258 +129,43 @@ def _fit_attribute_task(class_attr: str):
 # -- driver side -----------------------------------------------------------
 
 
-class _dispatch_pool:
-    """Context manager: a worker pool whose processes hold the dispatch
-    payload — inherited copy-on-write under ``fork``, pickled under
-    ``spawn``."""
-
-    def __init__(
-        self,
-        n_jobs: int,
-        auditor: "DataAuditor",
-        table,
-        *,
-        payload_builder=dispatch_payload,
-        mode: str = "audit",
-    ):
-        self.n_jobs = n_jobs
-        self.payload = (payload_builder(auditor), table, mode)
-        self.ctx = _mp_context()
-        self.token: Optional[int] = None
-
-    def __enter__(self):
-        if self.ctx.get_start_method() == "fork":
-            self.token = next(_dispatch_tokens)
-            _DISPATCH_REGISTRY[self.token] = self.payload
-            self.pool = self.ctx.Pool(
-                self.n_jobs,
-                initializer=_init_worker_from_registry,
-                initargs=(self.token,),
-            )
-        else:
-            self.pool = self.ctx.Pool(
-                self.n_jobs,
-                initializer=_init_worker_from_bytes,
-                initargs=(
-                    pickle.dumps(self.payload, protocol=pickle.HIGHEST_PROTOCOL),
-                ),
-            )
-        return self.pool
-
-    def __exit__(self, *exc_info):
-        self.pool.terminate()
-        self.pool.join()
-        if self.token is not None:
-            _DISPATCH_REGISTRY.pop(self.token, None)
-        return False
-
-
-def _use_shared(dispatch: str, *, fit_path: Optional[str] = None) -> bool:
-    """Resolve a ``dispatch`` mode to "use the shared-memory transport?"
-    (see :data:`DISPATCH_MODES`)."""
-    if dispatch not in DISPATCH_MODES:
-        raise ValueError(
-            f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
-        )
-    if dispatch == "pickle":
-        return False
-    if fit_path is not None and fit_path != "columns":
-        # the rows (oracle) fit path has no array formulation to share
-        if dispatch == "shared":
-            raise ValueError(
-                "shared-memory fit dispatch requires fit_path='columns' "
-                f"(got fit_path={fit_path!r})"
-            )
-        return False
-    from repro.core.shm import shared_memory_available
-
-    if not shared_memory_available():
-        if dispatch == "shared":
-            raise RuntimeError(
-                "dispatch='shared' requested but POSIX shared memory is "
-                "unavailable here (or REPRO_DISABLE_SHM is set); use "
-                "dispatch='auto' for automatic fallback"
-            )
-        return False
-    return True
-
-
-def audit_table_parallel(
-    auditor: "DataAuditor", table, n_jobs: int, *, dispatch: str = "auto"
-) -> AuditReport:
-    """Audit one table with per-column fan-out over *n_jobs* workers.
-
-    Each task is one class attribute's deviation check. On the
-    shared-memory transport (``dispatch="auto"``/``"shared"``) the
-    parent encodes every column once and workers attach read-only views
-    (:mod:`repro.core.shm`); on the pickle transport every worker holds
-    the shared table and its own encode-once
-    :class:`~repro.core.auditor.ColumnCache`. Results fold in classifier
-    order — but the fold (``max`` over confidences, findings re-sorted
-    on report construction) is order independent, so the report is
-    bit-identical to ``n_jobs=1`` on every transport.
-    """
-    attrs = list(auditor.classifiers)
-    n_jobs = min(n_jobs, len(attrs))
-    if _use_shared(dispatch):
-        try:
-            return _audit_table_shared(auditor, table, n_jobs)
-        except _SharedSetupError:
-            if dispatch == "shared":
-                raise
-            # auto: fall back to the pickle transport below
-    with _dispatch_pool(n_jobs, auditor, table) as pool:
-        results = pool.map(_audit_attribute_task, attrs, chunksize=1)
-    return _fold_audit_results(auditor, table, results)
-
-
-def _fold_audit_results(auditor: "DataAuditor", table, results) -> AuditReport:
-    record_confidence = np.zeros(table.n_rows, dtype=float)
-    findings: list[Finding] = []
-    for confidences, attr_findings in results:
-        np.maximum(record_confidence, confidences, out=record_confidence)
-        findings.extend(attr_findings)
-    return AuditReport(
-        table.n_rows,
-        findings,
-        record_confidence.tolist(),
-        auditor.config.min_error_confidence,
-        schema=table.schema,
-    )
-
-
-def _audit_table_shared(
-    auditor: "DataAuditor", table, n_jobs: int
-) -> AuditReport:
-    """The shared-memory audit transport: publish the parent's
-    encode-once arrays, fan out, rehydrate findings parent-side."""
-    from repro.core import shm
-    from repro.core.auditor import ColumnCache
-
-    cache = ColumnCache(table)
-    attrs = list(auditor.classifiers)
-    with shm.SharedColumnStore() as store:
-        try:
-            shared = shm.publish_audit_columns(auditor, cache, store)
-        except OSError as error:
-            raise _SharedSetupError(str(error)) from error
-        with _dispatch_pool(
-            n_jobs, auditor, shared, mode="audit-shared"
-        ) as pool:
-            results = pool.map(_audit_attribute_task, attrs, chunksize=1)
-    # workers answer observed_value=None (raw cells never cross the
-    # process boundary); restore it from the parent's own raw columns
-    rehydrated = []
-    for class_attr, (confidences, attr_findings) in zip(attrs, results):
-        if attr_findings:
-            raw = cache.raw(class_attr)
-            attr_findings = [
-                dataclasses.replace(finding, observed_value=raw[finding.row])
-                for finding in attr_findings
-            ]
-        rehydrated.append((confidences, attr_findings))
-    return _fold_audit_results(auditor, table, rehydrated)
-
-
-def audit_chunks_parallel(
-    auditor: "DataAuditor",
-    chunks: Iterable["Table"],
-    n_jobs: int,
-    *,
-    max_pending: Optional[int] = None,
-) -> Iterator[AuditReport]:
-    """Audit a chunk stream with per-chunk fan-out over *n_jobs* workers.
-
-    At most *max_pending* chunks (default ``2 * n_jobs``) are in flight
-    at once, so peak memory stays bounded by the chunk size times a
-    small constant — the streaming guarantee of
-    :meth:`AuditSession.audit_chunks
-    <repro.core.session.AuditSession.audit_chunks>`, relaxed from
-    one-at-a-time to a fixed window. Reports are yielded in stream order
-    with stream-global row offsets, whatever order workers finish in;
-    merging them reproduces the whole-stream audit exactly.
-    """
-    window = max_pending if max_pending is not None else 2 * n_jobs
-    if window < 1:
-        raise ValueError("max_pending must be at least 1")
-    with _dispatch_pool(n_jobs, auditor, None) as pool:
-        pending: deque = deque()
-        offset = 0
-        for chunk in chunks:
-            pending.append(
-                (offset, pool.apply_async(_audit_chunk_task, (chunk,)))
-            )
-            offset += chunk.n_rows
-            if len(pending) >= window:
-                chunk_offset, result = pending.popleft()
-                yield result.get().with_row_offset(chunk_offset)
-        while pending:
-            chunk_offset, result = pending.popleft()
-            yield result.get().with_row_offset(chunk_offset)
-
-
-def fit_table_parallel(
-    auditor: "DataAuditor", table, n_jobs: int, *, dispatch: str = "auto"
-) -> dict:
+def fit_table_parallel(auditor: "DataAuditor", table, n_jobs: int) -> dict:
     """Fit one classifier per audited attribute over *n_jobs* workers.
 
-    Each task is one class attribute's fit
-    (:meth:`~repro.core.auditor.DataAuditor.fit_attribute`). On the
-    shared-memory transport (column fit path only) the parent's
-    :class:`~repro.core.auditor.FitColumnCache` encodes every column
-    once and workers attach the arrays (:mod:`repro.core.shm`); on the
-    pickle transport every worker holds the shared table and its own
-    encode-once cache. Results fold back in audited-attribute order
-    (``pool.map`` preserves it), so the classifier dict, and with it the
-    serialized model, is byte-identical to a serial fit on every
-    transport.
+    Each task is one class attribute's fit. Results fold back in
+    audited-attribute order (``pool.map`` preserves it), so the
+    classifier dict, and with it the serialized model, is byte-identical
+    to a serial fit. A worker's exception propagates to the caller, and
+    the pool is terminated and joined on every exit path, so no worker
+    process outlives the call.
     """
     attrs = auditor.audited_attributes()
     n_jobs = min(n_jobs, len(attrs))
-    factory = auditor.config.classifier_factory
-    if factory is not None and _mp_context().get_start_method() != "fork":
+    payload = (_fit_payload(auditor), table)
+    context = _mp_context()
+    token = None
+    if context.get_start_method() == "fork":
+        token = next(_pool_tokens)
+        _POOL_PAYLOADS[token] = payload
+        initializer, initargs = _init_worker_from_token, (token,)
+    else:
         try:
-            pickle.dumps(factory)
+            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as error:
             raise ValueError(
                 "parallel fit under the 'spawn' start method requires a "
                 "picklable classifier_factory (module-level function, not "
                 f"a closure/lambda): {error}"
             ) from error
-    if _use_shared(dispatch, fit_path=auditor.config.fit_path):
+        initializer, initargs = _init_worker_from_bytes, (data,)
+    try:
+        pool = context.Pool(n_jobs, initializer=initializer, initargs=initargs)
         try:
-            return _fit_table_shared(auditor, table, n_jobs)
-        except _SharedSetupError:
-            if dispatch == "shared":
-                raise
-            # auto: fall back to the pickle transport below
-    with _dispatch_pool(
-        n_jobs, auditor, table, payload_builder=fit_dispatch_payload, mode="fit"
-    ) as pool:
-        results = pool.map(_fit_attribute_task, attrs, chunksize=1)
-    return dict(zip(attrs, results))
-
-
-def _fit_table_shared(auditor: "DataAuditor", table, n_jobs: int) -> dict:
-    """The shared-memory fit transport: the parent encodes once through
-    a :class:`~repro.core.auditor.FitColumnCache`, publishes the arrays,
-    and workers fit their classifiers over attached views."""
-    from repro.core import shm
-    from repro.core.auditor import FitColumnCache
-
-    cache = FitColumnCache(table, n_bins=auditor.config.n_bins)
-    attrs = auditor.audited_attributes()
-    with shm.SharedColumnStore() as store:
-        try:
-            shared = shm.publish_fit_columns(auditor, cache, store)
-        except OSError as error:
-            raise _SharedSetupError(str(error)) from error
-        with _dispatch_pool(
-            n_jobs,
-            auditor,
-            shared,
-            payload_builder=fit_dispatch_payload,
-            mode="fit-shared",
-        ) as pool:
             results = pool.map(_fit_attribute_task, attrs, chunksize=1)
+        finally:
+            pool.terminate()
+            pool.join()
+    finally:
+        if token is not None:
+            _POOL_PAYLOADS.pop(token, None)
     return dict(zip(attrs, results))

@@ -163,7 +163,6 @@ def auditor_to_dict(auditor: DataAuditor) -> dict[str, Any]:
                 if config.audited_attributes is not None
                 else None
             ),
-            "n_jobs": config.n_jobs,
             # fit_path / fit_n_jobs are deliberately NOT persisted: they
             # are fit-time execution knobs that never change the induced
             # model, and keeping them out makes the serialized document
@@ -181,14 +180,14 @@ def auditor_from_dict(payload: Mapping[str, Any]) -> DataAuditor:
         raise ValueError(f"unsupported model format: {payload.get('format')!r}")
     schema = schema_from_dict(payload["schema"])
     config_payload = payload["config"]
+    # documents written while audits took a job count carry an "n_jobs";
+    # audits are serial now, so any value is accepted and ignored
     config = AuditorConfig(
         min_error_confidence=config_payload["min_error_confidence"],
         bounds=_bounds_from_dict(config_payload["bounds"]),
         n_bins=config_payload["n_bins"],
         base_attributes=config_payload["base_attributes"],
         audited_attributes=config_payload["audited_attributes"],
-        # absent in models written before the parallel executor existed
-        n_jobs=config_payload.get("n_jobs", 1),
     )
     auditor = DataAuditor(schema, config)
     for class_attr, entry in payload["classifiers"].items():

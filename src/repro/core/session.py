@@ -30,10 +30,9 @@ first-class API on top of :class:`~repro.core.auditor.DataAuditor`:
   row-major chunks (``"auto"``, the default, negotiates per backend);
   reports and models are byte-identical on either path.
 
-Every audit entry point takes ``n_jobs=`` and fans out over a process
-pool when it exceeds 1 (:mod:`repro.core.parallel`): whole-table audits
-parallelize per column, chunk streams per chunk. Results are
-bit-identical to the serial path.
+The fit entry points take ``n_jobs=`` and fan the per-attribute fits
+out over a process pool when it exceeds 1 (:mod:`repro.core.parallel`);
+the model is byte-identical to the serial fit. Audits run serially.
 
 Model-file failures surface as :class:`ModelPersistenceError`, whose
 ``str()`` is a one-line reason (missing file, corrupt JSON, wrong
@@ -50,7 +49,6 @@ from typing import Iterable, Iterator, Optional, Union
 
 from repro.core.auditor import AuditorConfig, DataAuditor
 from repro.core.findings import AuditReport
-from repro.core.parallel import audit_chunks_parallel, resolve_n_jobs
 from repro.io.base import DEFAULT_CHUNK_SIZE, TableSource
 from repro.io.columnar import resolve_io_path
 from repro.io.csv_backend import CsvTableSource
@@ -68,9 +66,8 @@ class ModelPersistenceError(RuntimeError):
     suitable for direct display to an operator. Raised by
     :meth:`AuditSession.save` / :meth:`AuditSession.load` for every
     failure class: unreadable or unwritable files, corrupt or truncated
-    JSON, unknown model formats, invalid configurations (including
-    parallel-mode configs with a bad ``n_jobs``), and models without
-    fitted classifiers.
+    JSON, unknown model formats, invalid configurations, and models
+    without fitted classifiers.
     """
 
 
@@ -194,8 +191,8 @@ class AuditSession:
 
         Raises :class:`ModelPersistenceError` (one-line message) for a
         missing/unreadable file, corrupt or truncated JSON, an unknown
-        format, an invalid configuration (parallel-mode ``n_jobs``
-        included), or a model with no fitted classifiers.
+        format, an invalid configuration, or a model with no fitted
+        classifiers.
         """
         from repro.core.serialize import load_auditor
 
@@ -266,28 +263,17 @@ class AuditSession:
 
     # -- online: deviation detection ----------------------------------------
 
-    def audit(
-        self,
-        table: Table,
-        *,
-        n_jobs: Optional[int] = None,
-        engine: Optional[str] = None,
-    ) -> AuditReport:
+    def audit(self, table: Table, *, engine: Optional[str] = None) -> AuditReport:
         """Check one whole table (the batch-vectorized path).
 
-        ``n_jobs > 1`` audits the table's attributes on a process pool
-        (:func:`~repro.core.parallel.audit_table_parallel`); the default
-        comes from :attr:`AuditorConfig.n_jobs
-        <repro.core.auditor.AuditorConfig.n_jobs>`. ``engine="sql"``
-        screens deviations in-database instead (:mod:`repro.compile`),
-        falling back in memory when the model has no SQL form; see
-        :meth:`DataAuditor.audit <repro.core.auditor.DataAuditor.audit>`.
+        ``engine="sql"`` screens deviations in-database instead
+        (:mod:`repro.compile`), falling back in memory when the model
+        has no SQL form; see :meth:`DataAuditor.audit
+        <repro.core.auditor.DataAuditor.audit>`.
         """
-        return self.auditor.audit(table, n_jobs=n_jobs, engine=engine)
+        return self.auditor.audit(table, engine=engine)
 
-    def audit_chunks(
-        self, chunks: Iterable[Table], *, n_jobs: Optional[int] = None
-    ) -> Iterator[AuditReport]:
+    def audit_chunks(self, chunks: Iterable[Table]) -> Iterator[AuditReport]:
         """Check an iterable of table chunks, yielding one incremental
         report per chunk.
 
@@ -298,22 +284,12 @@ class AuditSession:
         ``AuditReport.merge(session.audit_chunks(chunks))`` equals the
         whole-table audit of the concatenated chunks, finding for finding.
 
-        With the serial executor (``n_jobs=1``, the default) chunks are
-        consumed lazily — nothing is pulled from the iterable before the
-        previous chunk's report has been yielded. With ``n_jobs > 1``
-        chunks are audited concurrently on a process pool
-        (:func:`~repro.core.parallel.audit_chunks_parallel`): up to
-        ``2 * n_jobs`` chunks are in flight, reports still arrive in
-        stream order, and the merged report is bit-identical to the
-        serial one.
+        Chunks are consumed lazily — nothing is pulled from the iterable
+        before the previous chunk's report has been yielded.
         """
-        jobs = resolve_n_jobs(self.config.n_jobs if n_jobs is None else n_jobs)
-        if jobs > 1:
-            yield from audit_chunks_parallel(self.auditor, chunks, jobs)
-            return
         offset = 0
         for chunk in chunks:
-            yield self.auditor.audit(chunk, n_jobs=1).with_row_offset(offset)
+            yield self.auditor.audit(chunk).with_row_offset(offset)
             offset += chunk.n_rows
 
     def _resolve_source(self, source) -> tuple[TableSource, bool]:
@@ -336,7 +312,6 @@ class AuditSession:
         source,
         *,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        n_jobs: Optional[int] = None,
         engine: Optional[str] = None,
         io_path: str = "auto",
     ) -> Iterator[AuditReport]:
@@ -346,12 +321,10 @@ class AuditSession:
         *source* is an open :class:`~repro.io.TableSource` or a location
         resolved through the format registry (CSV/JSONL/Parquet path,
         SQLite database or ``sqlite:///…?table=…`` URI). Peak memory is
-        bounded by *chunk_size* (times a small constant window when
-        ``n_jobs > 1``), independent of the stored row count; see
-        :meth:`audit_chunks` for the report and parallelism semantics —
-        in particular, ``AuditReport.merge`` of the yielded reports
-        equals the whole-table audit for every backend at every chunk
-        size and job count.
+        bounded by *chunk_size*, independent of the stored row count; see
+        :meth:`audit_chunks` for the report semantics — in particular,
+        ``AuditReport.merge`` of the yielded reports equals the
+        whole-table audit for every backend at every chunk size.
 
         ``engine="sql"`` pushes the deviation screen into the database
         when *source* is a SQLite location (a ``.db``/``.sqlite`` path
@@ -390,7 +363,7 @@ class AuditSession:
                 stream = source.column_batches(chunk_size)
             else:
                 stream = source.chunks(chunk_size)
-            yield from self.audit_chunks(stream, n_jobs=n_jobs)
+            yield from self.audit_chunks(stream)
         finally:
             if owned:
                 source.close()
@@ -401,7 +374,6 @@ class AuditSession:
         *,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         null_marker: str = "",
-        n_jobs: Optional[int] = None,
     ) -> Iterator[AuditReport]:
         """Check a CSV file (path or text stream) chunk by chunk.
 
@@ -411,9 +383,7 @@ class AuditSession:
         """
         csv_source = CsvTableSource(self.schema, source, null_marker=null_marker)
         try:
-            yield from self.audit_source(
-                csv_source, chunk_size=chunk_size, n_jobs=n_jobs
-            )
+            yield from self.audit_source(csv_source, chunk_size=chunk_size)
         finally:
             csv_source.close()
 

@@ -111,8 +111,8 @@ class ColumnBatch:
     # -- pickling (slots + the np-array cache) ------------------------------
 
     def __getstate__(self):
-        # the mask cache is derived data; dispatching a batch to a chunk
-        # worker ships only the raw columns
+        # the mask cache is derived data; shipping a batch to a spawned
+        # fit worker sends only the raw columns
         return (self.schema, self.columns, self.n_rows)
 
     def __setstate__(self, state):

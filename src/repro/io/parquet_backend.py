@@ -132,7 +132,7 @@ class ArrowColumnBatch(ColumnBatch):
         self._views: dict[str, Optional[np.ndarray]] = {}
 
     def __reduce__(self):
-        # dispatching a batch to a worker ships converted columns, not
+        # shipping a batch to a worker sends converted columns, not
         # the Arrow buffers (the plain batch is cheap and dependency-free)
         return (
             ColumnBatch,

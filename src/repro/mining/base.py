@@ -40,11 +40,11 @@ classifier whole encoded column arrays at once and receives a
   and supports. Batch and row paths are therefore interchangeable in
   semantics, never in speed.
 
-For the multi-core audit executor (:mod:`repro.core.parallel`),
-:meth:`AttributeClassifier.prediction_payload` names the object shipped
-to worker processes — by default the classifier itself (training state
-included, always sufficient), overridden by classifiers that can
-dispatch a leaner clone.
+For the per-attribute fit fan-out (:mod:`repro.core.parallel`),
+:meth:`AttributeClassifier.prediction_payload` names the object a fit
+worker sends back to the parent — by default the classifier itself
+(training state included, always sufficient), overridden by classifiers
+that can return a leaner clone.
 """
 
 from __future__ import annotations
@@ -232,11 +232,12 @@ class AttributeClassifier(ABC):
         )
 
     def prediction_payload(self) -> "AttributeClassifier":
-        """The object a parallel audit dispatches to worker processes.
+        """The object a parallel fit worker returns to the parent process.
 
-        Workers only ever call :meth:`predict_batch` /
-        :meth:`predict_encoded`, so a classifier whose predictions never
-        consult the training columns may return a clone holding a
+        The fitted model is only ever serialized or used through
+        :meth:`predict_batch` / :meth:`predict_encoded`, so a classifier
+        whose predictions never consult the training columns may return
+        a clone holding a
         column-less :meth:`Dataset.prediction_view
         <repro.mining.dataset.Dataset.prediction_view>` (the tree does).
         This base implementation returns ``self`` — the full fitted

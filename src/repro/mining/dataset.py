@@ -440,10 +440,10 @@ class Dataset:
     def prediction_view(self) -> "Dataset":
         """A column-less view of this dataset sharing its encoders.
 
-        The parallel audit executor ships fitted classifiers to worker
-        processes (:mod:`repro.core.parallel`); classifiers whose
+        Parallel fit workers send fitted classifiers back to the parent
+        process (:mod:`repro.core.parallel`); classifiers whose
         predictions never consult the training columns (the decision
-        tree) swap their dataset for this view so the worker payload
+        tree) swap their dataset for this view so the returned payload
         carries the encoders and class vocabulary — a few kilobytes —
         instead of the encoded training matrix.
 

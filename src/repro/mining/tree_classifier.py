@@ -57,8 +57,8 @@ class TreeClassifier(AttributeClassifier):
         return BatchPrediction(probabilities, support, dataset.class_encoder.labels)
 
     def prediction_payload(self) -> "TreeClassifier":
-        """A lean clone for parallel-audit worker dispatch: tree prediction
-        never reads the training columns, so the clone carries a
+        """A lean clone for a parallel fit worker to return: tree
+        prediction never reads the training columns, so the clone carries a
         column-less :meth:`Dataset.prediction_view
         <repro.mining.dataset.Dataset.prediction_view>` instead of the
         encoded training matrix."""

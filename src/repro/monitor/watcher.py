@@ -204,7 +204,6 @@ class TableWatcher:
         null_marker: str = "",
         window_rows: int = 256,
         poll_interval: float = 1.0,
-        n_jobs: Optional[int] = None,
         drift: Optional[DriftConfig] = None,
         refit: Optional[RefitPolicy] = None,
         model_ref: Optional[str] = None,
@@ -223,7 +222,6 @@ class TableWatcher:
         self.findings_path = Path(findings_path)
         self.window_rows = window_rows
         self.poll_interval = poll_interval
-        self.n_jobs = n_jobs
         self.refit = refit or RefitPolicy("off")
         self.model_ref = model_ref
         self.emit = emit
@@ -361,9 +359,7 @@ class TableWatcher:
             cells = self._pending[:n_rows]
             end_offset = self._pending_offsets[n_rows - 1]
             table = Table(self.session.schema, cells)
-            report = self.session.audit(table, n_jobs=self.n_jobs).with_row_offset(
-                self.watermark.rows
-            )
+            report = self.session.audit(table).with_row_offset(self.watermark.rows)
             if self._buffer is not None:
                 self._buffer.extend(cells)
 

@@ -13,7 +13,8 @@ that cannot tear.
 * **content addressing** — a model's identity is the SHA-256 digest of
   its canonical serialized form (:func:`model_digest`). Registering the
   byte-identical model twice stores one object; two models with the
-  same digest *are* the same model.
+  same digest *are* the same model. Loading re-hashes the object's
+  bytes, so an object edited or corrupted on disk is refused.
 * **immutability + atomicity** — object files are written once
   (tmp file + :func:`os.replace`) and never modified; name indexes are
   replaced atomically. A reader therefore sees either the old or the
@@ -411,16 +412,31 @@ class ModelRegistry:
         return self.get_version(version)
 
     def get_version(self, version: ModelVersion) -> DataAuditor:
-        """Load the model object of an already-resolved version."""
+        """Load the model object of an already-resolved version.
+
+        The object's bytes must hash to the version's digest: an object
+        edited or corrupted on disk raises :class:`RegistryError` even
+        when it still parses, instead of being served as that version.
+        """
         path = self._object_path(version.digest)
         try:
-            payload = json.loads(path.read_text("utf-8"))
+            data = path.read_bytes()
         except FileNotFoundError:
             raise RegistryError(
                 f"registry object {version.digest[:12]}… for {version.ref} "
                 f"is missing from {self.objects_dir}"
             )
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
+            raise RegistryError(f"cannot read registry object {path}: {exc}")
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != version.digest:
+            raise RegistryError(
+                f"registry object for {version.ref} is corrupt: its bytes hash "
+                f"to {actual}, not the recorded digest {version.digest}"
+            )
+        try:
+            payload = json.loads(data)
+        except ValueError as exc:
             raise RegistryError(f"cannot read registry object {path}: {exc}")
         try:
             return auditor_from_dict(payload)

@@ -78,7 +78,12 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            # the body's extent is unknown, so the connection cannot be reused
+            self.close_connection = True
+            raise ServiceError(400, "Content-Length must be an integer")
         if length <= 0:
             raise ServiceError(400, "request body required (JSON object)")
         if length > _MAX_BODY_BYTES:
@@ -184,8 +189,6 @@ def make_server(
     registry: Union[str, Path, ModelRegistry],
     host: str = "127.0.0.1",
     port: int = 8181,
-    *,
-    n_jobs: int = 1,
 ) -> ThreadingHTTPServer:
     """Build (but do not run) the daemon; ``port=0`` picks an ephemeral
     port — read the bound one from ``server.server_address``."""
@@ -193,7 +196,7 @@ def make_server(
         registry = ModelRegistry(registry)
     server = ThreadingHTTPServer((host, port), AuditRequestHandler)
     server.daemon_threads = True  # a hung client must not block shutdown
-    server.service = AuditService(registry, n_jobs=n_jobs)  # type: ignore[attr-defined]
+    server.service = AuditService(registry)  # type: ignore[attr-defined]
     return server
 
 
@@ -202,7 +205,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8181,
     *,
-    n_jobs: int = 1,
     server: Optional[ThreadingHTTPServer] = None,
 ) -> int:
     """Run the daemon until SIGTERM/SIGINT; returns the exit code.
@@ -211,9 +213,7 @@ def serve(
     convention for an interrupted foreground job). ``server=`` lets
     tests inject a pre-built (ephemeral-port) instance.
     """
-    httpd = server if server is not None else make_server(
-        registry, host, port, n_jobs=n_jobs
-    )
+    httpd = server if server is not None else make_server(registry, host, port)
     exit_code = 0
 
     def _shutdown(signum: int, frame) -> None:

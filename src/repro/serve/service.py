@@ -80,7 +80,6 @@ def _parse_config(payload: Optional[Mapping[str, Any]]) -> AuditorConfig:
         "n_bins",
         "base_attributes",
         "audited_attributes",
-        "n_jobs",
         "fit_n_jobs",
         "fit_path",
     }
@@ -120,11 +119,9 @@ class AuditService:
         self,
         registry: ModelRegistry,
         *,
-        n_jobs: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ):
         self.registry = registry
-        self.n_jobs = n_jobs
         self.chunk_size = chunk_size
         self.started_at = time.time()
         self.requests_served = 0
@@ -145,7 +142,6 @@ class AuditService:
             "models": len(self.registry.list()),
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "requests_served": self.requests_served,
-            "n_jobs": self.n_jobs,
         }
 
     # -- GET /models and /models/{ref} --------------------------------------
@@ -224,7 +220,11 @@ class AuditService:
 
     # -- POST /audit ---------------------------------------------------------
 
-    def _load_model(self, ref: str) -> DataAuditor:
+    def _load_model(self, ref) -> DataAuditor:
+        if not isinstance(ref, str):
+            raise ServiceError(
+                400, f"'model' must be a string reference (name[@ref]), got {ref!r}"
+            )
         try:
             version = self.registry.resolve(ref)
         except RegistryError as exc:
@@ -247,10 +247,11 @@ class AuditService:
         the same error messages) as stored tables."""
         if not isinstance(rows, list):
             raise ServiceError(400, "'rows' must be a list of JSON objects")
-        buffer = io.StringIO(
-            "".join(json.dumps(row, allow_nan=False) + "\n" for row in rows)
-        )
-        source = JsonlTableSource(auditor.schema, buffer)
+        try:
+            text = "".join(json.dumps(row, allow_nan=False) + "\n" for row in rows)
+        except ValueError as exc:  # NaN/Infinity cells: not JSON values
+            raise ServiceError(400, f"invalid rows payload: {exc}")
+        source = JsonlTableSource(auditor.schema, io.StringIO(text))
         try:
             return source.read()
         except ValueError as exc:
@@ -264,8 +265,8 @@ class AuditService:
         Body: ``{"model": "name[@ref]"}`` plus exactly one of
         ``"source"`` (a server-side ``repro.io`` location, optionally
         with ``"format"``) or ``"rows"`` (inline JSON objects);
-        optional ``"jobs"`` and ``"chunk_size"`` override the daemon
-        defaults, ``"io_path"`` (``"auto"``/``"columns"``/``"rows"``)
+        optional ``"chunk_size"`` overrides the daemon default,
+        ``"io_path"`` (``"auto"``/``"columns"``/``"rows"``)
         selects the ingest representation for ``"source"`` audits
         (byte-identical findings either way), and ``"engine": "sql"``
         pushes the deviation screen
@@ -280,10 +281,9 @@ class AuditService:
         ref = _require(payload, "model")
         auditor = self._load_model(ref)
         session = AuditSession(auditor=auditor)
-        jobs = payload.get("jobs", self.n_jobs)
         io_path = _parse_io_path(payload)
         chunk_size = payload.get("chunk_size", self.chunk_size)
-        if not isinstance(chunk_size, int) or chunk_size < 1:
+        if type(chunk_size) is not int or chunk_size < 1:  # bool is not a size
             raise ServiceError(400, "'chunk_size' must be a positive integer")
         has_source = "source" in payload
         has_rows = "rows" in payload
@@ -310,7 +310,7 @@ class AuditService:
         n_rows = 0
         if has_rows:
             table = self._table_from_rows(auditor, payload["rows"])
-            report = session.audit(table, n_jobs=jobs, engine=engine)
+            report = session.audit(table, engine=engine)
             findings = report.findings  # already (-confidence, row, attribute)
             n_rows = report.n_rows
         else:
@@ -318,7 +318,6 @@ class AuditService:
                 reports = session.audit_source(
                     payload["source"],
                     chunk_size=chunk_size,
-                    n_jobs=jobs,
                     engine=engine,
                     io_path=io_path,
                 )
@@ -398,7 +397,6 @@ class AuditService:
                 null_marker=payload.get("null_marker", ""),
                 window_rows=int(payload.get("window_rows", 256)),
                 poll_interval=float(payload.get("poll_interval", 1.0)),
-                n_jobs=payload.get("jobs", self.n_jobs),
                 drift=drift,
                 refit=refit,
                 model_ref=resolved.ref,
@@ -462,7 +460,6 @@ def _config_json(config: AuditorConfig) -> dict[str, Any]:
             if config.audited_attributes is not None
             else None
         ),
-        "n_jobs": config.n_jobs,
         "fit_n_jobs": config.fit_n_jobs,
         "fit_path": config.fit_path,
     }

@@ -48,10 +48,6 @@ class ExperimentConfig:
     #: optional rule-shape override (e.g. conjunctive premises for the
     #: classifier-selection experiment)
     rule_config: Optional[RuleGenerationConfig] = None
-    #: worker processes for the audit phase (1 = serial, -1 = all cores);
-    #: results are bit-identical across job counts, so sweeps may choose
-    #: whatever the machine affords
-    n_jobs: int = 1
     #: worker processes for structure induction (one audited attribute's
     #: classifier per task); the fitted model is byte-identical across
     #: job counts, so throughput sweeps may scale this freely
@@ -204,7 +200,7 @@ class TestEnvironment:
                 )
 
         started = time.perf_counter()
-        report = session.audit(staged, n_jobs=config.n_jobs)
+        report = session.audit(staged)
         audit_seconds = time.perf_counter() - started
 
         evaluation = evaluate_audit(report, log, clean, dirty)

@@ -418,8 +418,6 @@ class TestStorageBackends:
                 + [
                     "--input",
                     f"sqlite:///{warehouse}?table=loads",
-                    "--jobs",
-                    "2",
                     "--chunk-size",
                     "128",
                     "--findings-out",

@@ -341,11 +341,9 @@ class TestErrorParity:
 # -- session parity ------------------------------------------------------------
 
 
-def _merged_report(session, location, *, io_path, chunk_size, n_jobs=1) -> AuditReport:
+def _merged_report(session, location, *, io_path, chunk_size) -> AuditReport:
     return AuditReport.merge(
-        session.audit_source(
-            location, chunk_size=chunk_size, io_path=io_path, n_jobs=n_jobs
-        )
+        session.audit_source(location, chunk_size=chunk_size, io_path=io_path)
     )
 
 

@@ -17,9 +17,9 @@ lane (``io_path="columns"``) produces exactly the row lane's output:
   column-at-a-time and must replay buffered rows to recover the row
   path's first-error-in-row-order message.
 
-Parallel workers are deliberately kept out of these properties (jobs
-parity is pinned deterministically in ``test_shm_dispatch.py`` and
-``test_core_parallel.py``) so the randomized sweep stays fast.
+Parallel fit workers are deliberately kept out of these properties
+(job-count parity is pinned by ``test_fit_parity_property.py``) so the
+randomized sweep stays fast.
 """
 
 from __future__ import annotations

@@ -1,16 +1,18 @@
-"""Parity suite for the multi-core audit executor.
+"""Job counts, chunk streams, model persistence and fit-worker failure.
 
-The executor's contract (see :mod:`repro.core.parallel`) is that
-parallelism is *invisible* in the output: a ``n_jobs=2`` audit must be
-bit-exact with the serial one — same findings (field for field, float
-for float), same record confidences, same ranking — on both fan-out
-axes (per column for whole tables, per chunk for streams), and the
-merged streaming report must not depend on the order chunks were
-audited in. Fixtures mirror the E9 (base-profile pollution) and E12
-(QUIS sample) benchmark workloads at test scale.
+Audits run serially; the only process pool is the per-attribute fit
+fan-out (:mod:`repro.core.parallel`), whose byte-identity with the
+serial fit is pinned by ``test_fit_parity_property.py``. This suite
+covers the rest of that contract: job-count normalization, chunked
+audits whose merged report equals the whole-table audit whatever order
+chunks were audited in, one-line model-file errors, model documents
+from before the audit fan-out was removed (they carry an ``n_jobs``),
+and a failing fit worker. The fixture mirrors the E9 (base-profile
+pollution) benchmark workload at test scale.
 """
 
 import json
+import multiprocessing
 import random
 
 import pytest
@@ -23,17 +25,16 @@ from repro.core import (
     ModelPersistenceError,
     resolve_n_jobs,
 )
-from repro.core.parallel import audit_chunks_parallel, dispatch_payload
+from repro.core.serialize import auditor_to_dict
 from repro.generator.profiles import base_profile
 from repro.pollution.pipeline import PollutionPipeline, default_polluters
-from repro.quis import generate_quis_sample
 from repro.schema import Schema, nominal
 
 
 def _assert_bit_exact(a: AuditReport, b: AuditReport):
     assert a.n_rows == b.n_rows
     assert a.min_error_confidence == b.min_error_confidence
-    # exact float equality, not approx — the executors share one code path
+    # exact float equality, not approx — both sides run one code path
     assert a.record_confidence == b.record_confidence
     assert a.findings == b.findings
     assert a.suspicious_rows() == b.suspicious_rows()
@@ -60,14 +61,13 @@ def e9_audit():
     return auditor, dirty
 
 
-@pytest.fixture(scope="module")
-def e12_audit():
-    """E12-style workload: the QUIS sample at test scale."""
-    sample = generate_quis_sample(1_000, seed=7)
-    auditor = DataAuditor(
-        sample.schema, AuditorConfig(min_error_confidence=0.8)
-    ).fit(sample.dirty)
-    return auditor, sample.dirty
+class _CrashingClassifier:
+    def fit(self, dataset):
+        raise RuntimeError("worker crash")
+
+
+def _make_crashing(config):
+    return _CrashingClassifier()
 
 
 class TestResolveNJobs:
@@ -92,48 +92,14 @@ class TestResolveNJobs:
 
     def test_config_rejects_zero_jobs(self):
         with pytest.raises(ValueError):
-            AuditorConfig(n_jobs=0)
-
-
-class TestWholeTableParity:
-    @pytest.mark.parametrize("fixture", ["e9_audit", "e12_audit"])
-    def test_serial_vs_two_jobs_bit_exact(self, fixture, request):
-        auditor, table = request.getfixturevalue(fixture)
-        _assert_bit_exact(
-            auditor.audit(table, n_jobs=1), auditor.audit(table, n_jobs=2)
-        )
-
-    def test_config_default_jobs_used(self, e9_audit):
-        auditor, table = e9_audit
-        serial = auditor.audit(table)
-        auditor.config.n_jobs = 2
-        try:
-            _assert_bit_exact(serial, auditor.audit(table))
-        finally:
-            auditor.config.n_jobs = 1
-
-    def test_parallel_report_carries_schema(self, e9_audit):
-        auditor, table = e9_audit
-        assert auditor.audit(table, n_jobs=2).schema == table.schema
+            AuditorConfig(fit_n_jobs=0)
 
 
 class TestChunkStreamParity:
-    @pytest.mark.parametrize("sizes", [(250, 250, 250), (1, 349, 400)])
-    def test_parallel_chunk_merge_equals_whole_table(self, e9_audit, sizes):
-        auditor, table = e9_audit
-        session = AuditSession(auditor=auditor)
-        whole = session.audit(table)
-        merged = AuditReport.merge(
-            list(session.audit_chunks(_chunked(table, sizes), n_jobs=2))
-        )
-        _assert_bit_exact(merged, whole)
-
     def test_reports_arrive_in_stream_order(self, e9_audit):
         auditor, table = e9_audit
         reports = list(
-            AuditSession(auditor=auditor).audit_chunks(
-                _chunked(table, (100,) * 7), n_jobs=2
-            )
+            AuditSession(auditor=auditor).audit_chunks(_chunked(table, (100,) * 7))
         )
         assert [r.row_offset for r in reports] == [
             100 * i for i in range(len(reports))
@@ -153,7 +119,7 @@ class TestChunkStreamParity:
             offsets.append(start)
             start += chunk.n_rows
         shuffled = [
-            session.audit(chunk, n_jobs=1).with_row_offset(offset)
+            session.audit(chunk).with_row_offset(offset)
             for offset, chunk in reversed(list(zip(offsets, chunks)))
         ]
         merged = AuditReport.merge(
@@ -161,41 +127,9 @@ class TestChunkStreamParity:
         )
         _assert_bit_exact(merged, whole)
 
-    def test_bounded_window(self, e9_audit):
-        auditor, table = e9_audit
-        reports = list(
-            audit_chunks_parallel(
-                auditor, _chunked(table, (100,) * 7), 2, max_pending=1
-            )
-        )
-        merged = AuditReport.merge(reports)
-        _assert_bit_exact(merged, auditor.audit(table))
-
     def test_empty_stream(self, e9_audit):
         auditor, _ = e9_audit
-        assert list(AuditSession(auditor=auditor).audit_chunks([], n_jobs=2)) == []
-
-
-class TestDispatchPayload:
-    def test_payload_drops_training_columns_and_factory(self, e9_audit):
-        auditor, table = e9_audit
-        auditor.config.classifier_factory = lambda cfg: None  # not picklable
-        try:
-            payload = dispatch_payload(auditor)
-        finally:
-            auditor.config.classifier_factory = None
-        assert payload.config.classifier_factory is None
-        for classifier in payload.classifiers.values():
-            assert classifier.dataset.columns == {}
-        # the payload still audits identically
-        _assert_bit_exact(payload.audit(table, n_jobs=1), auditor.audit(table))
-
-    def test_payload_is_picklable(self, e9_audit):
-        import pickle
-
-        auditor, table = e9_audit
-        clone = pickle.loads(pickle.dumps(dispatch_payload(auditor)))
-        _assert_bit_exact(clone.audit(table, n_jobs=1), auditor.audit(table))
+        assert list(AuditSession(auditor=auditor).audit_chunks([])) == []
 
 
 class TestMergeSchemaGuard:
@@ -220,27 +154,34 @@ class TestMergeSchemaGuard:
 
 
 class TestParallelModelPersistence:
-    def test_n_jobs_config_round_trips(self, e9_audit, tmp_path):
+    @pytest.mark.parametrize("n_jobs", [1, 4, -1, 0])
+    def test_legacy_n_jobs_is_accepted_and_ignored(self, e9_audit, tmp_path, n_jobs):
+        """Documents written while audits had a job count carry
+        ``config.n_jobs``; any value, even the once-invalid 0, loads and
+        audits exactly like the same document without it."""
         auditor, table = e9_audit
-        auditor.config.n_jobs = 4
-        path = tmp_path / "model.json"
-        try:
-            AuditSession(auditor=auditor).save(path)
-        finally:
-            auditor.config.n_jobs = 1
-        resumed = AuditSession.load(path)
-        assert resumed.config.n_jobs == 4
-        # the persisted default applies, and still matches serial output
-        _assert_bit_exact(resumed.audit(table), auditor.audit(table))
+        plain = tmp_path / "plain.json"
+        legacy = tmp_path / "legacy.json"
+        AuditSession(auditor=auditor).save(plain)
+        payload = json.loads(plain.read_text())
+        payload["config"]["n_jobs"] = n_jobs
+        legacy.write_text(json.dumps(payload))
+        from_plain = AuditSession.load(plain)
+        from_legacy = AuditSession.load(legacy)
+        assert auditor_to_dict(from_legacy.auditor) == auditor_to_dict(
+            from_plain.auditor
+        )
+        _assert_bit_exact(from_legacy.audit(table), from_plain.audit(table))
 
     def test_pre_parallel_models_default_to_serial(self, e9_audit, tmp_path):
-        auditor, _ = e9_audit
+        """Documents without ``n_jobs`` — written before the audit
+        fan-out existed, and again since it was removed — audit like the
+        model they were saved from."""
+        auditor, table = e9_audit
         path = tmp_path / "model.json"
         AuditSession(auditor=auditor).save(path)
-        payload = json.loads(path.read_text())
-        del payload["config"]["n_jobs"]  # a model written before this PR
-        path.write_text(json.dumps(payload))
-        assert AuditSession.load(path).config.n_jobs == 1
+        assert "n_jobs" not in json.loads(path.read_text())["config"]
+        _assert_bit_exact(AuditSession.load(path).audit(table), auditor.audit(table))
 
     def test_missing_file_one_line_error(self, tmp_path):
         with pytest.raises(ModelPersistenceError) as info:
@@ -256,12 +197,12 @@ class TestParallelModelPersistence:
         assert "\n" not in str(info.value)
         assert "not a valid auditor model" in str(info.value)
 
-    def test_corrupt_parallel_config_one_line_error(self, e9_audit, tmp_path):
+    def test_corrupt_config_one_line_error(self, e9_audit, tmp_path):
         auditor, _ = e9_audit
         path = tmp_path / "model.json"
         AuditSession(auditor=auditor).save(path)
         payload = json.loads(path.read_text())
-        payload["config"]["n_jobs"] = 0  # invalid parallel-mode config
+        payload["config"]["n_bins"] = 1  # AuditorConfig rejects < 2
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelPersistenceError) as info:
             AuditSession.load(path)
@@ -281,44 +222,16 @@ class TestParallelModelPersistence:
         assert "cannot write model file" in str(info.value)
 
 
-class TestCliJobs:
-    def test_audit_jobs_byte_identical(self, e9_audit, tmp_path):
-        """`repro audit --jobs 2` must write the same findings file, byte
-        for byte, as `--jobs 1` — whole-table and chunked alike."""
-        from repro.cli import main
-        from repro.schema import write_csv
-
-        auditor, table = e9_audit
-        model = tmp_path / "model.json"
-        data = tmp_path / "data.csv"
-        AuditSession(auditor=auditor).save(model)
-        write_csv(table, data)
-
-        outputs = {}
-        for label, extra in {
-            "serial": ["--jobs", "1"],
-            "parallel": ["--jobs", "2"],
-            "chunked-parallel": ["--jobs", "2", "--chunk-size", "250"],
-        }.items():
-            out = tmp_path / f"{label}.csv"
-            code = main(
-                ["audit", "--model", str(model), "--input", str(data),
-                 "--findings-out", str(out), *extra]
-            )
-            assert code == 0
-            outputs[label] = out.read_bytes()
-        assert outputs["serial"] == outputs["parallel"]
-        assert outputs["serial"] == outputs["chunked-parallel"]
-
-    def test_audit_jobs_zero_rejected(self, e9_audit, tmp_path):
-        from repro.cli import main
-        from repro.schema import write_csv
-
-        auditor, table = e9_audit
-        model = tmp_path / "model.json"
-        data = tmp_path / "data.csv"
-        AuditSession(auditor=auditor).save(model)
-        write_csv(table, data)
-        with pytest.raises(SystemExit, match="--jobs"):
-            main(["audit", "--model", str(model), "--input", str(data),
-                  "--jobs", "0"])
+class TestFitWorkerFailure:
+    def test_worker_exception_propagates_and_leaves_no_children(self, e9_audit):
+        """A classifier that raises inside a fit worker surfaces its own
+        exception from ``fit(n_jobs=2)``, and the pool is reaped."""
+        _, table = e9_audit
+        before = {child.pid for child in multiprocessing.active_children()}
+        auditor = DataAuditor(
+            table.schema, AuditorConfig(classifier_factory=_make_crashing)
+        )
+        with pytest.raises(RuntimeError, match="worker crash"):
+            auditor.fit(table, n_jobs=2)
+        after = {child.pid for child in multiprocessing.active_children()}
+        assert after <= before

@@ -7,6 +7,7 @@ atomic (a reader sees the old or the new state of a name, never a torn
 one), and concurrent writers serialize on the lockfile instead of
 clobbering each other."""
 
+import hashlib
 import json
 import multiprocessing
 import random
@@ -22,7 +23,7 @@ from repro.registry import (
     parse_ref,
     schema_digest,
 )
-from repro.core.serialize import auditor_to_dict
+from repro.core.serialize import auditor_from_dict, auditor_to_dict
 from repro.schema import Schema, Table, nominal, numeric
 
 
@@ -225,6 +226,22 @@ class TestCorruptionAndLocking:
         registry._object_path(version.digest).unlink()
         with pytest.raises(RegistryError, match="missing"):
             registry.get("loads")
+
+    def test_edited_object_is_refused(self, registry, fitted):
+        """An object edited on disk that still parses as a model must not
+        be served as the version whose digest it no longer matches."""
+        version = registry.put(fitted.auditor, "loads")
+        path = registry._object_path(version.digest)
+        payload = json.loads(path.read_text("utf-8"))
+        payload["config"]["min_error_confidence"] = 0.5
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        auditor_from_dict(json.loads(path.read_text("utf-8")))  # still parses
+        with pytest.raises(RegistryError) as info:
+            registry.get("loads@v1")
+        message = str(info.value)
+        assert "loads@v1" in message
+        assert version.digest in message
+        assert hashlib.sha256(path.read_bytes()).hexdigest() in message
 
     def test_lock_timeout_is_a_clear_error(self, registry, fitted):
         registry.lock_timeout_seconds = 0.1

@@ -7,6 +7,7 @@ ephemeral-port server, and the ``repro serve`` process itself
 the JSONL findings the service streams are **byte-identical** to
 ``repro audit --format jsonl`` on the same model and table."""
 
+import http.client
 import json
 import os
 import random
@@ -18,6 +19,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -271,6 +273,24 @@ def _post(url, payload):
         return resp.status, dict(resp.headers), resp.read().decode("utf-8")
 
 
+def _raw_post(base, path, body, headers):
+    """POST raw bytes with raw headers — for bodies and headers a
+    well-behaved client library would never produce."""
+    url = urlsplit(base)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+    try:
+        connection.putrequest("POST", path)
+        sent = {"Content-Type": "application/json", "Content-Length": str(len(body))}
+        sent.update(headers)
+        for key, value in sent.items():
+            connection.putheader(key, value)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()
+
+
 @pytest.fixture
 def http_server(corpus):
     server = make_server(corpus["registry"], port=0)
@@ -334,6 +354,57 @@ class TestHttpTransport:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{http_server}/audit", {"model": "svc"})
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "path, body, headers, fragment",
+        [
+            ("/audit", b'{"model": 5, "rows": []}', {}, "'model' must be a string"),
+            (
+                "/monitors",
+                b'{"name": "m", "model": ["svc"], "source": "x.csv"}',
+                {},
+                "'model' must be a string",
+            ),
+            (
+                "/audit",
+                b'{"model": "svc", "rows": [{"A": "a", "B": "x", "N": NaN}]}',
+                {},
+                "invalid rows payload",
+            ),
+            (
+                "/audit",
+                b'{"model": "svc", "rows": [{"A": "a", "B": "x", "N": -Infinity}]}',
+                {},
+                "invalid rows payload",
+            ),
+            (
+                "/audit",
+                b'{"model": "svc", "rows": []}',
+                {"Content-Length": "twenty"},
+                "Content-Length",
+            ),
+            (
+                "/audit",
+                b'{"model": "svc", "rows": [], "chunk_size": true}',
+                {},
+                "chunk_size",
+            ),
+        ],
+        ids=[
+            "numeric-model",
+            "list-model-monitor",
+            "nan-cell",
+            "infinity-cell",
+            "non-numeric-content-length",
+            "boolean-chunk-size",
+        ],
+    )
+    def test_malformed_bodies_are_400(self, http_server, path, body, headers, fragment):
+        """Malformed request bodies get a 400 JSON error naming the
+        problem — never a 500 and never a silently accepted value."""
+        status, payload = _raw_post(http_server, path, body, headers)
+        assert status == 400
+        assert fragment in payload["error"]
 
     def test_concurrent_requests(self, http_server, corpus):
         rows = [record.to_dict() for record in corpus["load"].records()]

@@ -5,10 +5,11 @@ The companion to ``warehouse_loading.py``: same offline/online split
 (paper sec. 2.2), but instead of extracting the staged load and checking
 it in Python, the online job compiles the fitted structure model to SQL
 (:mod:`repro.compile`) and screens the staging table **inside SQLite**.
-Only the handful of rows the screens cannot certify clean come back to
-Python for the exact confidence computation — the ranked findings are
+One screening query checks every audited attribute in a single scan, and
+only the handful of rows it cannot certify clean come back to Python for
+the exact confidence computation — the ranked findings are
 byte-identical to the in-memory audit, while the database ships a
-fraction of the cells (the compilation contract, per-family SQL shapes
+fraction of the rows (the compilation contract, per-family SQL shapes
 and all, lives in ``docs/sql_compilation.md``).
 
 Run with:  python examples/sql_pushdown.py
@@ -52,10 +53,13 @@ def online_in_database_check(model_path: Path, warehouse_path: Path) -> None:
     write_table(batch, staging)
     print(f"  load staged in {staging}")
 
-    # the model compiles: one screening query per audited attribute
+    # the model compiles: one screening query for all audited attributes
     plan = compilation_plan(session.auditor)
-    print(f"  model compiled to SQL: {len(plan.statements)} screening "
-          f"queries ({plan.dialect.name} dialect)")
+    queries = len(plan.statements)
+    attributes = sum(len(statement.attributes) for statement in plan.statements)
+    print(f"  model compiled to SQL: {queries} screening "
+          f"{'query' if queries == 1 else 'queries'} over {attributes} "
+          f"attributes ({plan.dialect.name} dialect)")
     with sqlite3.connect(warehouse_path) as connection:
         shipped = 0
         for statement in plan.statements:
@@ -66,10 +70,9 @@ def online_in_database_check(model_path: Path, warehouse_path: Path) -> None:
                 statement.params,
             ).fetchone()
             shipped += count
-    total = batch.n_rows * len(batch.schema)
-    print(f"  screens return {shipped} candidate rows — the database "
-          f"ships {shipped / total:.1%} of the {total} cells an extract "
-          f"would move")
+    print(f"  the screen returns {shipped} candidate rows — the database "
+          f"ships {shipped / batch.n_rows:.1%} of the {batch.n_rows} rows "
+          f"an extract would move")
 
     # engine="sql": the audit runs in-database, one whole-table report
     started = time.perf_counter()

@@ -4,9 +4,10 @@ The audit pipeline normally extracts every row out of the warehouse and
 streams it through Python. This package instead compiles the *fitted*
 models into SQL — trees path-by-path into nested ``CASE`` routing, 1R
 and PRISM rules into disjunctive bucket conditions, naive Bayes into
-arithmetic log-posterior scoring — and emits one deviation-screening
-query per audited attribute that runs entirely inside SQLite. Only the
-rows the screen cannot certify clean come back to Python, where they
+arithmetic log-posterior scoring — and fuses them into one
+deviation-screening query that runs entirely inside SQLite in a single
+table scan, with one flag column per audited attribute. Only the rows
+the screens cannot certify clean come back to Python, where they
 are re-audited through the unmodified in-memory code path, so the
 resulting :class:`~repro.core.findings.AuditReport` matches the
 in-memory engine finding for finding (the contract, its per-family SQL
@@ -33,8 +34,8 @@ the descriptor so DuckDB/Postgres can slot in later.
 from repro.compile.dialect import SQLITE, SqlDialect
 from repro.compile.engine import (
     ALIAS_PREFIX,
-    AttributeStatement,
     CompilationPlan,
+    ScreenStatement,
     audit_connection,
     audit_sqlite,
     audit_table_sql,
@@ -47,7 +48,7 @@ __all__ = [
     "SqlDialect",
     "SQLITE",
     "ALIAS_PREFIX",
-    "AttributeStatement",
+    "ScreenStatement",
     "CompilationPlan",
     "FamilyScreen",
     "NotCompilable",

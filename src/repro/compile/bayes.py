@@ -40,11 +40,13 @@ _MARGIN = "1e-09"
 
 
 def compile_naive_bayes(
-    builder: SqlBuilder, classifier, config, obs_ref: str
+    builder: SqlBuilder, classifier, config, obs_ref: str, prefix: str
 ) -> FamilyScreen:
     """Compile a fitted
     :class:`~repro.mining.naive_bayes.NaiveBayesClassifier` into a
-    :class:`~repro.compile.screen.FamilyScreen`."""
+    :class:`~repro.compile.screen.FamilyScreen`; its aliases are
+    ``prefix + "nb0"``, … (codes), ``prefix + "lp0"``, … (log-posteriors)
+    and ``prefix + "mx"``."""
     dataset = classifier.dataset
     priors = classifier.priors
     if dataset is None or priors is None:
@@ -79,7 +81,7 @@ def compile_naive_bayes(
                 )
             bins = cut_count_expr(builder, encoder.attribute, discretizer.cut_points)
             code_sql = f"CASE WHEN {col} IS NULL THEN -1 ELSE {bins} END"
-        alias = f"__audit_nb{index}"
+        alias = f"{prefix}nb{index}"
         code_aliases.append((alias, code_sql))
         code_ref = builder.dialect.quote(alias)
         log_likelihood = np.log(likelihood)
@@ -92,12 +94,12 @@ def compile_naive_bayes(
                 f"(CASE {code_ref} WHEN -1 THEN 0.0{value_arms} ELSE 0.0 END)"
             )
     lp_aliases = [
-        (f"__audit_lp{label}", " + ".join(terms[label]))
+        (f"{prefix}lp{label}", " + ".join(terms[label]))
         for label in range(n_labels)
     ]
     lp_refs = [builder.dialect.quote(name) for name, _sql in lp_aliases]
-    mx_alias = ("__audit_mx", f"MAX({', '.join(lp_refs)})")
-    mx_ref = builder.dialect.quote("__audit_mx")
+    mx_alias = (prefix + "mx", f"MAX({', '.join(lp_refs)})")
+    mx_ref = builder.dialect.quote(prefix + "mx")
     observed_arms = "".join(
         f" WHEN {label} THEN {lp_refs[label]}" for label in range(n_labels)
     )

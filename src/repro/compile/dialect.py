@@ -1,11 +1,12 @@
 """SQL dialect descriptors for the model compiler.
 
 The compiler (:mod:`repro.compile`) emits one deviation-screening query
-per audited attribute. Everything dialect-specific — identifier quoting,
-parameter placeholders, the storage-cleanliness guards, the row-number
-window — is routed through a :class:`SqlDialect` so that DuckDB or
-PostgreSQL backends can slot in later by providing another instance;
-today only :data:`SQLITE` is implemented and executable.
+for all audited attributes, split only where a statement would exceed
+the dialect's limits. Everything dialect-specific — identifier quoting,
+parameter placeholders, those limits — is routed through a
+:class:`SqlDialect` so that DuckDB or PostgreSQL backends can slot in
+later by providing another instance; today only :data:`SQLITE` is
+implemented and executable.
 
 Parameters are always *bound*, never inlined as text: a bound ``float``
 arrives in the engine as the exact IEEE double Python holds, which the
@@ -31,11 +32,13 @@ class SqlDialect:
         Registry key (``"sqlite"``); the execution engine refuses
         dialects it cannot run.
     max_parameters:
-        Upper bound on bound parameters per statement. Compilation
-        fails over to the in-memory path when a model needs more.
+        Upper bound on bound parameters per statement. Attributes are
+        packed into one statement up to this cap; compilation fails
+        over to the in-memory path when one attribute alone needs more.
     max_expression_depth:
         Upper bound on expression-tree nesting (deep decision trees
-        compile to deeply nested ``CASE`` expressions).
+        compile to deeply nested ``CASE`` expressions, and a statement's
+        ``OR`` over its attributes' flags nests once per attribute).
     """
 
     name: str

@@ -8,9 +8,9 @@ from the same small vocabulary of expressions over one table row:
   *clean* when its SQLite storage class is exactly what
   :class:`repro.io.sqlite_backend.SqliteTableSource` would convert
   without information loss: ``TEXT`` for nominal cells, strictly
-  ISO-formatted ``TEXT`` for dates, and finite ``REAL`` / small
-  ``INTEGER`` (``|v| ≤ 2⁵³``, exactly representable as a double) for
-  numerics. Anything else — blobs, out-of-range integers, the text
+  ISO-formatted ``TEXT`` for dates, and finite ``REAL`` (integral in
+  an integer domain) / small ``INTEGER`` (``|v| ≤ 2⁵³``, exactly
+  representable as a double) for numerics. Anything else — blobs, out-of-range integers, the text
   form of a >64-bit integer, a malformed date — is routed to the
   Python re-check, which converts it through the *same* code path as
   an in-memory read and therefore deviates (or errors) identically;
@@ -110,11 +110,18 @@ def clean_expr(builder: SqlBuilder, attribute: Attribute) -> str:
         )
     # numeric: finite REAL, or INTEGER small enough that the encoder's
     # float() view is exact (BETWEEN instead of abs() — abs() overflows
-    # on INT64_MIN)
+    # on INT64_MIN); an integer domain takes only integral REALs, as
+    # coerce_number does (round() returns an integral double unchanged)
+    integral = (
+        f" AND round({col}) = {col}"
+        if getattr(attribute.domain, "integer", False)
+        else ""
+    )
     return (
         f"({col} IS NULL"
         f" OR (typeof({col}) = 'real'"
-        f" AND {col} BETWEEN {builder.bind(-_MAX_REAL)} AND {builder.bind(_MAX_REAL)})"
+        f" AND {col} BETWEEN {builder.bind(-_MAX_REAL)} AND {builder.bind(_MAX_REAL)}"
+        f"{integral})"
         f" OR (typeof({col}) = 'integer'"
         f" AND {col} BETWEEN -{_EXACT_INT} AND {_EXACT_INT}))"
     )

@@ -42,10 +42,11 @@ __all__ = ["compile_one_r", "compile_prism"]
 
 
 def compile_one_r(
-    builder: SqlBuilder, classifier, config, obs_ref: str
+    builder: SqlBuilder, classifier, config, obs_ref: str, prefix: str
 ) -> FamilyScreen:
     """Compile a fitted :class:`~repro.mining.rule_induction.OneRClassifier`
-    into a :class:`~repro.compile.screen.FamilyScreen`."""
+    into a :class:`~repro.compile.screen.FamilyScreen`; its alias is
+    ``prefix + "grp"``."""
     dataset = classifier.dataset
     if dataset is None or classifier.global_counts is None:
         raise NotCompilable("1R classifier is not fitted")
@@ -69,18 +70,21 @@ def compile_one_r(
         group_sql = f"MIN({expr}, {counts.shape[0] - 1})"
     batch = _counts_to_batch(counts, labels)
     keys = flagged_pair_keys(batch.probabilities, batch.support, config)
-    group_ref = builder.dialect.quote("__audit_grp")
+    group = prefix + "grp"
     return FamilyScreen(
-        suspect_sql=pair_suspect_sql(group_ref, obs_ref, len(labels), keys),
-        levels=[[("__audit_grp", group_sql)]],
+        suspect_sql=pair_suspect_sql(
+            builder.dialect.quote(group), obs_ref, len(labels), keys
+        ),
+        levels=[[(group, group_sql)]],
     )
 
 
 def compile_prism(
-    builder: SqlBuilder, classifier, config, obs_ref: str
+    builder: SqlBuilder, classifier, config, obs_ref: str, prefix: str
 ) -> FamilyScreen:
     """Compile a fitted :class:`~repro.mining.rule_induction.PrismClassifier`
-    into a :class:`~repro.compile.screen.FamilyScreen`."""
+    into a :class:`~repro.compile.screen.FamilyScreen`; its aliases are
+    ``prefix + "b0"``, ``prefix + "b1"``, … and ``prefix + "grp"``."""
     dataset = classifier.dataset
     if dataset is None or classifier.global_counts is None:
         raise NotCompilable("PRISM classifier is not fitted")
@@ -95,7 +99,7 @@ def compile_prism(
     bucket_refs: dict[str, str] = {}
     for index, name in enumerate(used):
         encoder = dataset.encoders[name]
-        alias = f"__audit_b{index}"
+        alias = f"{prefix}b{index}"
         bucket_aliases.append(
             (
                 alias,
@@ -126,11 +130,13 @@ def compile_prism(
         group_sql = str(default_group)
     batch = _counts_to_batch(np.vstack(counts_rows), labels)
     keys = flagged_pair_keys(batch.probabilities, batch.support, config)
-    levels = [[("__audit_grp", group_sql)]]
+    group = prefix + "grp"
+    levels = [[(group, group_sql)]]
     if bucket_aliases:
-        levels = [bucket_aliases, [("__audit_grp", group_sql)]]
-    group_ref = builder.dialect.quote("__audit_grp")
+        levels = [bucket_aliases, [(group, group_sql)]]
     return FamilyScreen(
-        suspect_sql=pair_suspect_sql(group_ref, obs_ref, len(labels), keys),
+        suspect_sql=pair_suspect_sql(
+            builder.dialect.quote(group), obs_ref, len(labels), keys
+        ),
         levels=levels,
     )

@@ -59,9 +59,14 @@ class FamilyScreen:
         reference aliases of layers ``< k`` (each layer becomes one
         subquery nesting in the emitted statement).
     suspect_sql:
-        Boolean SQL over table columns, the engine's ``__audit_obs``
-        alias, and this screen's aliases: true when the row needs the
-        Python re-check.
+        Boolean SQL over table columns, the observed-class alias the
+        engine passed in, and this screen's aliases: true when the row
+        needs the Python re-check. The engine returns it as the
+        attribute's flag column of the fused screening statement.
+
+    Alias names come from the engine (one prefix per audited
+    attribute), so the screens of several attributes share one
+    statement without clashing.
     """
 
     suspect_sql: str

@@ -36,10 +36,11 @@ __all__ = ["compile_tree"]
 
 
 def compile_tree(
-    builder: SqlBuilder, classifier, config, obs_ref: str
+    builder: SqlBuilder, classifier, config, obs_ref: str, prefix: str
 ) -> FamilyScreen:
     """Compile a fitted :class:`~repro.mining.tree_classifier.TreeClassifier`
-    into a :class:`~repro.compile.screen.FamilyScreen`."""
+    into a :class:`~repro.compile.screen.FamilyScreen` whose alias is
+    ``prefix + "grp"``."""
     root = classifier.root
     dataset = classifier.dataset
     if root is None or dataset is None:
@@ -102,8 +103,10 @@ def compile_tree(
             probabilities[index] = counts / n
             support[index] = n
     keys = flagged_pair_keys(probabilities, support, config)
-    group_ref = builder.dialect.quote("__audit_grp")
+    group = prefix + "grp"
     return FamilyScreen(
-        suspect_sql=pair_suspect_sql(group_ref, obs_ref, n_labels, keys),
-        levels=[[("__audit_grp", group_sql)]],
+        suspect_sql=pair_suspect_sql(
+            builder.dialect.quote(group), obs_ref, n_labels, keys
+        ),
+        levels=[[(group, group_sql)]],
     )

@@ -1072,6 +1072,7 @@ class TestMonitorCli:
         import signal
         import subprocess
         import sys
+        import threading
         import time
 
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1099,20 +1100,38 @@ class TestMonitorCli:
             stderr=subprocess.PIPE,
             text=True,
         )
+        # drain both pipes while the monitor runs: unread, the findings
+        # fill the pipe buffer and block the monitor in a write
+        drained = {}
+        readers = {
+            name: threading.Thread(
+                target=lambda name, stream: drained.update({name: stream.read()}),
+                args=(name, stream),
+                daemon=True,
+            )
+            for name, stream in (("stdout", proc.stdout), ("stderr", proc.stderr))
+        }
+        for reader in readers.values():
+            reader.start()
         try:
             with open(grow, "a") as handle:  # the producer: polluted tail
                 handle.write("".join(lines[1024:]))
             deadline = time.monotonic() + 30
             state = stand["dir"] / "follow.jsonl.findings.jsonl.state"
-            while time.monotonic() < deadline:
-                if state.exists() and b'"rows": 2048' in state.read_bytes():
-                    break
-                time.sleep(0.2)
+            while not (state.exists() and b'"rows": 2048' in state.read_bytes()):
+                if time.monotonic() > deadline:
+                    pytest.fail("the monitor did not commit all 2048 rows in 30 s")
+                time.sleep(0.1)
             proc.send_signal(signal.SIGTERM)
-            out, err = proc.communicate(timeout=15)
+            proc.wait(timeout=15)
+            for name, reader in readers.items():
+                reader.join(timeout=15)
+                if reader.is_alive():
+                    pytest.fail(f"the monitor's {name} did not close within 15 s")
         finally:
             if proc.poll() is None:
                 proc.kill()
+        out, err = drained["stdout"], drained["stderr"]
         assert proc.returncode == 0, err
         assert "Traceback" not in err
         assert "drift detected" in err  # the step change was flagged

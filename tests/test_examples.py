@@ -44,7 +44,11 @@ def test_warehouse_loading():
 
 def test_sql_pushdown():
     output = _run("sql_pushdown.py")
-    assert "model compiled to SQL: 8 screening queries" in output
+    assert (
+        "model compiled to SQL: 1 screening query over 8 attributes (sqlite dialect)"
+        in output
+    )
+    assert "of the 2000 rows an extract would move" in output
     assert "findings byte-identical to the in-memory audit" in output
     assert "row    17 GBM" in output
 

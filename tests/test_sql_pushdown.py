@@ -9,7 +9,9 @@ content as the in-memory batch path: the identical ranked findings list
 floats), the same suspicious-row ranking, and the same record
 confidences on every flagged row. The fixtures deliberately cover the
 awkward inputs: nulls, out-of-distribution values the training table
-never showed, exact ties, and domain-boundary numerics/dates.
+never showed, exact ties, domain-boundary numerics/dates, tables with
+deleted rows (rowid gaps), and plans split over several statements by
+the dialect's limits.
 
 Non-compilable configurations (kNN) and non-SQLite sources must fall
 back to the in-memory path cleanly — same findings, one-line notice.
@@ -23,21 +25,25 @@ import pytest
 
 from repro.compile import (
     ALIAS_PREFIX,
+    SQLITE,
     NotCompilable,
+    SqlDialect,
     audit_sqlite,
     audit_table_sql,
     compilation_plan,
 )
+from repro.compile import engine as engine_module
 from repro.core.auditor import AuditorConfig, DataAuditor
 from repro.core.findings import AuditReport
 from repro.core.session import AuditSession
 from repro.io.csv_backend import CsvTableSink
-from repro.io.registry import open_source
+from repro.io.registry import open_source, write_table
 from repro.io.sqlite_backend import SqliteTableSink
 from repro.mining.knn import KnnClassifier
 from repro.mining.naive_bayes import NaiveBayesClassifier
 from repro.mining.rule_induction import OneRClassifier, PrismClassifier
 from repro.mining.tree_classifier import TreeClassifier
+from repro.quis import generate_quis_sample
 from repro.schema import Schema, Table, date, nominal, numeric
 
 FAMILIES = {
@@ -103,6 +109,28 @@ def _rich_tables(seed=29, n_train=600, n_audit=260):
 def _fitted(factory, train):
     config = AuditorConfig(min_error_confidence=0.8, classifier_factory=factory)
     return DataAuditor(train.schema, config).fit(train)
+
+
+def _warehouse(audit: Table, directory):
+    database = directory / "wh.db"
+    with SqliteTableSink(audit.schema, database, table="loads") as sink:
+        sink.write(audit)
+    return database
+
+
+def _extract(schema: Schema, database) -> Table:
+    with open_source(schema, str(database)) as source:
+        return source.read()
+
+
+def _assert_same_error(auditor, schema: Schema, database) -> str:
+    """The pushdown raises exactly the extract path's error; returns it."""
+    with pytest.raises(ValueError) as via_extract:
+        _extract(schema, database)
+    with pytest.raises(ValueError) as via_pushdown:
+        audit_sqlite(auditor, database)
+    assert str(via_pushdown.value) == str(via_extract.value)
+    return str(via_extract.value)
 
 
 def _assert_reports_match(memory: AuditReport, sql: AuditReport) -> None:
@@ -195,10 +223,61 @@ class TestDatabaseFiles:
             audit_sqlite(auditor, database)
         assert str(via_pushdown.value) == str(via_extract.value)
 
+    def test_non_integral_real_in_integer_column_raises_the_extraction_error(
+        self, warehouse
+    ):
+        # REAL storage in an integer domain is clean only when integral:
+        # 3.5 must reach the converter and fail as the extract path does
+        auditor, audit, database = warehouse
+        with sqlite3.connect(database) as connection:
+            connection.execute("UPDATE loads SET M = 3.5 WHERE rowid = 3")
+        message = _assert_same_error(auditor, audit.schema, database)
+        assert message.startswith("row 3, attribute 'M'")
+
+    def test_convertible_dirty_cells_are_rechecked_for_every_attribute(
+        self, warehouse
+    ):
+        # numbers stored as TEXT convert on extract but defeat the SQL
+        # routing, so every attribute must re-check every dirty row
+        auditor, audit, database = warehouse
+        with sqlite3.connect(database) as connection:
+            connection.execute("UPDATE loads SET N = CAST(N AS TEXT)")
+        memory = auditor.audit(_extract(audit.schema, database))
+        assert memory.findings == auditor.audit(audit).findings
+        _assert_reports_match(memory, audit_sqlite(auditor, database))
+
     def test_missing_database(self, warehouse):
         auditor, _, database = warehouse
         with pytest.raises(FileNotFoundError):
             audit_sqlite(auditor, database.with_name("absent.db"))
+
+
+class TestRowidGaps:
+    """Deleted rows leave gaps in ``rowid``; positions must still count
+    rows in ``rowid`` order, as the extract path does."""
+
+    @pytest.fixture(params=sorted(FAMILIES))
+    def gapped(self, request, tmp_path):
+        train, audit = _rich_tables()
+        auditor = _fitted(FAMILIES[request.param], train)
+        database = _warehouse(audit, tmp_path)
+        with sqlite3.connect(database) as connection:
+            connection.execute("DELETE FROM loads WHERE rowid % 7 = 0 OR rowid < 4")
+        return auditor, audit.schema, database
+
+    def test_findings_match_the_extract_path(self, gapped):
+        auditor, schema, database = gapped
+        memory = auditor.audit(_extract(schema, database))
+        assert memory.findings, "fixture must actually flag deviations"
+        _assert_reports_match(memory, audit_sqlite(auditor, database))
+
+    def test_mistyped_cell_after_a_gap_raises_the_extraction_error(self, gapped):
+        auditor, schema, database = gapped
+        with sqlite3.connect(database) as connection:
+            connection.execute("UPDATE loads SET N = 'bogus' WHERE rowid = 30")
+        message = _assert_same_error(auditor, schema, database)
+        # rowids 1-3, 7, 14, 21 and 28 are gone: rowid 30 is the 23rd row
+        assert message.startswith("row 23, attribute 'N'")
 
 
 class TestFallbacks:
@@ -239,12 +318,69 @@ class TestCompilationPlan:
         train, _ = _rich_tables()
         auditor = _fitted(FAMILIES["tree"], train)
         plan = compilation_plan(auditor)
-        assert [s.attribute for s in plan.statements] == list(auditor.classifiers)
+        attributes = [a for s in plan.statements for a in s.attributes]
+        assert attributes == list(auditor.classifiers)
         for statement in plan.statements:
             sql = statement.sql('"loads"')
             assert '"loads"' in sql
-            assert f'"{ALIAS_PREFIX}rn"' in sql
+            assert "ROW_NUMBER" not in sql.upper()
             assert isinstance(statement.params, tuple)
+
+    @pytest.mark.parametrize(
+        "limit", ["max_parameters", "max_expression_depth", "max_columns"]
+    )
+    def test_dialect_limits_split_the_screen(self, tmp_path, monkeypatch, limit):
+        # 1R has no tree-depth check, so every limit can bite on packing
+        train, audit = _rich_tables()
+        auditor = _fitted(FAMILIES["one_r"], train)
+        database = _warehouse(audit, tmp_path)
+        fused = compilation_plan(auditor)
+        assert len(fused.statements) == 1
+        (statement,) = fused.statements
+        n_attributes = len(statement.attributes)
+        if limit == "max_columns":
+            # one column short of rowid, dirty, the cells and 2 aliases each
+            tight = 2 + len(audit.schema) + 2 * n_attributes - 1
+            monkeypatch.setattr(engine_module, "_MAX_COLUMNS", tight)
+            dialect = SQLITE
+        else:
+            tight = {
+                "max_parameters": len(statement.params) - 1,
+                "max_expression_depth": n_attributes,  # OR of dirty + flags
+            }[limit]
+            dialect = SqlDialect("sqlite", **{limit: tight})
+        split = compilation_plan(auditor, dialect)
+        assert split.compilable, split.reasons
+        assert len(split.statements) >= 2
+        attributes = [a for s in split.statements for a in s.attributes]
+        assert attributes == list(auditor.classifiers)
+        expected = audit_sqlite(auditor, database, plan=fused)
+        actual = audit_sqlite(auditor, database, plan=split)
+        _assert_reports_match(auditor.audit(audit), actual)
+        assert actual.findings == expected.findings
+        assert actual.record_confidence == expected.record_confidence
+
+    def test_attribute_over_the_parameter_cap_is_not_compilable(self, tmp_path):
+        train, audit = _rich_tables()
+        auditor = _fitted(FAMILIES["tree"], train)
+        plan = compilation_plan(auditor, SqlDialect("sqlite", max_parameters=1))
+        assert not plan.compilable
+        assert set(plan.reasons) == set(auditor.classifiers)
+        assert "bound parameters" in plan.notice()
+        with pytest.raises(NotCompilable):
+            audit_sqlite(auditor, _warehouse(audit, tmp_path), plan=plan)
+
+    def test_rowid_column_falls_back(self):
+        # a column named rowid shadows the row identity positions come from
+        schema = Schema([nominal("RowId", ["a", "b"]), nominal("B", ["x", "y"])])
+        rng = random.Random(5)
+        table = Table(schema, [[rng.choice("ab"), rng.choice("xy")] for _ in range(200)])
+        auditor = DataAuditor(schema, AuditorConfig(min_error_confidence=0.8))
+        auditor.fit(table)
+        plan = compilation_plan(auditor)
+        assert not plan.compilable
+        assert "rowid" in plan.notice()
+        assert auditor.audit(table, engine="sql").findings == auditor.audit(table).findings
 
     def test_unfitted_auditor_is_rejected(self):
         with pytest.raises(RuntimeError, match="fit"):
@@ -268,6 +404,27 @@ class TestCompilationPlan:
         plan = compilation_plan(auditor)
         assert not plan.compilable
         assert "auditing in memory" in plan.notice()
+
+
+class TestQuisSample:
+    def test_pushdown_matches_extract_and_screens_few_rows(self, tmp_path):
+        sample = generate_quis_sample(4_000, seed=2003)
+        auditor = DataAuditor(sample.schema, AuditorConfig(min_error_confidence=0.8))
+        auditor.fit(sample.dirty)
+        database = tmp_path / "warehouse.db"
+        write_table(sample.dirty, database)
+        extracted = auditor.audit(_extract(sample.schema, database))
+        pushed = audit_sqlite(auditor, database)
+        assert pushed.findings == extracted.findings
+        assert pushed.suspicious_rows() == extracted.suspicious_rows()
+        # the screen ships a small share of the table's rows (~3% here)
+        plan = compilation_plan(auditor)
+        with sqlite3.connect(database) as connection:
+            shipped = sum(
+                len(connection.execute(s.sql('"data"'), s.params).fetchall())
+                for s in plan.statements
+            )
+        assert shipped < 0.1 * sample.dirty.n_rows
 
 
 class TestCli:

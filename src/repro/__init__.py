@@ -111,7 +111,6 @@ from repro.pollution import (
 )
 from repro.io import (
     ColumnBatch,
-    ColumnarSource,
     TableSink,
     TableSource,
     available_formats,
@@ -121,7 +120,6 @@ from repro.io import (
     read_table,
     read_table_chunks,
     register_format,
-    resolve_io_path,
     write_table,
 )
 from repro.quis import generate_quis_sample, quis_schema
@@ -188,9 +186,7 @@ __all__ = [
     # storage backends (repro.io)
     "TableSource",
     "TableSink",
-    "ColumnarSource",
     "ColumnBatch",
-    "resolve_io_path",
     "register_format",
     "available_formats",
     "detect_format",

@@ -43,12 +43,9 @@ findings retained for ranking, not by the load's row count);
 bit-identical across chunk sizes and storage backends: auditing a SQLite
 table is bit-identical to auditing the equivalent CSV export.
 ``repro fit --jobs N`` fits the per-attribute classifiers on N worker
-processes; the model is byte-identical at any job count.
-``--io-path {auto,columns,rows}`` on ``fit`` and ``audit`` selects the
-ingest representation: ``columns`` reads the backend's native column
-batches (:mod:`repro.io.columnar` — no row objects on the hot path),
-``rows`` keeps the row-major parity oracle, and ``auto`` (the default)
-negotiates per backend; models and findings are byte-identical. See
+processes; the model is byte-identical at any job count. ``fit`` and
+``audit`` read their input as column batches (:mod:`repro.io.columnar`),
+with no row objects between storage and the encoders. See
 ``docs/architecture.md`` for the execution model and the README for a
 full flag reference.
 """
@@ -70,7 +67,6 @@ from repro.core.findings import Finding, findings_to_table
 from repro.core.serialize import save_auditor
 from repro.core.session import AuditSession, ModelPersistenceError
 from repro.generator.profiles import base_profile, base_schema
-from repro.io.columnar import IO_PATHS, resolve_io_path
 from repro.io.jsonl_backend import JsonlTableSink
 from repro.io.registry import (
     available_formats,
@@ -137,24 +133,17 @@ def _open_input(schema, location: str, override: Optional[str], null_marker: Opt
     return open_source(schema, location, format=fmt, **_table_options(fmt, null_marker))
 
 
-def _read_input(
-    schema,
-    location: str,
-    override: Optional[str],
-    null_marker: Optional[str] = None,
-    io_path: str = "rows",
-):
-    """Materialize a CLI table argument.
-
-    ``io_path="columns"`` (or ``"auto"`` on a columnar-capable backend)
-    returns the backend's native :class:`~repro.io.ColumnBatch` instead
-    of a row-major :class:`Table` — fit and audit accept either with
-    byte-identical results.
-    """
+def _read_input(schema, location: str, override: Optional[str], null_marker: Optional[str] = None) -> Table:
+    """Materialize a CLI table argument as a row-major :class:`Table`."""
     with _open_input(schema, location, override, null_marker) as source:
-        if resolve_io_path(source, io_path) == "columns":
-            return source.read_columns()
         return source.read()
+
+
+def _read_columns(schema, location: str, override: Optional[str], null_marker: Optional[str] = None):
+    """Materialize a CLI table argument as one
+    :class:`~repro.io.ColumnBatch` (what fit and audit consume)."""
+    with _open_input(schema, location, override, null_marker) as source:
+        return source.read_columns()
 
 
 def _write_output(table: Table, location: str, override: Optional[str], null_marker: Optional[str] = None) -> None:
@@ -254,23 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fitted model is byte-identical regardless of job count",
     )
     p_fit.add_argument(
-        "--fit-path",
-        choices=("columns", "rows"),
-        default="columns",
-        help="encoding path for fitting: 'columns' (vectorized NumPy "
-        "column encoding, the default) or 'rows' (legacy per-cell path, "
-        "kept as the parity oracle); both produce byte-identical models",
-    )
-    p_fit.add_argument(
-        "--io-path",
-        choices=IO_PATHS,
-        default="auto",
-        help="ingest representation: 'columns' reads the backend's native "
-        "column batches (no row objects on the hot path), 'rows' reads a "
-        "row-major table, 'auto' (default) picks columns whenever the "
-        "backend supports them; models are byte-identical either way",
-    )
-    p_fit.add_argument(
         "--register",
         metavar="NAME",
         help="store the fitted model as the next version of NAME in the "
@@ -325,15 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="findings output format (default: inferred from --findings-out, "
         "csv if unrecognized); jsonl without --findings-out writes one "
         "JSON object per finding to stdout",
-    )
-    p_audit.add_argument(
-        "--io-path",
-        choices=IO_PATHS,
-        default="auto",
-        help="ingest representation: 'columns' streams the backend's native "
-        "column batches into the audit, 'rows' streams row-major chunks, "
-        "'auto' (default) picks columns whenever the backend supports "
-        "them; findings are byte-identical either way",
     )
     p_audit.add_argument(
         "--engine",
@@ -578,16 +541,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "a fit with neither destination would be discarded"
         )
     schema = _load_schema(args.schema)
-    table = _read_input(
-        schema, args.input, args.input_format, args.null_marker, io_path=args.io_path
-    )
+    table = _read_columns(schema, args.input, args.input_format, args.null_marker)
     auditor = DataAuditor(
         schema,
-        AuditorConfig(
-            min_error_confidence=args.min_confidence,
-            fit_n_jobs=args.jobs,
-            fit_path=args.fit_path,
-        ),
+        AuditorConfig(min_error_confidence=args.min_confidence, fit_n_jobs=args.jobs),
     )
     auditor.fit(table)
     if args.model_out is not None:
@@ -610,8 +567,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                     config={
                         "min_error_confidence": args.min_confidence,
                         "fit_n_jobs": args.jobs,
-                        "fit_path": args.fit_path,
-                        "io_path": args.io_path,
                     },
                     n_rows=table.n_rows,
                     fit_seconds=auditor.fit_seconds,
@@ -736,13 +691,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             with _open_input(
                 auditor.schema, args.input, args.input_format, args.null_marker
             ) as source:
-                _consume(
-                    session.audit_source(
-                        source,
-                        chunk_size=args.chunk_size,
-                        io_path=args.io_path,
-                    )
-                )
+                _consume(session.audit_source(source, chunk_size=args.chunk_size))
         findings = sorted(collected, key=lambda f: (-f.confidence, f.row, f.attribute))
     else:
         report = None
@@ -755,12 +704,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             except NotCompilable as exc:
                 print(f"note: {exc}; auditing in memory", file=sys.stderr)
         if report is None:
-            table = _read_input(
-                auditor.schema,
-                args.input,
-                args.input_format,
-                args.null_marker,
-                io_path=args.io_path,
+            table = _read_columns(
+                auditor.schema, args.input, args.input_format, args.null_marker
             )
             report = auditor.audit(table)
         findings = report.findings

@@ -68,7 +68,7 @@ from repro.compile.rules import compile_one_r, compile_prism
 from repro.compile.screen import FamilyScreen, NotCompilable
 from repro.compile.tree import compile_tree
 from repro.core.findings import AuditReport, Finding
-from repro.io.cells import convert_row
+from repro.io.cells import cell_converters, convert_row
 from repro.io.sqlite_backend import (
     SqliteTableSink,
     _column_names,
@@ -388,12 +388,7 @@ def audit_connection(
             )
     quoted = plan.dialect.quote(table)
     names = list(auditor.schema.names)
-    converters = [
-        lambda raw, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-            _from_sql(raw, kind, integer)
-        )
-        for a in auditor.schema.attributes
-    ]
+    converters = cell_converters(auditor.schema, _from_sql)
     try:
         n_rows = connection.execute(f"SELECT COUNT(*) FROM {quoted}").fetchone()[0]
         positions_of = _rowid_positions(connection, quoted, n_rows)

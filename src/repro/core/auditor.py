@@ -58,8 +58,6 @@ from repro.schema.types import AttributeKind
 
 __all__ = ["AuditorConfig", "ColumnCache", "FitColumnCache", "DataAuditor"]
 
-_FIT_PATHS = ("columns", "rows")
-
 
 class ColumnCache:
     """Encode-once column store shared by every classifier auditing one
@@ -87,12 +85,6 @@ class ColumnCache:
         self.table = table
         self._raw: dict[str, list] = {}
         self._encoded: dict[str, np.ndarray] = {}
-
-    @classmethod
-    def from_columns(cls, batch) -> "ColumnCache":
-        """Build the cache directly over a column batch — the columnar
-        ingestion path (no row lists are ever constructed)."""
-        return cls(batch)
 
     @property
     def n_rows(self) -> int:
@@ -169,7 +161,7 @@ class FitColumnCache(ColumnCache):
     :meth:`dataset_for` assembles a classifier's training view from the
     shared arrays (:meth:`Dataset.from_shared
     <repro.mining.dataset.Dataset.from_shared>`) — bit-identical to the
-    standalone ``Dataset`` construction, pinned by the fit-parity suite.
+    cell-at-a-time reference encoding the fit-parity suite keeps.
     The serial fit keeps one cache per table; each parallel fit worker
     builds one per (table, process).
     """
@@ -314,13 +306,6 @@ class AuditorConfig:
         cores); overridden per call by ``fit(n_jobs=)``. Each task is
         one audited attribute's classifier fit. Parallel and serial fits
         produce byte-identical serialized models.
-    fit_path:
-        Encoding path of structure induction. ``"columns"`` (the
-        default) encodes each table column once and runs the fit on
-        shared NumPy column arrays (:class:`FitColumnCache`);
-        ``"rows"`` is the legacy cell-at-a-time formulation kept as the
-        *parity oracle* — both paths must produce byte-identical
-        serialized models (pinned by ``tests/test_fit_parity_property.py``).
     """
 
     min_error_confidence: float = 0.80
@@ -330,7 +315,6 @@ class AuditorConfig:
     base_attributes: Mapping[str, Sequence[str]] = field(default_factory=dict)
     audited_attributes: Optional[Sequence[str]] = None
     fit_n_jobs: int = 1
-    fit_path: str = "columns"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.min_error_confidence < 1.0:
@@ -341,10 +325,6 @@ class AuditorConfig:
             raise ValueError(
                 "fit_n_jobs must be a positive worker count or a negative "
                 "cpu-relative count (-1 = all cores), not 0"
-            )
-        if self.fit_path not in _FIT_PATHS:
-            raise ValueError(
-                f"fit_path must be one of {_FIT_PATHS}, got {self.fit_path!r}"
             )
 
     def make_classifier(self) -> AttributeClassifier:
@@ -399,21 +379,17 @@ class DataAuditor:
         a :class:`~repro.io.columnar.ColumnBatch` (the columnar ingest of
         :meth:`AuditSession.fit_source
         <repro.core.session.AuditSession.fit_source>`) — both encode
-        through the same caches and produce byte-identical models.
-
-        The fit runs on the configured encoding path
-        (:attr:`AuditorConfig.fit_path`): the default column path encodes
-        each table column exactly once into a shared
-        :class:`FitColumnCache` and every classifier trains on those
-        shared arrays; the row path re-encodes cell-at-a-time per
-        classifier (the parity oracle).
+        through the same caches and produce byte-identical models. Each
+        table column is encoded exactly once into a shared
+        :class:`FitColumnCache`, and every classifier trains on those
+        shared arrays.
 
         *n_jobs* (default: :attr:`AuditorConfig.fit_n_jobs`) selects the
         executor: ``1`` fits serially in-process; ``N > 1`` fans the
         per-attribute fits out over *N* worker processes
         (:func:`repro.core.parallel.fit_table_parallel`); negative counts
         are cpu-relative (``-1`` = all cores). The fitted model is
-        byte-identical (serialized form) at any job count on either path.
+        byte-identical (serialized form) at any job count.
         """
         from repro.core.parallel import fit_table_parallel, resolve_n_jobs
 
@@ -425,11 +401,7 @@ class DataAuditor:
         if jobs > 1 and len(attrs) > 1 and table.n_rows > 0:
             self.classifiers = fit_table_parallel(self, table, jobs)
         else:
-            cache = (
-                FitColumnCache(table, n_bins=self.config.n_bins)
-                if self.config.fit_path == "columns"
-                else None
-            )
+            cache = FitColumnCache(table, n_bins=self.config.n_bins)
             self.classifiers = {
                 class_attr: self.fit_attribute(class_attr, table, cache)
                 for class_attr in attrs
@@ -443,21 +415,12 @@ class DataAuditor:
         table,
         cache: Optional[FitColumnCache] = None,
     ) -> Dataset:
-        """One classifier's training view of *table*.
-
-        With a :class:`FitColumnCache` the view references the cache's
-        shared encoded arrays; without one it is built standalone on the
-        configured encoding path. Both constructions are bit-identical.
-        """
-        if cache is not None:
-            return cache.dataset_for(class_attr, self.base_attributes_for(class_attr))
-        return Dataset(
-            table,
-            class_attr,
-            self.base_attributes_for(class_attr),
-            n_bins=self.config.n_bins,
-            encode_path=self.config.fit_path,
-        )
+        """One classifier's training view of *table*, referencing the
+        shared encoded arrays of *cache* (a fresh :class:`FitColumnCache`
+        over *table* when none is given)."""
+        if cache is None:
+            cache = FitColumnCache(table, n_bins=self.config.n_bins)
+        return cache.dataset_for(class_attr, self.base_attributes_for(class_attr))
 
     def fit_attribute(
         self,

@@ -81,7 +81,7 @@ def _fit_payload(auditor: "DataAuditor") -> "DataAuditor":
 
 _WORKER_AUDITOR: Optional["DataAuditor"] = None
 _WORKER_TABLE = None
-_WORKER_CACHE = None  # FitColumnCache over the shared table (columns path)
+_WORKER_CACHE = None  # FitColumnCache over the shared table
 
 #: payloads staged in the parent for fork-inheriting workers, keyed by a
 #: per-pool token. An entry lives for the whole pool lifetime: a worker
@@ -97,12 +97,7 @@ def _install_payload(auditor: "DataAuditor", table) -> None:
     global _WORKER_AUDITOR, _WORKER_TABLE, _WORKER_CACHE
     _WORKER_AUDITOR = auditor
     _WORKER_TABLE = table
-    # the rows (oracle) path fits cache-less, exactly like the serial path
-    _WORKER_CACHE = (
-        FitColumnCache(table, n_bins=auditor.config.n_bins)
-        if auditor.config.fit_path == "columns"
-        else None
-    )
+    _WORKER_CACHE = FitColumnCache(table, n_bins=auditor.config.n_bins)
 
 
 def _init_worker_from_token(token: int) -> None:

@@ -163,11 +163,11 @@ def auditor_to_dict(auditor: DataAuditor) -> dict[str, Any]:
                 if config.audited_attributes is not None
                 else None
             ),
-            # fit_path / fit_n_jobs are deliberately NOT persisted: they
-            # are fit-time execution knobs that never change the induced
-            # model, and keeping them out makes the serialized document
-            # (and hence the registry content address) byte-identical no
-            # matter how the model was fitted.
+            # fit_n_jobs is deliberately NOT persisted: it is a fit-time
+            # execution knob that never changes the induced model, and
+            # keeping it out makes the serialized document (and hence
+            # the registry content address) byte-identical no matter how
+            # the model was fitted.
         },
         "classifiers": classifiers,
     }

@@ -25,10 +25,9 @@ first-class API on top of :class:`~repro.core.auditor.DataAuditor`:
   warehouse table (``sqlite:///wh.db?table=loads``), a Parquet extract —
   and :meth:`AuditSession.fit_source` is its offline counterpart;
   :meth:`AuditSession.audit_csv_stream` remains as the CSV-specific
-  wrapper. Both source entry points take ``io_path=`` to stream the
-  backend's native :class:`~repro.io.ColumnBatch` objects instead of
-  row-major chunks (``"auto"``, the default, negotiates per backend);
-  reports and models are byte-identical on either path.
+  wrapper. Both source entry points read the backend's
+  :class:`~repro.io.ColumnBatch` objects, so no row objects are built
+  between storage and the encoding caches.
 
 The fit entry points take ``n_jobs=`` and fan the per-attribute fits
 out over a process pool when it exceeds 1 (:mod:`repro.core.parallel`);
@@ -50,7 +49,6 @@ from typing import Iterable, Iterator, Optional, Union
 from repro.core.auditor import AuditorConfig, DataAuditor
 from repro.core.findings import AuditReport
 from repro.io.base import DEFAULT_CHUNK_SIZE, TableSource
-from repro.io.columnar import resolve_io_path
 from repro.io.csv_backend import CsvTableSource
 from repro.io.registry import open_source
 from repro.schema.schema import Schema
@@ -131,7 +129,6 @@ class AuditSession:
         *,
         validate: bool = False,
         n_jobs: Optional[int] = None,
-        io_path: str = "auto",
     ) -> "AuditSession":
         """:meth:`fit` on any stored table (the offline half of sec. 2.2).
 
@@ -140,23 +137,12 @@ class AuditSession:
         schema — a CSV/JSONL/Parquet path or a SQLite database
         (``history.db``, ``sqlite:///wh.db?table=history``). Structure
         induction needs the whole training relation, so the source is
-        materialized in memory.
-
-        *io_path* selects the ingest representation
-        (:func:`~repro.io.resolve_io_path`): ``"columns"`` reads a
-        :class:`~repro.io.ColumnBatch` (the backend's native columnar
-        lane — rows are never materialized), ``"rows"`` reads a
-        row-major :class:`~repro.schema.table.Table`, and ``"auto"``
-        (default) picks columns whenever the backend supports them. The
-        fitted model is byte-identical on either path.
+        materialized in memory, as one :class:`~repro.io.ColumnBatch`
+        (rows are never built).
         """
         source, owned = self._resolve_source(source)
         try:
-            if resolve_io_path(source, io_path) == "columns":
-                staged = source.read_columns(validate=validate)
-            else:
-                staged = source.read(validate=validate)
-            return self.fit(staged, n_jobs=n_jobs)
+            return self.fit(source.read_columns(validate=validate), n_jobs=n_jobs)
         finally:
             if owned:
                 source.close()
@@ -313,7 +299,6 @@ class AuditSession:
         *,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         engine: Optional[str] = None,
-        io_path: str = "auto",
     ) -> Iterator[AuditReport]:
         """Check any stored table chunk by chunk (the online half of
         sec. 2.2, on the warehouse's own formats).
@@ -332,15 +317,9 @@ class AuditSession:
         (:mod:`repro.compile`): the generator then yields exactly one
         whole-table report (no extraction, so chunking does not apply).
         Non-SQLite sources and non-compilable models fall back to the
-        chunked in-memory path above, byte-identically.
-
-        *io_path* selects the ingest representation per chunk
-        (:func:`~repro.io.resolve_io_path`): ``"columns"`` streams the
-        backend's native :class:`~repro.io.ColumnBatch` objects straight
-        into the audit (no row objects anywhere on the hot path),
-        ``"rows"`` streams row-major chunks, and ``"auto"`` (default)
-        picks columns whenever the backend supports them. Reports are
-        byte-identical on either path.
+        chunked in-memory path above, byte-identically. Chunks stream as
+        :class:`~repro.io.ColumnBatch` objects straight into the audit,
+        with no row objects on the hot path.
         """
         if engine not in (None, "memory", "sql"):
             raise ValueError(f"engine must be 'memory' or 'sql', got {engine!r}")
@@ -359,11 +338,7 @@ class AuditSession:
                     return
         source, owned = self._resolve_source(source)
         try:
-            if resolve_io_path(source, io_path) == "columns":
-                stream = source.column_batches(chunk_size)
-            else:
-                stream = source.chunks(chunk_size)
-            yield from self.audit_chunks(stream)
+            yield from self.audit_chunks(source.column_batches(chunk_size))
         finally:
             if owned:
                 source.close()

@@ -31,12 +31,7 @@ registration.
 """
 
 from repro.io.base import DEFAULT_CHUNK_SIZE, TableSink, TableSource
-from repro.io.columnar import (
-    IO_PATHS,
-    ColumnarSource,
-    ColumnBatch,
-    resolve_io_path,
-)
+from repro.io.columnar import ColumnBatch, resolve_io_path
 from repro.io.csv_backend import CsvTableSink, CsvTableSource
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
 from repro.io.parquet_backend import ParquetTableSink, ParquetTableSource
@@ -59,8 +54,6 @@ __all__ = [
     "TableSource",
     "TableSink",
     "ColumnBatch",
-    "ColumnarSource",
-    "IO_PATHS",
     "resolve_io_path",
     "FormatSpec",
     "register_format",

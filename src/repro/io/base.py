@@ -30,7 +30,6 @@ through the format registry (:mod:`repro.io.registry`).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
 
@@ -65,21 +64,13 @@ class TableSource(ABC):
 
     Subclasses open their storage in ``__init__`` (so open errors surface
     at construction, where the location is known) and implement
-    :meth:`_iter_rows`, yielding schema-ordered cell lists. The base
-    class turns that row stream into whole tables or bounded chunks.
-
-    Sources may additionally stream :class:`~repro.io.columnar.ColumnBatch`
-    objects (:meth:`column_batches` / :meth:`read_columns`). The base
-    implementation pivots row chunks; backends that build batches
-    natively during their single storage pass override
-    :meth:`_iter_column_batches` and set :attr:`supports_columns`, which
-    is what ``io_path="auto"`` negotiation consults
-    (:func:`~repro.io.columnar.resolve_io_path`).
+    :meth:`_iter_column_batches`, converting their raw records
+    column-at-a-time (:func:`~repro.io.columnar.columns_from_rows`).
+    The base class derives every way to consume the source from that one
+    lane: column batches (:meth:`column_batches` / :meth:`read_columns`)
+    and row-major tables (:meth:`read` / :meth:`chunks`), which pivot
+    batch by batch.
     """
-
-    #: True when :meth:`_iter_column_batches` builds batches natively
-    #: (no row-chunk pivot) — the ``io_path="auto"`` negotiation signal.
-    supports_columns: bool = False
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -87,18 +78,9 @@ class TableSource(ABC):
     # -- backend contract ---------------------------------------------------
 
     @abstractmethod
-    def _iter_rows(self) -> Iterator[list[Value]]:
-        """Yield one schema-ordered cell list per stored row."""
-
     def _iter_column_batches(self, batch_size: int) -> Iterator[ColumnBatch]:
-        """Yield :class:`ColumnBatch` chunks of at most *batch_size* rows.
-
-        The default pivots row chunks — correct for any backend; natively
-        columnar backends override it to convert column-at-a-time off
-        their own raw buffers.
-        """
-        for chunk in self.chunks(batch_size):
-            yield ColumnBatch.from_table(chunk)
+        """Yield non-empty :class:`ColumnBatch` chunks of at most
+        *batch_size* rows, in stored order."""
 
     def close(self) -> None:
         """Release the underlying handle (idempotent)."""
@@ -106,9 +88,14 @@ class TableSource(ABC):
     # -- consumption --------------------------------------------------------
 
     def read(self, *, validate: bool = False) -> Table:
-        """Materialize the whole source as one :class:`Table`."""
+        """Materialize the whole source as one :class:`Table`.
+
+        Batches are pivoted one at a time, so the read never holds the
+        table twice.
+        """
         table = Table(self.schema)
-        table.rows.extend(self._iter_rows())
+        for batch in self._iter_column_batches(DEFAULT_CHUNK_SIZE):
+            table.rows.extend(batch.rows())
         if validate:
             table.validate()
         return table
@@ -120,38 +107,22 @@ class TableSource(ABC):
 
         Rows are pulled lazily, so peak memory is bounded by the chunk
         size rather than the stored row count. A source holding a valid
-        header but no rows yields no chunks.
-
-        Each chunk adopts its row batch in place (:meth:`Table.adopt
-        <repro.schema.table.Table.adopt>`) — no per-row copy, no
-        re-created table shell — and the row validator is resolved once
-        for the whole stream; chunked and whole-table reads are
-        byte-identical (pinned by the columnar I/O suite).
+        header but no rows yields no chunks. Chunk boundaries are the
+        :meth:`column_batches` boundaries, and chunked and whole-table
+        reads are byte-identical (pinned by the columnar I/O suite).
         """
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        rows_iter = self._iter_rows()
-        validate_row = self.schema.validate_row if validate else None
-        while True:
-            rows = list(islice(rows_iter, chunk_size))
-            if not rows:
-                return
-            if validate_row is not None:
-                for i, row in enumerate(rows):
-                    try:
-                        validate_row(row)
-                    except ValueError as exc:
-                        raise ValueError(f"row {i}: {exc}") from None
-            yield Table.adopt(self.schema, rows)
+        for batch in self.column_batches(chunk_size):
+            chunk = batch.to_table()
+            if validate:
+                chunk.validate()
+            yield chunk
 
     def column_batches(
         self, chunk_size: int = DEFAULT_CHUNK_SIZE, *, validate: bool = False
     ) -> Iterator[ColumnBatch]:
         """Stream the source as :class:`~repro.io.columnar.ColumnBatch`
-        chunks of at most *chunk_size* rows — the columnar twin of
-        :meth:`chunks`, with the same bounded-memory guarantee, the same
-        batch boundaries, and byte-identical cell values and errors
-        (pinned by the columnar parity suite)."""
+        chunks of at most *chunk_size* rows, with the same bounded-memory
+        guarantee as :meth:`chunks`."""
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
         for batch in self._iter_column_batches(chunk_size):
@@ -162,7 +133,7 @@ class TableSource(ABC):
     def read_columns(self, *, validate: bool = False) -> ColumnBatch:
         """Materialize the whole source as one
         :class:`~repro.io.columnar.ColumnBatch` — the columnar twin of
-        :meth:`read` (the fit path's whole-relation ingest)."""
+        :meth:`read` (the fit's whole-relation ingest)."""
         batch = ColumnBatch.concat(
             self.schema, self._iter_column_batches(DEFAULT_CHUNK_SIZE)
         )

@@ -33,6 +33,8 @@ __all__ = [
     "coerce_number",
     "check_finite",
     "cell_context",
+    "convert_row",
+    "cell_converters",
 ]
 
 DEFAULT_NULL_MARKER = ""
@@ -104,6 +106,18 @@ def parse_cell(
 def cell_context(row_label: str, attribute: str, exc: Exception) -> ValueError:
     """A :class:`ValueError` naming the offending row and attribute."""
     return ValueError(f"{row_label}, attribute {attribute!r}: {exc}")
+
+
+def cell_converters(schema, convert) -> list:
+    """One single-argument converter per attribute of *schema*, each
+    calling ``convert(raw, kind, integer)`` with the attribute's kind and
+    integer flag bound (a backend's per-cell coercion)."""
+    return [
+        lambda raw, kind=a.kind, integer=getattr(a.domain, "integer", False): (
+            convert(raw, kind, integer)
+        )
+        for a in schema.attributes
+    ]
 
 
 def convert_row(row_label: str, raw_cells, converters, names) -> list:

@@ -1,92 +1,86 @@
-"""The columnar data plane: :class:`ColumnBatch` and the
-:class:`ColumnarSource` protocol.
+"""The columnar data plane: :class:`ColumnBatch` and the one conversion
+routine every backend reads through.
 
 The audit pipeline is fundamentally columnar — every classifier consumes
-one attribute column at a time — yet the row protocol of
-:mod:`repro.io.base` materializes per-row cell lists that
-:class:`~repro.core.auditor.ColumnCache` immediately re-pivots. A
-:class:`ColumnBatch` is the bypass: one chunk of a relation held
-column-major, duck-typing the slice of the :class:`~repro.schema.table.Table`
-surface the encoding caches consume (``schema`` / ``n_rows`` /
-``column(name)``), so it flows through :meth:`DataAuditor.audit
-<repro.core.auditor.DataAuditor.audit>` and :meth:`DataAuditor.fit
-<repro.core.auditor.DataAuditor.fit>` without ever constructing row
-lists.
+one attribute column at a time. A :class:`ColumnBatch` is one chunk of a
+relation held column-major, duck-typing the slice of the
+:class:`~repro.schema.table.Table` surface the encoding caches consume
+(``schema`` / ``n_rows`` / ``column(name)``), so it flows through
+:meth:`DataAuditor.audit <repro.core.auditor.DataAuditor.audit>` and
+:meth:`DataAuditor.fit <repro.core.auditor.DataAuditor.fit>` without
+ever constructing row lists.
 
-Negotiation
+One lane
+--------
+Every :class:`~repro.io.base.TableSource` reads through one lane: the
+backend buffers each raw record's cells as a schema-ordered tuple
+(SQLite tuples as fetched, CSV field lists and parsed JSON objects
+through one ``itemgetter`` call, :func:`cells_in_order`) and
+:func:`columns_from_rows` turns each buffer into converted columns.
+``read()`` and ``chunks()`` pivot those batches into rows, batch by
+batch.
+
+Per column, a bulk conversion runs first. JSON and SQLite hand back
+nominal cells as ``str``, integral numbers as ``int`` and dates as ISO
+``str`` (:func:`native_bulk`): when one C-level type pass confirms that,
+the column is taken as it is, or parsed with one C call per cell
+(``date.fromisoformat``). CSV parses its text columns the same way
+(nominal text as it is, ``int``, ``fromisoformat``). Any other column —
+a type outside the expected set, a non-integral or non-finite float —
+converts cell by cell through the backend's per-cell converter.
+
+Error order
 -----------
-Every :class:`~repro.io.base.TableSource` can stream column batches —
-the base class pivots its row chunks — but only backends that build the
-batches **natively** during their single storage pass (CSV, JSONL,
-SQLite, Parquet in-tree) set :attr:`~repro.io.base.TableSource.supports_columns`.
-:func:`resolve_io_path` is the negotiation rule used by
-:meth:`AuditSession.audit_source <repro.core.session.AuditSession.audit_source>`
-and the CLI's ``--io-path``:
-
-========  ====================================================
-io_path   meaning
-========  ====================================================
-auto      columns when the backend is natively columnar,
-          rows otherwise (third-party row-only sources)
-columns   force column batches (row chunks are pivoted)
-rows      force the row path (the parity oracle)
-========  ====================================================
-
-Error parity
-------------
-The row path converts cell values row by row, so the first error it
-reports is the first bad cell in row-major order. Column-at-a-time
-conversion would naturally surface a *column*-major first error instead;
-:func:`columns_from_rows` therefore converts the happy path column-wise
-(the performance win — no per-row converted lists) and, only when a batch
-contains any bad cell, replays the buffered raw rows through
-:func:`~repro.io.cells.convert_row` so the raised error is byte-identical
-to the row path's. Backends with structural per-row checks (CSV field
-counts, JSONL parse/key checks) call :func:`raise_row_errors` on the
-rows buffered *before* the structural failure for the same reason.
+A reader that converted row by row would report the first bad cell in
+row order; column-at-a-time conversion would surface a column-major
+first error instead. So when any cell of a batch fails,
+:func:`columns_from_rows` replays the batch in row order through
+:func:`~repro.io.cells.convert_row`, and the raised error names the
+first bad cell in row order. Backends with structural per-record checks
+(CSV field counts, JSONL parse and key checks) convert the records
+buffered *before* a structural failure first, so an earlier cell error
+still wins. ``tests/reference_lanes.py`` holds a row-at-a-time reader
+per backend, and the property suites pin this lane to it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Protocol, Sequence, runtime_checkable
+import datetime
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.io.cells import convert_row
 from repro.schema.schema import Schema
 from repro.schema.table import Table
-from repro.schema.types import Value
+from repro.schema.types import AttributeKind, Value
 
 __all__ = [
     "ColumnBatch",
-    "ColumnarSource",
     "resolve_io_path",
     "columns_from_rows",
-    "raise_row_errors",
-    "IO_PATHS",
+    "cells_in_order",
+    "native_bulk",
 ]
 
-IO_PATHS = ("auto", "columns", "rows")
 
-
-def resolve_io_path(source, io_path: str) -> str:
-    """The columnar-vs-rows negotiation rule (see module docstring)."""
-    if io_path not in IO_PATHS:
-        raise ValueError(f"io_path must be one of {IO_PATHS}, got {io_path!r}")
-    if io_path == "auto":
-        return "columns" if getattr(source, "supports_columns", False) else "rows"
-    return io_path
+def resolve_io_path(source, requested: str = "auto") -> str:
+    """Compatibility alias for callers written against the removed
+    ingest-lane negotiation: every source reads through the one column
+    lane, so this always answers ``"columns"``. It will be removed."""
+    return "columns"
 
 
 class ColumnBatch:
     """One chunk of a relation held column-major.
 
-    ``columns`` maps attribute name → list of raw cell values (the same
-    Python values the row path yields — never NumPy scalars, so findings
-    and rendered output stay byte-identical). The batch duck-types the
-    table surface the encoding caches read (``schema``, ``n_rows``,
-    ``column``) and adds two optional accelerator hooks the caches probe
-    with ``getattr``:
+    ``columns`` maps attribute name → list of converted cell values
+    (plain Python values — never NumPy scalars, so findings and rendered
+    output stay byte-identical to a row-major table). The batch
+    duck-types the table surface the encoding caches read (``schema``,
+    ``n_rows``, ``column``) and adds two optional accelerator hooks the
+    caches probe with ``getattr``:
 
     * :meth:`null_mask` — the column's boolean null mask, cached;
     * :meth:`numeric_view` — a ready float64 numeric view of an ordered
@@ -144,20 +138,25 @@ class ColumnBatch:
 
     @classmethod
     def from_table(cls, table: Table) -> "ColumnBatch":
-        """Pivot a row-major table (the fallback for row-only sources)."""
+        """Pivot a row-major table into one batch."""
         return cls(
             table.schema,
             {name: table.column(name) for name in table.schema.names},
             table.n_rows,
         )
 
-    def to_table(self) -> Table:
-        """Materialize as a row-major :class:`Table` (e.g. for the SQL
-        engine, which stages rows into the database)."""
+    def rows(self) -> list[list[Value]]:
+        """The batch pivoted into schema-ordered row lists."""
         cols = [self.column(name) for name in self.schema.names]
         if not cols:
-            return Table(self.schema)
-        return Table.adopt(self.schema, [[*cells] for cells in zip(*cols)])
+            return []
+        return list(map(list, zip(*cols)))
+
+    def to_table(self) -> Table:
+        """Materialize as a row-major :class:`Table` (``read()`` and
+        ``chunks()``, and the SQL engine, which stages rows into the
+        database)."""
+        return Table.adopt(self.schema, self.rows())
 
     @classmethod
     def concat(cls, schema: Schema, batches: Iterable["ColumnBatch"]) -> "ColumnBatch":
@@ -187,66 +186,79 @@ class ColumnBatch:
         return f"ColumnBatch({self.schema!r}, n_rows={self.n_rows})"
 
 
-@runtime_checkable
-class ColumnarSource(Protocol):
-    """Protocol of a natively columnar table source.
+def _typed_bulk(types: tuple, parse: Optional[Callable] = None) -> Callable:
+    """A bulk column conversion for raw cells that arrive typed: when one
+    C-level pass finds every cell's type among *types*, the column is
+    taken as it is (*parse* ``None``) or parsed with one C call per
+    non-null cell; otherwise it answers ``None``."""
+    allowed = frozenset(types)
 
-    All in-tree backends satisfy it; :func:`resolve_io_path` consults
-    :attr:`supports_columns` (not an ``isinstance`` check) so third-party
-    :class:`~repro.io.base.TableSource` subclasses negotiate to the row
-    path automatically under ``io_path="auto"``.
-    """
+    def bulk(column: Sequence) -> Optional[list]:
+        if not allowed.issuperset(map(type, column)):
+            return None
+        if parse is None:
+            return list(column)
+        return [None if cell is None else parse(cell) for cell in column]
 
-    supports_columns: bool
-
-    def column_batches(
-        self, chunk_size: int = ..., *, validate: bool = ...
-    ) -> Iterator[ColumnBatch]: ...
-
-    def read_columns(self, *, validate: bool = ...) -> ColumnBatch: ...
+    return bulk
 
 
-def raise_row_errors(
-    raw_rows: Sequence,
-    row_labels: Sequence[str],
-    converters: Sequence,
-    names: Sequence[str],
-    positions: Optional[Sequence] = None,
-) -> None:
-    """Replay buffered raw rows row-wise, raising the row path's error
-    for the first offending cell (if any); returns when all rows convert.
+#: bulk conversions for the raw cells JSON and SQLite hand back, by kind:
+#: their coercions return ``str`` nominal and ``int`` numeric cells
+#: unchanged (``bool`` is not ``int`` here, so JSON booleans still reach
+#: the per-cell check) and parse ``str`` dates with ``fromisoformat``
+_NATIVE_BULK = {
+    AttributeKind.NOMINAL: _typed_bulk((str, type(None))),
+    AttributeKind.NUMERIC: _typed_bulk((int, type(None))),
+    AttributeKind.DATE: _typed_bulk((str, type(None)), datetime.date.fromisoformat),
+}
 
-    *positions* maps schema order to each raw row's layout: ``None`` for
-    already schema-ordered rows (SQLite tuples), column indices for CSV
-    field lists, attribute names for JSONL dicts.
-    """
-    for label, row in zip(row_labels, raw_rows):
-        cells = row if positions is None else [row[p] for p in positions]
-        convert_row(label, cells, converters, names)
+
+def cells_in_order(positions: Sequence) -> Callable:
+    """A C-level getter of a raw record's cells at *positions* (CSV
+    column indices, JSON attribute names), as a schema-ordered tuple."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda record: (record[position],)
+    return itemgetter(*positions)
+
+
+def native_bulk(schema: Schema) -> list[Callable]:
+    """The per-column bulk conversions of :func:`columns_from_rows` for
+    backends whose raw cells are typed values (JSONL, SQLite)."""
+    return [_NATIVE_BULK[a.kind] for a in schema.attributes]
 
 
 def columns_from_rows(
     raw_rows: Sequence,
-    row_labels: Sequence[str],
+    row_numbers: Sequence[int],
+    *,
+    label: str,
     names: Sequence[str],
-    converters: Sequence,
-    positions: Optional[Sequence] = None,
+    converters: Sequence[Callable],
+    bulk: Sequence[Optional[Callable]],
 ) -> list[list[Value]]:
-    """Convert buffered raw rows into converted columns, one comprehension
-    per attribute (no per-row list construction — the columnar ingest
-    win). On any conversion failure the batch is replayed row-wise so the
-    raised error is byte-identical to the row path's (see module
-    docstring)."""
+    """Convert buffered raw records into schema-ordered columns.
+
+    *raw_rows* holds one schema-ordered cell sequence per record (SQLite
+    tuples as fetched; CSV and JSONL records through
+    :func:`cells_in_order`). Each column converts through ``bulk[i]``
+    when that returns a list, and cell by cell through ``converters[i]``
+    otherwise. If a cell fails,
+    the batch is replayed in row order through
+    :func:`~repro.io.cells.convert_row` with the labels
+    ``f"{label} {n}"`` for *n* in *row_numbers*, so the error names the
+    first bad cell in row order (see module docstring).
+    """
+    if not raw_rows:
+        return [[] for _ in names]
+    columns = []
     try:
-        if positions is None:
-            return [
-                [convert(row[i]) for row in raw_rows]
-                for i, convert in enumerate(converters)
-            ]
-        return [
-            [convert(row[p]) for row in raw_rows]
-            for p, convert in zip(positions, converters)
-        ]
+        for raw, convert, convert_column in zip(zip(*raw_rows), converters, bulk):
+            column = convert_column(raw) if convert_column is not None else None
+            columns.append(list(map(convert, raw)) if column is None else column)
     except ValueError:
-        raise_row_errors(raw_rows, row_labels, converters, names, positions)
+        for number, row in zip(row_numbers, raw_rows):
+            convert_row(f"{label} {number}", row, converters, names)
         raise  # pragma: no cover - column conversion failed, rows did not
+    return columns

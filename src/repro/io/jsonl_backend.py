@@ -19,11 +19,16 @@ from __future__ import annotations
 import datetime
 import json
 from pathlib import Path
-from typing import Iterator, TextIO, Union
+from typing import TextIO, Union
 
 from repro.io.base import TableSink, TableSource, open_text
-from repro.io.cells import cell_context, coerce_number
-from repro.io.columnar import ColumnBatch, columns_from_rows, raise_row_errors
+from repro.io.cells import cell_converters, coerce_number
+from repro.io.columnar import (
+    ColumnBatch,
+    cells_in_order,
+    columns_from_rows,
+    native_bulk,
+)
 from repro.schema.schema import Schema
 from repro.schema.types import AttributeKind, Value
 
@@ -55,23 +60,24 @@ def _encode(value: Value, kind: AttributeKind) -> object:
 class JsonlTableSource(TableSource):
     """Schema-driven JSON-lines reader (path or text stream).
 
-    Natively columnar: :meth:`column_batches` converts each batch of
-    parsed objects column-at-a-time (dict lookups per attribute), with
-    structural checks (JSON validity, key sets) still applied per line in
-    row order and cell errors replayed row-wise — byte-identical errors
-    to the row path even though blank lines make line numbers
-    non-contiguous.
+    Parses and key-checks each line in line order, buffers each object's
+    values in schema order, and converts each batch column-at-a-time
+    (:func:`~repro.io.columnar.columns_from_rows`): string and integer
+    columns are taken as parsed, the others coerce cell by cell.
     """
-
-    supports_columns = True
 
     def __init__(self, schema: Schema, source: Union[str, Path, TextIO]):
         super().__init__(schema)
         self._handle, self._owns_handle = open_text(source, "r")
 
     def _structural_check(self, line_no: int, line: str) -> dict:
-        """Parse and key-check one line (the row path's per-line checks)."""
+        """Parse and key-check one line, raising the line's structural
+        error (JSON validity, one object, the schema's key set)."""
         try:
+            # NaN/Infinity constants parse to floats here on purpose:
+            # the cell coercion rejects non-finite values with the line
+            # *and* attribute named, which a parse_constant hook could
+            # not know
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {line_no}: not valid JSON: {exc}") from None
@@ -92,77 +98,46 @@ class JsonlTableSource(TableSource):
 
     def _iter_column_batches(self, batch_size: int):
         names = self.schema.names
-        converters = [
-            lambda raw, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-                _coerce(raw, kind, integer)
-            )
-            for a in self.schema.attributes
-        ]
-        positions = list(names)  # dict lookup by attribute name
-        buffered: list[dict] = []
-        labels: list[str] = []
-
-        def flush() -> ColumnBatch:
-            cols = columns_from_rows(buffered, labels, names, converters, positions)
-            batch = ColumnBatch(self.schema, dict(zip(names, cols)), len(buffered))
-            buffered.clear()
-            labels.clear()
-            return batch
-
-        for line_no, line in enumerate(self._handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = self._structural_check(line_no, line)
-            except ValueError:
-                # a cell error in an earlier buffered row wins (the row
-                # path converts strictly in line order)
-                raise_row_errors(buffered, labels, converters, names, positions)
-                raise
-            buffered.append(obj)
-            labels.append(f"line {line_no}")
-            if len(buffered) >= batch_size:
-                yield flush()
-        if buffered:
-            yield flush()
-
-    def _iter_rows(self) -> Iterator[list[Value]]:
-        names = self.schema.names
-        kinds = [a.kind for a in self.schema.attributes]
-        integers = [getattr(a.domain, "integer", False) for a in self.schema.attributes]
+        converters = cell_converters(self.schema, _coerce)
+        bulk = native_bulk(self.schema)
         expected = set(names)
+        # json.loads minus its Python wrapper: the C scanner parses a
+        # value at offset 0; anything unusual goes to the full check
+        scan = json.JSONDecoder().scan_once
+        cells = cells_in_order(names)  # buffer cells, not the objects
+        buffered: list[tuple] = []
+        line_nos: list[int] = []
+
+        def convert() -> ColumnBatch:
+            cols = columns_from_rows(
+                buffered,
+                line_nos,
+                label="line",
+                names=names,
+                converters=converters,
+                bulk=bulk,
+            )
+            return ColumnBatch(self.schema, dict(zip(names, cols)), len(buffered))
+
         for line_no, line in enumerate(self._handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                # NaN/Infinity constants parse to floats here on purpose:
-                # the cell coercion below rejects non-finite values with
-                # the line *and* attribute named, which a parse_constant
-                # hook could not know
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: not valid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(
-                    f"line {line_no}: expected one JSON object per line, "
-                    f"got {type(obj).__name__}"
-                )
-            if set(obj) != expected:
-                missing = sorted(expected - set(obj))
-                extra = sorted(set(obj) - expected)
-                raise ValueError(
-                    f"line {line_no}: keys do not match the schema "
-                    f"(missing {missing!r}, unexpected {extra!r})"
-                )
-            cells = []
-            for name, kind, integer in zip(names, kinds, integers):
-                try:
-                    cells.append(_coerce(obj[name], kind, integer))
-                except ValueError as exc:
-                    raise cell_context(f"line {line_no}", name, exc) from None
-            yield cells
+                obj, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                obj, end = None, -1
+            if end != len(line) or type(obj) is not dict or obj.keys() != expected:
+                convert()  # a cell error in an earlier row wins
+                obj = self._structural_check(line_no, line)
+            buffered.append(cells(obj))
+            line_nos.append(line_no)
+            if len(buffered) >= batch_size:
+                yield convert()
+                buffered.clear()
+                line_nos.clear()
+        if buffered:
+            yield convert()
 
     def close(self) -> None:
         if self._owns_handle and not self._handle.closed:

@@ -20,18 +20,17 @@ The columnar fast lane
 ----------------------
 Parquet is the one backend whose storage is *already* column-major, so
 its :class:`ArrowColumnBatch` keeps the Arrow record batch itself and
-converts columns lazily on first access — the row path's per-batch
-``to_pylist()`` of every column is gone. Columns whose physical type is
+converts columns lazily on first access. Columns whose physical type is
 exactly what :class:`ParquetTableSink` writes (``string`` / ``date32`` /
 ``int64`` / ``float64``) skip per-cell coercion entirely, and the
 encoding caches' :meth:`~ArrowColumnBatch.numeric_view` hook serves
 float64 views derived from the Arrow buffers without ever materializing
 Python objects for ordered columns. Every fast lane is only taken where
-it is provably value-identical to the row path's per-cell conversion
-(int64→float64 and date-ordinal arithmetic are exact or identically
-rounded); anything else — foreign physical types, non-finite floats —
-falls back to the per-cell lane, which replays rows in order so errors
-stay byte-identical to the row path.
+it is provably value-identical to the per-cell conversion (int64→float64
+and date-ordinal arithmetic are exact or identically rounded); anything
+else — foreign physical types, non-finite floats — falls back to the
+per-cell lane, which replays rows in order so the error names the first
+bad cell in row order, as on every other backend.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from repro.io.base import DEFAULT_CHUNK_SIZE, TableSink, TableSource
-from repro.io.cells import coerce_number, convert_row
+from repro.io.base import TableSink, TableSource
+from repro.io.cells import cell_converters, coerce_number, convert_row
 from repro.io.columnar import ColumnBatch
 from repro.schema.attribute import Attribute
 from repro.schema.schema import Schema
@@ -98,15 +97,6 @@ def _coerce(raw: object, kind: AttributeKind, integer: bool) -> Value:
     return coerce_number(raw, integer)
 
 
-def _converters(schema: Schema) -> list:
-    return [
-        lambda raw, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-            _coerce(raw, kind, integer)
-        )
-        for a in schema.attributes
-    ]
-
-
 class ArrowColumnBatch(ColumnBatch):
     """A :class:`~repro.io.columnar.ColumnBatch` over one retained Arrow
     record batch.
@@ -115,8 +105,7 @@ class ArrowColumnBatch(ColumnBatch):
     conversion is cached); ordered columns served through
     :meth:`numeric_view` never materialize Python cell values at all.
     ``row_offset`` is the number of rows yielded by earlier batches of
-    the same stream, so error labels carry the row path's global row
-    numbers.
+    the same stream, so error labels carry stream-global row numbers.
     """
 
     __slots__ = ("_batch", "_row_offset", "_index", "_attrs", "_views")
@@ -153,8 +142,8 @@ class ArrowColumnBatch(ColumnBatch):
         return col
 
     def _fast_ok(self, arrow_type, kind: AttributeKind, integer: bool) -> bool:
-        """True when ``to_pylist`` already yields the row path's converted
-        values for every admissible cell of this physical type, so the
+        """True when ``to_pylist`` already yields the converted values
+        for every admissible cell of this physical type, so the
         per-cell ``_coerce`` walk can be skipped (see module docstring)."""
         import pyarrow as pa
 
@@ -199,10 +188,10 @@ class ArrowColumnBatch(ColumnBatch):
 
     def _raise_first_row_error(self) -> None:
         """Replay the whole batch row-wise so the raised error names the
-        first bad cell in row-major order — byte-identical to the row
-        path (a later column may fail on an earlier row)."""
+        first bad cell in row-major order (a later column may fail on an
+        earlier row)."""
         names = list(self.schema.names)
-        converters = _converters(self.schema)
+        converters = cell_converters(self.schema, _coerce)
         raws = [self._batch.column(self._index[n]).to_pylist() for n in names]
         for i, raw_row in enumerate(zip(*raws), start=1):
             convert_row(f"row {self._row_offset + i}", raw_row, converters, names)
@@ -241,8 +230,8 @@ class ArrowColumnBatch(ColumnBatch):
         * int64 → float64: both Arrow's cast and Python's ``float(int)``
           round to nearest, so the views agree bit-for-bit even beyond
           2**53;
-        * float64: the buffer values *are* the row path's floats, but a
-          non-finite non-null cell means the row path would have raised —
+        * float64: the buffer values *are* the converted floats, but a
+          non-finite non-null cell means the conversion would raise —
           answer ``None`` so the caches fall back to :meth:`column`,
           which raises the identical error;
         * date32 → epoch days + 719163 == ``float(d.toordinal())``,
@@ -278,23 +267,15 @@ class ArrowColumnBatch(ColumnBatch):
 class ParquetTableSource(TableSource):
     """Record-batch streaming reader over one Parquet file.
 
-    Natively columnar — and the only backend whose column batches wrap
-    the storage's own buffers (:class:`ArrowColumnBatch`) instead of
-    converted Python lists.
+    The only backend whose column batches wrap the storage's own
+    buffers (:class:`ArrowColumnBatch`) instead of converted Python
+    lists.
     """
-
-    supports_columns = True
-
-    #: Rows converted per step of the row-path wrapper — bounds the
-    #: transient ``to_pylist`` materialization to a slice of the batch
-    #: instead of every column of the whole batch at once.
-    _ROW_SLICE = 1024
 
     def __init__(self, schema: Schema, path: Union[str, Path]):
         super().__init__(schema)
         _, pq = _require_pyarrow()
         self._file = pq.ParquetFile(path)
-        self._batch_size = DEFAULT_CHUNK_SIZE
         stored = set(self._file.schema_arrow.names)
         if stored != set(schema.names):
             self._file.close()
@@ -303,37 +284,13 @@ class ParquetTableSource(TableSource):
                 f"schema attributes {list(schema.names)!r}"
             )
 
-    def chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE, *, validate: bool = False):
-        self._batch_size = max(chunk_size, 1)  # align arrow batches with chunks
-        return super().chunks(chunk_size, validate=validate)
-
-    def _iter_rows(self) -> Iterator[list[Value]]:
-        names = list(self.schema.names)
-        converters = _converters(self.schema)
-        row_no = 0
-        for batch in self._file.iter_batches(
-            batch_size=self._batch_size, columns=names
-        ):
-            # convert lazily off the retained Arrow batch, one bounded
-            # slice at a time — never every column of the whole batch
-            for start in range(0, batch.num_rows, self._ROW_SLICE):
-                piece = batch.slice(start, self._ROW_SLICE)
-                columns = [
-                    piece.column(i).to_pylist() for i in range(piece.num_columns)
-                ]
-                for raw_row in zip(*columns):
-                    row_no += 1
-                    yield convert_row(f"row {row_no}", raw_row, converters, names)
-
     def _iter_column_batches(self, batch_size: int) -> Iterator[ColumnBatch]:
-        self._batch_size = max(batch_size, 1)  # align arrow batches
         names = list(self.schema.names)
         row_offset = 0
-        for batch in self._file.iter_batches(
-            batch_size=self._batch_size, columns=names
-        ):
-            yield ArrowColumnBatch(self.schema, batch, row_offset)
-            row_offset += batch.num_rows
+        for batch in self._file.iter_batches(batch_size=batch_size, columns=names):
+            if batch.num_rows:
+                yield ArrowColumnBatch(self.schema, batch, row_offset)
+                row_offset += batch.num_rows
 
     def close(self) -> None:
         self._file.close()

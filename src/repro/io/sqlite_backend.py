@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import sqlite3
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.io.base import DEFAULT_CHUNK_SIZE, TableSink, TableSource
-from repro.io.cells import coerce_number, convert_row, parse_number
-from repro.io.columnar import ColumnBatch, columns_from_rows
+from repro.io.base import TableSink, TableSource
+from repro.io.cells import cell_converters, coerce_number, parse_number
+from repro.io.columnar import ColumnBatch, columns_from_rows, native_bulk
 from repro.schema.attribute import Attribute
 from repro.schema.schema import Schema
 from repro.schema.types import AttributeKind, Value
@@ -141,13 +141,10 @@ class SqliteTableSource(TableSource):
     bit-identity bridge between ``--input warehouse.db`` and
     ``--input export.csv``.
 
-    Natively columnar: :meth:`column_batches` converts each ``fetchmany``
-    batch column-at-a-time straight off the driver's row tuples (which
-    are already schema-ordered by the SELECT), skipping the per-row
-    converted lists of the row path.
+    Each ``fetchmany`` batch converts column-at-a-time straight off the
+    driver's row tuples, which the SELECT already puts in schema order;
+    text and integer columns are taken as fetched.
     """
-
-    supports_columns = True
 
     def __init__(
         self,
@@ -161,7 +158,6 @@ class SqliteTableSource(TableSource):
         if not path.exists():
             raise FileNotFoundError(f"no such SQLite database: {database}")
         self._connection = sqlite3.connect(path)
-        self._fetch_size = DEFAULT_CHUNK_SIZE
         try:
             if table is None:
                 tables = _user_tables(self._connection)
@@ -185,18 +181,6 @@ class SqliteTableSource(TableSource):
             self.close()
             raise
 
-    def chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE, *, validate: bool = False):
-        self._fetch_size = max(chunk_size, 1)  # align fetchmany with the chunking
-        return super().chunks(chunk_size, validate=validate)
-
-    def _converters(self) -> list:
-        return [
-            lambda raw, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-                _from_sql(raw, kind, integer)
-            )
-            for a in self.schema.attributes
-        ]
-
     def _execute_select(self) -> sqlite3.Cursor:
         select = "SELECT {} FROM {}".format(
             ", ".join(_quote(name) for name in self.schema.names),
@@ -207,32 +191,25 @@ class SqliteTableSource(TableSource):
         except sqlite3.OperationalError:  # WITHOUT ROWID tables
             return self._connection.execute(select)
 
-    def _iter_rows(self) -> Iterator[list[Value]]:
-        names = self.schema.names
-        converters = self._converters()
-        cursor = self._execute_select()
-        row_no = 0
-        while True:
-            batch = cursor.fetchmany(self._fetch_size)
-            if not batch:
-                return
-            for raw_row in batch:
-                row_no += 1
-                yield convert_row(f"row {row_no}", raw_row, converters, names)
-
     def _iter_column_batches(self, batch_size: int):
-        self._fetch_size = max(batch_size, 1)  # align fetchmany with batches
         names = self.schema.names
-        converters = self._converters()
+        converters = cell_converters(self.schema, _from_sql)
+        bulk = native_bulk(self.schema)
         cursor = self._execute_select()
         row_no = 0
         while True:
-            batch = cursor.fetchmany(self._fetch_size)
+            batch = cursor.fetchmany(batch_size)
             if not batch:
                 return
-            labels = [f"row {row_no + i}" for i in range(1, len(batch) + 1)]
+            cols = columns_from_rows(
+                batch,
+                range(row_no + 1, row_no + 1 + len(batch)),
+                label="row",
+                names=names,
+                converters=converters,
+                bulk=bulk,
+            )
             row_no += len(batch)
-            cols = columns_from_rows(batch, labels, names, converters)
             yield ColumnBatch(self.schema, dict(zip(names, cols)), len(batch))
 
     def close(self) -> None:

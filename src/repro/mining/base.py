@@ -219,9 +219,9 @@ class AttributeClassifier(ABC):
 
         This is the canonical *serialized form* of the model:
         ``json.dumps(classifier.fit_state(), sort_keys=True)`` is the
-        byte fingerprint the fit-parity suite compares across encoding
-        paths (``fit_path="columns"`` vs ``"rows"``) and worker counts —
-        two fits are considered identical exactly when these bytes match.
+        byte fingerprint the fit-parity suite compares between the fit
+        and its cell-at-a-time reference and across worker counts — two
+        fits are considered identical exactly when these bytes match.
         Implementations must therefore emit *every* value prediction can
         depend on (class vocabulary, fitted tables/trees/rules,
         discretizer cuts, subsampled training data) in a deterministic

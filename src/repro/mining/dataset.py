@@ -18,21 +18,17 @@ The classifiers of sec. 5 all consume the same view of a table:
   can only do if nulls are part of the class vocabulary. A single
   *unknown* label absorbs out-of-domain class values.
 
-Two encoding paths produce these views. The **column path** (default)
-converts whole columns at once — bulk NumPy casts for numeric columns,
-dict-lookup comprehensions for nominal codes — and is what the fit hot
-path and the audit path run on. The **row path**
-(:meth:`BaseEncoder.encode_column_rowwise` /
-:meth:`ClassEncoder.encode_column_rowwise`, selected by
-``Dataset(..., encode_path="rows")``) walks cells one at a time through
-:meth:`BaseEncoder.encode` / :meth:`ClassEncoder.code_of` — the legacy
-formulation kept as the *parity oracle*: both paths must produce
-bit-identical arrays, which ``tests/test_fit_parity_property.py`` pins
-on randomized tables. The single documented divergence: a raw ``NaN``
-float stored directly in a table cell (impossible through any
+The encoders convert whole columns at once — bulk NumPy casts for
+numeric columns, dict-lookup comprehensions for nominal codes — for
+both the fit and the audit. The cell-at-a-time formulation
+(:meth:`BaseEncoder.encode` / :meth:`ClassEncoder.code_of` per cell)
+lives on as the reference encoding in ``tests/reference_lanes.py``, and
+``tests/test_fit_parity_property.py`` pins the two to bit-identical
+arrays on randomized tables. The single documented divergence: a raw
+``NaN`` float stored directly in a table cell (impossible through any
 :mod:`repro.io` backend, which all reject non-finite values at parse
-time) is counted by the row path when sizing class bins but is
-indistinguishable from a kind-violating cell on the column path.
+time) is counted by the per-cell reference when sizing class bins but
+is indistinguishable from a kind-violating cell here.
 """
 
 from __future__ import annotations
@@ -62,8 +58,6 @@ NULL_LABEL = "<null>"
 #: Class label absorbing out-of-domain class values.
 UNKNOWN_LABEL = "<unknown>"
 
-_ENCODE_PATHS = ("columns", "rows")
-
 
 def null_mask(values: Sequence[Value]) -> np.ndarray:
     """Boolean mask of the null cells of a raw column."""
@@ -81,7 +75,7 @@ def encode_ordered_column(
     cells (and domains without a numeric view) fall back to a
     cell-at-a-time loop with exactly the ``try/except`` semantics of
     :meth:`BaseEncoder.encode`, so the result is bit-identical to the
-    row path in every case.
+    per-cell :meth:`BaseEncoder.encode` in every case.
     """
     out = np.full(len(values), np.nan, dtype=np.float64)
     nonnull = [v for v in values if v is not None]
@@ -150,12 +144,9 @@ class BaseEncoder:
             return float("nan")  # kind-violating cell (e.g. switched column)
 
     def encode_column(self, values: Sequence[Value]) -> np.ndarray:
-        """Vectorized whole-column encoding (the default *column path*).
-
-        Bit-identical to the cell-at-a-time
-        :meth:`encode_column_rowwise` oracle — pinned by the fit-parity
-        property suite.
-        """
+        """Vectorized whole-column encoding, bit-identical to
+        :meth:`encode` per cell (pinned by the fit-parity property
+        suite)."""
         if self.categorical:
             get = self._codes.get
             unknown = self.unknown_code
@@ -164,13 +155,6 @@ class BaseEncoder:
                 dtype=np.int64,
             )
         return encode_ordered_column(self.attribute, values, null_mask(values))
-
-    def encode_column_rowwise(self, values: Sequence[Value]) -> np.ndarray:
-        """The legacy cell-at-a-time encoding — the row-walking parity
-        oracle behind ``AuditorConfig(fit_path="rows")``."""
-        if self.categorical:
-            return np.asarray([self.encode(v) for v in values], dtype=np.int64)
-        return np.asarray([self.encode(v) for v in values], dtype=np.float64)
 
     def decode_category(self, code: int) -> Optional[str]:
         """Nominal value of a category code (None for the unknown code)."""
@@ -191,11 +175,8 @@ class ClassEncoder:
         values: Sequence[Value],
         *,
         n_bins: int = 10,
-        numeric_view: Optional[np.ndarray] = None,
-        encode_path: str = "columns",
+        numeric_view: Optional[Sequence[float]] = None,
     ):
-        if encode_path not in _ENCODE_PATHS:
-            raise ValueError(f"encode_path must be one of {_ENCODE_PATHS}, got {encode_path!r}")
         self.attribute = attribute
         self.discretizer: Optional[EqualFrequencyDiscretizer] = None
         if attribute.kind is AttributeKind.NOMINAL:
@@ -204,19 +185,8 @@ class ClassEncoder:
             self._value_to_label = {value: value for value in domain.values}
         else:
             if numeric_view is None:
-                if encode_path == "rows":
-                    # the row-walking oracle: per-cell to_number with an
-                    # orderability probe (to_number called twice per cell)
-                    numeric_view = [  # type: ignore[assignment]
-                        attribute.domain.to_number(v)
-                        for v in values
-                        if v is not None and _orderable(attribute, v)
-                    ]
-                else:
-                    numeric = encode_ordered_column(
-                        attribute, values, null_mask(values)
-                    )
-                    numeric_view = numeric[~np.isnan(numeric)]
+                numeric = encode_ordered_column(attribute, values, null_mask(values))
+                numeric_view = numeric[~np.isnan(numeric)]
             if len(numeric_view):
                 bins = max(2, min(n_bins, _distinct_count(numeric_view)))
                 self.discretizer = EqualFrequencyDiscretizer(bins).fit(numeric_view)
@@ -280,10 +250,6 @@ class ClassEncoder:
         mask = null_mask(values)
         numeric = encode_ordered_column(self.attribute, values, mask)
         return self.encode_from_numeric(numeric, mask)
-
-    def encode_column_rowwise(self, values: Sequence[Value]) -> np.ndarray:
-        """The legacy cell-at-a-time class encoding (row-path oracle)."""
-        return np.asarray([self.code_of(v) for v in values], dtype=np.int64)
 
     def encode_from_numeric(
         self, numeric: np.ndarray, mask: np.ndarray
@@ -365,9 +331,9 @@ def _orderable(attribute: Attribute, value: Value) -> bool:
 def _distinct_count(view) -> int:
     """Distinct-value count of a numeric view (bin-count sizing).
 
-    ``len(set(...))`` on the row path's Python list and ``np.unique`` on
-    the column path's float array agree: int/float values that compare
-    equal hash equal, and ``-0.0 == 0.0`` dedups identically both ways.
+    ``len(set(...))`` on a per-cell Python list and ``np.unique`` on an
+    encoded float array agree: int/float values that compare equal hash
+    equal, and ``-0.0 == 0.0`` dedups identically both ways.
     """
     if isinstance(view, np.ndarray):
         return int(np.unique(view).size)
@@ -389,12 +355,7 @@ class Dataset:
         base_attrs: Sequence[str],
         *,
         n_bins: int = 10,
-        encode_path: str = "columns",
     ):
-        if encode_path not in _ENCODE_PATHS:
-            raise ValueError(
-                f"encode_path must be one of {_ENCODE_PATHS}, got {encode_path!r}"
-            )
         schema = table.schema
         self.class_attr = class_attr
         self.base_attrs = tuple(base_attrs)
@@ -403,27 +364,15 @@ class Dataset:
         self.encoders: dict[str, BaseEncoder] = {
             name: BaseEncoder(schema.attribute(name)) for name in self.base_attrs
         }
-        if encode_path == "rows":
-            self.columns: dict[str, np.ndarray] = {
-                name: self.encoders[name].encode_column_rowwise(table.column(name))
-                for name in self.base_attrs
-            }
-        else:
-            self.columns = {
-                name: self.encoders[name].encode_column(table.column(name))
-                for name in self.base_attrs
-            }
+        self.columns: dict[str, np.ndarray] = {
+            name: self.encoders[name].encode_column(table.column(name))
+            for name in self.base_attrs
+        }
         class_values = table.column(class_attr)
         self.class_encoder = ClassEncoder(
-            schema.attribute(class_attr),
-            class_values,
-            n_bins=n_bins,
-            encode_path=encode_path,
+            schema.attribute(class_attr), class_values, n_bins=n_bins
         )
-        if encode_path == "rows":
-            self.y: np.ndarray = self.class_encoder.encode_column_rowwise(class_values)
-        else:
-            self.y = self.class_encoder.encode_column(class_values)
+        self.y: np.ndarray = self.class_encoder.encode_column(class_values)
         self.n_rows = table.n_rows
 
     @property

@@ -35,6 +35,7 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
+from repro.io.cells import cell_converters
 from repro.io.csv_backend import CsvTableSource
 from repro.io.jsonl_backend import JsonlTableSource
 from repro.io.registry import detect_format
@@ -178,7 +179,7 @@ class TextTailReader(TailReader):
         else:
             source = JsonlTableSource(self.schema, io.StringIO(text))
         try:
-            rows = list(source._iter_rows())
+            rows = source.read().rows
         except ValueError as exc:
             raise ValueError(
                 f"while tailing {self.location} from byte {offset}: {exc}"
@@ -244,12 +245,7 @@ class SqliteTailReader(TailReader):
 
     def read_new(self, offset: int) -> list[TailedRow]:
         names = self.schema.names
-        converters = [
-            lambda raw, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-                _from_sql(raw, kind, integer)
-            )
-            for a in self.schema.attributes
-        ]
+        converters = cell_converters(self.schema, _from_sql)
         select = "SELECT rowid, {} FROM {} WHERE rowid > ? ORDER BY rowid".format(
             ", ".join(_quote(name) for name in names), _quote(self.table)
         )

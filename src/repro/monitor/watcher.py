@@ -173,7 +173,7 @@ def _load_findings_file(path: Path) -> list[Finding]:
     findings: list[Finding] = []
     with open(path, "r", encoding="utf-8") as handle:
         source = JsonlTableSource(findings_schema(), handle)
-        for cells in source._iter_rows():
+        for cells in source.read().rows:
             row, attribute, observed, observed_label, expected, conf, support, prop = cells
             findings.append(
                 Finding(

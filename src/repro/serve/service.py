@@ -25,13 +25,13 @@ import io
 import json
 import threading
 import time
+from contextlib import ExitStack
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.core.auditor import AuditorConfig, DataAuditor
 from repro.core.findings import Finding, findings_to_table
 from repro.core.session import AuditSession
 from repro.io.base import DEFAULT_CHUNK_SIZE
-from repro.io.columnar import IO_PATHS, resolve_io_path
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
 from repro.io.registry import open_source
 from repro.registry import ModelRegistry, Provenance, RegistryError
@@ -60,14 +60,23 @@ def _require(payload: Mapping[str, Any], key: str) -> Any:
         raise ServiceError(400, f"request body is missing the {key!r} field")
 
 
-def _parse_io_path(payload: Mapping[str, Any]) -> str:
-    """The optional ``io_path`` request field (default ``"auto"``)."""
-    io_path = payload.get("io_path", "auto")
-    if io_path not in IO_PATHS:
+#: the top-level fields each POST body may carry
+_FIT_FIELDS = frozenset({"name", "schema", "source", "format", "config"})
+_AUDIT_FIELDS = frozenset(
+    {"model", "source", "rows", "format", "chunk_size", "engine"}
+)
+
+
+def _reject_unknown(payload: Mapping[str, Any], allowed, what: str) -> None:
+    """400 for fields the endpoint does not know — a stale or misspelled
+    knob fails loudly instead of being ignored."""
+    unknown = sorted(set(payload) - set(allowed))
+    if unknown:
         raise ServiceError(
-            400, f"'io_path' must be one of {', '.join(IO_PATHS)}, got {io_path!r}"
+            400,
+            f"unknown {what} fields {unknown!r} "
+            f"(allowed: {', '.join(sorted(allowed))})",
         )
-    return io_path
 
 
 def _parse_config(payload: Optional[Mapping[str, Any]]) -> AuditorConfig:
@@ -75,21 +84,17 @@ def _parse_config(payload: Optional[Mapping[str, Any]]) -> AuditorConfig:
     a fit request (scalar knobs only — factories stay server-side)."""
     if payload is None:
         return AuditorConfig()
-    allowed = {
-        "min_error_confidence",
-        "n_bins",
-        "base_attributes",
-        "audited_attributes",
-        "fit_n_jobs",
-        "fit_path",
-    }
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ServiceError(
-            400,
-            f"unknown config fields {unknown!r} "
-            f"(allowed: {', '.join(sorted(allowed))})",
-        )
+    _reject_unknown(
+        payload,
+        {
+            "min_error_confidence",
+            "n_bins",
+            "base_attributes",
+            "audited_attributes",
+            "fit_n_jobs",
+        },
+        "config",
+    )
     try:
         return AuditorConfig(**dict(payload))
     except (TypeError, ValueError) as exc:
@@ -173,14 +178,12 @@ class AuditService:
 
         Body: ``{"name": str, "schema": {...}, "source": location,
         "format": optional registry format, "config": optional scalar
-        AuditorConfig fields, "io_path": optional "auto"/"columns"/
-        "rows" ingest selector (columnar backends skip row objects on
-        "columns"/"auto"; models are byte-identical either way)}``.
-        Returns the stored version record.
+        AuditorConfig fields}``; any other field is a 400. Returns the
+        stored version record.
         """
+        _reject_unknown(payload, _FIT_FIELDS, "request")
         name = _require(payload, "name")
         source_uri = _require(payload, "source")
-        io_path = _parse_io_path(payload)
         try:
             schema = schema_from_dict(_require(payload, "schema"))
         except (KeyError, TypeError, ValueError) as exc:
@@ -193,10 +196,7 @@ class AuditService:
         fmt = payload.get("format")
         try:
             with open_source(schema, source_uri, format=fmt) as source:
-                if resolve_io_path(source, io_path) == "columns":
-                    table = source.read_columns()
-                else:
-                    table = source.read()
+                table = source.read_columns()
         except (OSError, ValueError) as exc:
             raise ServiceError(400, f"cannot read source {source_uri!r}: {exc}")
         auditor.fit(table)
@@ -264,24 +264,22 @@ class AuditService:
 
         Body: ``{"model": "name[@ref]"}`` plus exactly one of
         ``"source"`` (a server-side ``repro.io`` location, optionally
-        with ``"format"``) or ``"rows"`` (inline JSON objects);
-        optional ``"chunk_size"`` overrides the daemon default,
-        ``"io_path"`` (``"auto"``/``"columns"``/``"rows"``)
-        selects the ingest representation for ``"source"`` audits
-        (byte-identical findings either way), and ``"engine": "sql"``
-        pushes the deviation screen
-        into the database (:mod:`repro.compile`) when the source is
-        SQLite and the model compiles — the summary's ``engine`` field
-        reports the engine actually selected, with a ``notice`` line
-        when the request fell back to memory. Returns ``(summary
+        with ``"format"``, which overrides format detection as in
+        ``POST /fit``) or ``"rows"`` (inline JSON objects); optional
+        ``"chunk_size"`` overrides the daemon default, and ``"engine":
+        "sql"`` pushes the deviation screen into the database
+        (:mod:`repro.compile`) when the source is SQLite and the model
+        compiles — the summary's ``engine`` field reports the engine
+        actually selected, with a ``notice`` line when the request fell
+        back to memory. Any other field is a 400. Returns ``(summary
         headers, JSONL line stream)`` — the stream is byte-identical to
         the CLI's ``repro audit --format jsonl`` on the same model and
         table, whichever engine ran.
         """
+        _reject_unknown(payload, _AUDIT_FIELDS, "request")
         ref = _require(payload, "model")
         auditor = self._load_model(ref)
         session = AuditSession(auditor=auditor)
-        io_path = _parse_io_path(payload)
         chunk_size = payload.get("chunk_size", self.chunk_size)
         if type(chunk_size) is not int or chunk_size < 1:  # bool is not a size
             raise ServiceError(400, "'chunk_size' must be a positive integer")
@@ -314,16 +312,21 @@ class AuditService:
             findings = report.findings  # already (-confidence, row, attribute)
             n_rows = report.n_rows
         else:
+            location = payload["source"]
             try:
-                reports = session.audit_source(
-                    payload["source"],
-                    chunk_size=chunk_size,
-                    engine=engine,
-                    io_path=io_path,
-                )
-                for report in reports:
-                    findings.extend(report.findings)
-                    n_rows += report.n_rows
+                with ExitStack() as stack:
+                    source = location  # the SQL engine needs the location
+                    if engine == "memory":
+                        source = stack.enter_context(
+                            open_source(
+                                auditor.schema, location, format=payload.get("format")
+                            )
+                        )
+                    for report in session.audit_source(
+                        source, chunk_size=chunk_size, engine=engine
+                    ):
+                        findings.extend(report.findings)
+                        n_rows += report.n_rows
             except (OSError, ValueError) as exc:
                 raise ServiceError(
                     400, f"cannot audit source {payload['source']!r}: {exc}"
@@ -461,7 +464,6 @@ def _config_json(config: AuditorConfig) -> dict[str, Any]:
             else None
         ),
         "fit_n_jobs": config.fit_n_jobs,
-        "fit_path": config.fit_path,
     }
 
 

@@ -62,11 +62,6 @@ class ExperimentConfig:
     #: after fitting, register the model under this name (the next
     #: version), so the run's model is pinnable by later experiments
     register_model_as: Optional[str] = None
-    #: ingest representation for the fit and audit phases: ``"rows"``
-    #: (default) feeds the in-memory row-major table; ``"columns"``
-    #: pivots it through a :class:`~repro.io.ColumnBatch` first, timing
-    #: the columnar hot path; results are byte-identical either way
-    io_path: str = "rows"
 
     def describe(self) -> str:
         return (
@@ -154,17 +149,6 @@ class TestEnvironment:
         dirty, log = pipeline.apply(clean, random.Random(config.pollution_seed))
         pollute_seconds = time.perf_counter() - started
 
-        if config.io_path == "columns":
-            from repro.io.columnar import ColumnBatch
-
-            staged = ColumnBatch.from_table(dirty)
-        elif config.io_path == "rows":
-            staged = dirty
-        else:
-            raise ValueError(
-                f"io_path must be 'rows' or 'columns', got {config.io_path!r}"
-            )
-
         if config.model_ref is not None:
             # pinned model: reuse the registry version instead of refitting —
             # the experiment then measures the audit of *that* model
@@ -182,7 +166,7 @@ class TestEnvironment:
         else:
             session = AuditSession(profile.schema, config.auditor)
             started = time.perf_counter()
-            session.fit(staged, n_jobs=config.fit_n_jobs)
+            session.fit(dirty, n_jobs=config.fit_n_jobs)
             fit_seconds = time.perf_counter() - started
             if config.register_model_as is not None:
                 if config.registry_dir is None:
@@ -200,7 +184,7 @@ class TestEnvironment:
                 )
 
         started = time.perf_counter()
-        report = session.audit(staged)
+        report = session.audit(dirty)
         audit_seconds = time.perf_counter() - started
 
         evaluation = evaluate_audit(report, log, clean, dirty)

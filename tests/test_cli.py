@@ -703,8 +703,6 @@ class TestModelRegistryCli:
         assert provenance["config"] == {
             "min_error_confidence": 0.8,
             "fit_n_jobs": 1,
-            "fit_path": "columns",
-            "io_path": "auto",
         }
 
     def test_models_list_tag_rm(self, workspace, tmp_path, capsys):

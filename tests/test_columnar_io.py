@@ -1,30 +1,30 @@
-"""Columnar I/O suite: :class:`ColumnBatch`, negotiation, and per-backend
-row/column parity.
+"""Columnar I/O suite: :class:`ColumnBatch`, the one ingest lane, and
+its parity with the row-at-a-time reference readers.
 
-The columnar data plane (:mod:`repro.io.columnar`) must be invisible in
-the output: for every backend, every chunk size, and every entry point,
-the column path yields exactly the cell values, errors, reports, and
-models the row path yields. This suite pins:
+Every backend reads through one column lane (:mod:`repro.io.columnar`);
+``read()`` and ``chunks()`` pivot its batches. The lane must be
+invisible in the output: for every backend, every chunk size, and every
+entry point, it yields exactly the cell values, errors, reports, and
+models a row-at-a-time reader yields (``tests/reference_lanes.py``).
+This suite pins:
 
 * the :class:`ColumnBatch` container itself (pivot round trips, null
   masks, concat, validation, pickling);
-* the ``io_path`` negotiation rule (``auto`` picks columns only on
-  natively columnar backends);
-* per-backend value parity (``read_columns`` vs ``read``, batch
-  boundaries vs ``chunks``), including the chunked-equals-whole
-  micro-assert for the row path's rewritten ``chunks()``;
+* the sources' derived views (``read_columns`` vs ``read``, batch
+  boundaries vs ``chunks``, chunked-equals-whole) and the
+  ``resolve_io_path`` compatibility alias;
 * byte-identical extraction errors — mistyped cells and structural
-  failures must surface the row path's first-error-in-row-order message
-  even though the column path converts column-at-a-time;
-* session (``audit_source`` / ``fit_source``) and CLI (``--io-path``)
-  parity end to end.
+  failures must surface the first error in row order, exactly as the
+  reference reader raises it, even though the lane converts
+  column-at-a-time;
+* session (``audit_source`` / ``fit_source``) and CLI parity end to end.
 """
 
 import datetime
+import json
 import pickle
 import sqlite3
 
-import numpy as np
 import pytest
 
 from repro import cli
@@ -32,9 +32,10 @@ from repro.core import AuditorConfig, AuditReport, AuditSession
 from repro.core.serialize import auditor_to_dict
 from repro.io import ColumnBatch, open_source, resolve_io_path, write_table
 from repro.io.base import TableSource
-from repro.io.columnar import ColumnarSource
 from repro.quis import generate_quis_sample
 from repro.schema import Schema, Table, date, nominal, numeric
+from repro.schema.serialize import schema_to_dict
+from tests import reference_lanes as ref
 
 try:
     import pyarrow  # noqa: F401
@@ -143,48 +144,65 @@ class TestColumnBatch:
             assert clone.column(name) == batch.column(name)
 
 
-# -- negotiation ---------------------------------------------------------------
+# -- the one lane ----------------------------------------------------------------
 
 
-class _RowOnlySource(TableSource):
-    """A third-party-style source implementing only the row contract."""
+class _BatchOnlySource(TableSource):
+    """A third-party-style source implementing only the batch contract."""
 
     def __init__(self, table: Table):
         super().__init__(table.schema)
         self._table = table
 
-    def _iter_rows(self):
-        yield from ([*row] for row in self._table.rows)
+    def _iter_column_batches(self, batch_size):
+        rows = self._table.rows
+        for start in range(0, len(rows), batch_size):
+            yield ColumnBatch.from_table(
+                Table(self._table.schema, [[*row] for row in rows[start : start + batch_size]])
+            )
 
 
 class TestNegotiation:
     def test_auto_prefers_columns_on_native_backends(self, tmp_path, schema, table):
+        """The compatibility alias answers ``columns`` on every backend."""
         for fmt in BACKENDS:
             subdir = tmp_path / fmt
             subdir.mkdir()
             with open_source(schema, _location(subdir, fmt, table)) as source:
-                assert source.supports_columns
-                assert isinstance(source, ColumnarSource)
                 assert resolve_io_path(source, "auto") == "columns"
 
-    def test_auto_falls_back_to_rows(self, table):
-        source = _RowOnlySource(table)
-        assert not source.supports_columns
-        assert resolve_io_path(source, "auto") == "rows"
+    def test_invalid_io_path_rejected(self, tmp_path, schema, table):
+        """The removed lane selectors fail loudly instead of being ignored."""
+        location = _location(tmp_path, "sqlite", table)
+        session = AuditSession(schema)
+        with pytest.raises(TypeError, match="io_path"):
+            session.fit_source(location, io_path="rows")
+        with pytest.raises(TypeError, match="io_path"):
+            next(session.audit_source(location, io_path="rows"))
+        with pytest.raises(TypeError, match="fit_path"):
+            AuditorConfig(fit_path="rows")
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(schema_to_dict(schema)), encoding="utf-8")
+        for argv in (
+            ["fit", "--schema", str(schema_path), "--input", location,
+             "--model-out", str(tmp_path / "m.json"), "--io-path", "rows"],
+            ["fit", "--schema", str(schema_path), "--input", location,
+             "--model-out", str(tmp_path / "m.json"), "--fit-path", "rows"],
+            ["audit", "--model", str(tmp_path / "m.json"), "--input", location,
+             "--io-path", "rows"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            assert exit_info.value.code == 2  # argparse: unrecognized argument
 
-    def test_explicit_values_pass_through(self, table):
-        source = _RowOnlySource(table)
-        assert resolve_io_path(source, "columns") == "columns"
-        assert resolve_io_path(source, "rows") == "rows"
-
-    def test_invalid_io_path_rejected(self, table):
-        with pytest.raises(ValueError, match="io_path"):
-            resolve_io_path(_RowOnlySource(table), "fast")
-
-    def test_row_only_source_still_pivots(self, table):
-        """Forcing columns on a row-only source uses the pivot fallback."""
-        source = _RowOnlySource(table)
-        batch = source.read_columns()
+    def test_column_only_source_derives_rows(self, table):
+        """A source implementing only ``_iter_column_batches`` gets
+        ``read()`` and ``chunks()`` from the base class."""
+        assert _BatchOnlySource(table).read().rows == table.rows
+        chunks = list(_BatchOnlySource(table).chunks(2))
+        assert [chunk.n_rows for chunk in chunks] == [2, 2, 1]
+        assert [row for chunk in chunks for row in chunk.rows] == table.rows
+        batch = _BatchOnlySource(table).read_columns()
         for name in table.schema.names:
             assert batch.column(name) == table.column(name)
 
@@ -200,6 +218,7 @@ class TestBackendParity:
             rows = source.read()
         with open_source(schema, location) as source:
             batch = source.read_columns()
+        assert rows.rows == ref.read_rows(schema, location, fmt)
         assert batch.n_rows == rows.n_rows
         for name in schema.names:
             assert batch.column(name) == rows.column(name)
@@ -217,12 +236,14 @@ class TestBackendParity:
         for chunk, batch in zip(chunks, batches):
             for name in schema.names:
                 assert batch.column(name) == chunk.column(name)
+        reference = ref.read_chunks(schema, location, fmt, chunk_size)
+        assert [chunk.rows for chunk in chunks] == reference
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 1000])
     def test_chunked_read_equals_whole_read(
         self, tmp_path, schema, table, fmt, chunk_size
     ):
-        """The rewritten ``chunks()`` assembles exactly ``read()``'s rows."""
+        """``chunks()`` assembles exactly ``read()``'s rows."""
         location = _location(tmp_path, fmt, table)
         with open_source(schema, location) as source:
             whole = source.read()
@@ -232,7 +253,8 @@ class TestBackendParity:
 
     def test_validate_parity(self, tmp_path, schema, table, fmt):
         # the out-of-domain nominal converts fine but fails validation:
-        # both paths must report the same row and message
+        # the whole-table row and column reads report the same row and
+        # message
         location = _location(tmp_path, fmt, table)
         with open_source(schema, location) as source:
             with pytest.raises(ValueError) as row_err:
@@ -241,21 +263,37 @@ class TestBackendParity:
             with pytest.raises(ValueError) as col_err:
                 source.read_columns(validate=True)
         assert str(col_err.value) == str(row_err.value)
+        assert str(row_err.value).startswith("row 1: ")
+        # chunked reads number rows within the chunk: the bad row is the
+        # first row of the second one-row chunk
+        for read in (
+            lambda source: list(source.chunks(1, validate=True)),
+            lambda source: list(source.column_batches(1, validate=True)),
+        ):
+            with open_source(schema, location) as source:
+                with pytest.raises(ValueError) as chunk_err:
+                    read(source)
+            assert str(chunk_err.value) == "row 0: " + str(row_err.value)[len("row 1: "):]
 
 
 # -- byte-identical extraction errors ------------------------------------------
 
 
 def _read_errors(schema, location) -> tuple[str, str]:
-    """(row-path error, column-path error) for a broken stored table."""
+    """(reference reader's error, the lane's error) for a broken stored
+    table; the lane's whole read and its batches of 2 must agree."""
+    fmt = {"csv": "csv", "jsonl": "jsonl", "db": "sqlite"}[location.rsplit(".", 1)[1]]
+    with pytest.raises(ValueError) as ref_err:
+        ref.read_rows(schema, location, fmt)
     with open_source(schema, location) as source:
-        with pytest.raises(ValueError) as row_err:
+        with pytest.raises(ValueError) as read_err:
             source.read()
     with open_source(schema, location) as source:
-        with pytest.raises(ValueError) as col_err:
+        with pytest.raises(ValueError) as batch_err:
             for _ in source.column_batches(2):
                 pass
-    return str(row_err.value), str(col_err.value)
+    assert str(batch_err.value) == str(read_err.value)
+    return str(ref_err.value), str(read_err.value)
 
 
 class TestErrorParity:
@@ -264,29 +302,29 @@ class TestErrorParity:
         location.write_text(
             "A,N,F,D\nx,1,0.5,2000-03-01\ny,oops,0.5,2000-03-01\n", encoding="utf-8"
         )
-        row_msg, col_msg = _read_errors(schema, str(location))
-        assert col_msg == row_msg
-        assert "line 3" in row_msg and "'N'" in row_msg
+        ref_msg, lane_msg = _read_errors(schema, str(location))
+        assert lane_msg == ref_msg
+        assert "line 3" in ref_msg and "'N'" in ref_msg
 
     def test_csv_cell_error_before_structural_error(self, tmp_path, schema):
-        # row 2 has a bad cell, row 3 has a bad field count: the row path
-        # reports the *cell* error first, so the column path must too
+        # row 2 has a bad cell, row 3 has a bad field count: reading in
+        # row order reports the *cell* error first, so the lane must too
         location = tmp_path / "bad.csv"
         location.write_text(
             "A,N,F,D\nx,oops,0.5,2000-03-01\ny,1\n", encoding="utf-8"
         )
-        row_msg, col_msg = _read_errors(schema, str(location))
-        assert col_msg == row_msg
-        assert "line 2" in row_msg
+        ref_msg, lane_msg = _read_errors(schema, str(location))
+        assert lane_msg == ref_msg
+        assert "line 2" in ref_msg
 
     def test_csv_structural_error_alone(self, tmp_path, schema):
         location = tmp_path / "bad.csv"
         location.write_text(
             "A,N,F,D\nx,1,0.5,2000-03-01\ny,1\n", encoding="utf-8"
         )
-        row_msg, col_msg = _read_errors(schema, str(location))
-        assert col_msg == row_msg
-        assert "expected 4 fields" in row_msg
+        ref_msg, lane_msg = _read_errors(schema, str(location))
+        assert lane_msg == ref_msg
+        assert "expected 4 fields" in ref_msg
 
     def test_jsonl_mistyped_cell(self, tmp_path, schema):
         location = tmp_path / "bad.jsonl"
@@ -295,9 +333,9 @@ class TestErrorParity:
             '{"A":"x","N":"oops","F":0.5,"D":"2000-03-01"}\n',
             encoding="utf-8",
         )
-        row_msg, col_msg = _read_errors(schema, str(location))
-        assert col_msg == row_msg
-        assert "line 2" in row_msg and "'N'" in row_msg
+        ref_msg, lane_msg = _read_errors(schema, str(location))
+        assert lane_msg == ref_msg
+        assert "line 2" in ref_msg and "'N'" in ref_msg
 
     def test_jsonl_cell_error_before_structural_error(self, tmp_path, schema):
         location = tmp_path / "bad.jsonl"
@@ -306,9 +344,9 @@ class TestErrorParity:
             "not json\n",
             encoding="utf-8",
         )
-        row_msg, col_msg = _read_errors(schema, str(location))
-        assert col_msg == row_msg
-        assert "line 1" in row_msg
+        ref_msg, lane_msg = _read_errors(schema, str(location))
+        assert lane_msg == ref_msg
+        assert "line 1" in ref_msg
 
     def test_jsonl_structural_error_alone(self, tmp_path, schema):
         location = tmp_path / "bad.jsonl"
@@ -317,9 +355,32 @@ class TestErrorParity:
             '{"A":"x","F":0.5,"D":"2000-03-01"}\n',
             encoding="utf-8",
         )
-        row_msg, col_msg = _read_errors(schema, str(location))
-        assert col_msg == row_msg
-        assert "keys do not match" in row_msg
+        ref_msg, lane_msg = _read_errors(schema, str(location))
+        assert lane_msg == ref_msg
+        assert "keys do not match" in ref_msg
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"A":"x","N":1,"F":0.5,"D":"2000-03-01"} trailing',
+            '{"A":"x","N":1,"F":0.5,"D":"2000-03-01"}, {}',
+            '\ufeff{"A":"x","N":1,"F":0.5,"D":"2000-03-01"}',
+            '[{"A":"x","N":1,"F":0.5,"D":"2000-03-01"}]',
+            "null",
+            '{"A":"x","N":1,"F":0.5,"D":"2000-03-01","E":2}',
+            '{"A":"x","N":1,"F":0.5,"D":"2000-03-01"',
+        ],
+        ids=["trailing", "two-values", "bom", "array", "null", "extra-key", "unclosed"],
+    )
+    def test_jsonl_structural_variants(self, tmp_path, schema, line):
+        location = tmp_path / "bad.jsonl"
+        location.write_text(
+            '{"A":"x","N":1,"F":0.5,"D":"2000-03-01"}\n\n' + line + "\n",
+            encoding="utf-8",
+        )
+        ref_msg, lane_msg = _read_errors(schema, str(location))
+        assert lane_msg == ref_msg
+        assert ref_msg.startswith("line 3: ")
 
     def test_sqlite_mistyped_cell(self, tmp_path, schema):
         location = tmp_path / "bad.db"
@@ -333,18 +394,12 @@ class TestErrorParity:
         )
         connection.commit()
         connection.close()
-        row_msg, col_msg = _read_errors(schema, str(location))
-        assert col_msg == row_msg
-        assert "row 2" in row_msg and "'N'" in row_msg
+        ref_msg, lane_msg = _read_errors(schema, str(location))
+        assert lane_msg == ref_msg
+        assert "row 2" in ref_msg and "'N'" in ref_msg
 
 
 # -- session parity ------------------------------------------------------------
-
-
-def _merged_report(session, location, *, io_path, chunk_size) -> AuditReport:
-    return AuditReport.merge(
-        session.audit_source(location, chunk_size=chunk_size, io_path=io_path)
-    )
 
 
 @pytest.mark.parametrize("fmt", BACKENDS)
@@ -359,69 +414,56 @@ class TestSessionParity:
         session = AuditSession(sample.dirty.schema, AuditorConfig())
         session.fit(sample.dirty)
         reference = session.audit(sample.dirty)
+        rows = Table(sample.dirty.schema, ref.read_rows(sample.dirty.schema, location, fmt))
+        from_rows = session.audit(rows)
+        assert from_rows.findings == reference.findings
         for chunk_size in (64, 1000):
-            rows = _merged_report(
-                session, location, io_path="rows", chunk_size=chunk_size
+            merged = AuditReport.merge(
+                session.audit_source(location, chunk_size=chunk_size)
             )
-            cols = _merged_report(
-                session, location, io_path="columns", chunk_size=chunk_size
-            )
-            auto = _merged_report(
-                session, location, io_path="auto", chunk_size=chunk_size
-            )
-            assert rows.findings == cols.findings == auto.findings
-            assert rows.findings == reference.findings
-            assert rows.record_confidence == cols.record_confidence
+            assert merged.findings == from_rows.findings
+            assert merged.record_confidence == from_rows.record_confidence
 
     def test_fit_source_parity(self, stored_sample, fmt):
         sample, location = stored_sample
+        schema = sample.dirty.schema
         fingerprints = set()
-        for io_path in ("rows", "columns", "auto"):
-            session = AuditSession(sample.dirty.schema, AuditorConfig())
-            session.fit_source(location, io_path=io_path)
-            fingerprints.add(
-                str(sorted(auditor_to_dict(session.auditor).items()))
-            )
+        for fit in (
+            lambda session: session.fit_source(location),
+            lambda session: session.fit(
+                Table(schema, ref.read_rows(schema, location, fmt))
+            ),
+        ):
+            session = AuditSession(schema, AuditorConfig())
+            fit(session)
+            fingerprints.add(json.dumps(auditor_to_dict(session.auditor), sort_keys=True))
         assert len(fingerprints) == 1
 
 
 # -- CLI parity ----------------------------------------------------------------
 
 
-def test_cli_io_path_parity(tmp_path):
+def test_cli_sqlite_matches_csv(tmp_path):
+    """``repro fit`` and ``repro audit`` write the same model and findings
+    bytes from a SQLite table as from its CSV export."""
     sample = generate_quis_sample(200, seed=2003)
-    db = str(tmp_path / "wh.db")
-    write_table(sample.dirty, db)
-    from repro.schema.serialize import schema_to_dict
-    import json
-
     schema_path = tmp_path / "schema.json"
     schema_path.write_text(
         json.dumps(schema_to_dict(sample.dirty.schema)), encoding="utf-8"
     )
     models, findings = {}, {}
-    for io_path in ("rows", "columns"):
-        model = str(tmp_path / f"model_{io_path}.json")
-        out = str(tmp_path / f"findings_{io_path}.jsonl")
+    for name in ("wh.db", "wh.csv"):
+        location = str(tmp_path / name)
+        write_table(sample.dirty, location)
+        model = str(tmp_path / f"model_{name}.json")
+        out = str(tmp_path / f"findings_{name}.jsonl")
         assert cli.main(
-            [
-                "fit",
-                "--schema", str(schema_path),
-                "--input", db,
-                "--model-out", model,
-                "--io-path", io_path,
-            ]
+            ["fit", "--schema", str(schema_path), "--input", location, "--model-out", model]
         ) == 0
         assert cli.main(
-            [
-                "audit",
-                "--model", model,
-                "--input", db,
-                "--findings-out", out,
-                "--io-path", io_path,
-            ]
+            ["audit", "--model", model, "--input", location, "--findings-out", out]
         ) == 0
-        models[io_path] = open(model, encoding="utf-8").read()
-        findings[io_path] = open(out, encoding="utf-8").read()
-    assert models["rows"] == models["columns"]
-    assert findings["rows"] == findings["columns"]
+        models[name] = open(model, encoding="utf-8").read()
+        findings[name] = open(out, encoding="utf-8").read()
+    assert models["wh.db"] == models["wh.csv"]
+    assert findings["wh.db"] == findings["wh.csv"]

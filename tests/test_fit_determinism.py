@@ -32,8 +32,8 @@ def make_prism(config):
 
 table = generate_quis_sample(400, seed=2003).dirty
 
-# the persistable tree model, fitted on the vectorized path with a pool
-tree = DataAuditor(table.schema, AuditorConfig(fit_path="columns", fit_n_jobs=2))
+# the persistable tree model, fitted with a pool
+tree = DataAuditor(table.schema, AuditorConfig(fit_n_jobs=2))
 tree.fit(table)
 document = json.dumps(auditor_to_dict(tree), sort_keys=True).encode()
 print("tree", hashlib.sha256(document).hexdigest())

@@ -1,17 +1,19 @@
-"""Fit-parity property suite: the vectorized column path is pinned to the
-legacy row path, byte for byte.
+"""Fit-parity property suite: the fit's shared-column encoding is pinned
+to the cell-at-a-time reference fit, byte for byte.
 
-The auditor fits on one of two encoding paths
-(:attr:`AuditorConfig.fit_path <repro.core.auditor.AuditorConfig>`):
-``"columns"`` (the vectorized default — every table column is encoded
-once into NumPy arrays shared by all classifiers) and ``"rows"`` (the
-original cell-at-a-time path, kept as the parity oracle). These tests
-generate randomized schemas and tables — mixed nominal/numeric/date
-columns, nulls, out-of-domain values, ties, constant columns, single-row
-and all-null-attribute edge cases — and assert that for **all five
-classifier families** the two paths induce byte-identical models, and
-that the parallel per-attribute executor (``n_jobs > 1``) changes
-nothing either.
+The auditor fits on one encoding path: every table column is encoded
+once into NumPy arrays shared by all classifiers
+(:class:`~repro.core.auditor.FitColumnCache`). Its plain twin lives in
+``tests/reference_lanes.py``: each classifier's dataset encoded cell by
+cell through :meth:`BaseEncoder.encode
+<repro.mining.dataset.BaseEncoder.encode>` and :meth:`ClassEncoder.code_of
+<repro.mining.dataset.ClassEncoder.code_of>`. These tests generate
+randomized schemas and tables — mixed nominal/numeric/date columns,
+nulls, out-of-domain values, ties, constant columns, single-row and
+all-null-attribute edge cases — and assert that for **all five
+classifier families** the fit and the reference induce byte-identical
+models, and that the parallel per-attribute executor (``n_jobs > 1``)
+changes nothing either.
 
 "Byte-identical" is checked on the canonical fit fingerprint
 (:meth:`AttributeClassifier.fit_state
@@ -22,8 +24,8 @@ prediction reads; for the tree (the only persistable classifier) the
 
 Open-vocabulary text columns cannot be audited (the auditor rejects
 :class:`~repro.schema.domain.TextDomain` schemas up front), so their
-column-vs-row encoding parity — including the numeric-looking-string
-trap ``"1.5"`` — is pinned at the encoder level instead.
+encoding parity — including the numeric-looking-string trap ``"1.5"`` —
+is pinned at the encoder level instead.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ from repro.mining.knn import KnnClassifier
 from repro.mining.naive_bayes import NaiveBayesClassifier
 from repro.mining.rule_induction import OneRClassifier, PrismClassifier
 from repro.mining.tree_classifier import TreeClassifier
+from repro.quis import generate_quis_sample
 from repro.schema import Schema, Table, date, nominal, numeric, text
+from tests import reference_lanes as ref
 
 # -- the five classifier families ---------------------------------------------
 # module-level functions so the factories stay picklable for spawn-based pools
@@ -83,17 +87,18 @@ def _fit_fingerprint(
     table: Table,
     factory,
     *,
-    fit_path: str,
+    reference: bool = False,
     n_jobs: int = 1,
 ) -> bytes:
-    """Fit one auditor and return the canonical model fingerprint."""
+    """Fit one auditor — or, with *reference*, the cell-at-a-time
+    reference fit — and return the canonical model fingerprint."""
     auditor = DataAuditor(
-        schema,
-        AuditorConfig(
-            classifier_factory=factory, fit_path=fit_path, fit_n_jobs=n_jobs
-        ),
+        schema, AuditorConfig(classifier_factory=factory, fit_n_jobs=n_jobs)
     )
-    auditor.fit(table)
+    if reference:
+        ref.reference_fit(auditor, table)
+    else:
+        auditor.fit(table)
     states = {
         name: classifier.fit_state()
         for name, classifier in auditor.classifiers.items()
@@ -167,11 +172,12 @@ def schema_and_table(draw, min_rows: int = 0, max_rows: int = 30):
 )
 @given(data=schema_and_table())
 def test_columns_path_matches_rows_path(family, data):
-    """Randomized fit parity: columns vs rows, serially, per family."""
+    """Randomized fit parity: the fit vs the cell-at-a-time reference,
+    serially, per family."""
     schema, table = data
     factory = FACTORIES[family]
-    columns = _fit_fingerprint(schema, table, factory, fit_path="columns")
-    rows = _fit_fingerprint(schema, table, factory, fit_path="rows")
+    columns = _fit_fingerprint(schema, table, factory)
+    rows = _fit_fingerprint(schema, table, factory, reference=True)
     assert columns == rows
 
 
@@ -183,15 +189,14 @@ def test_columns_path_matches_rows_path(family, data):
 )
 @given(data=schema_and_table(min_rows=1))
 def test_parallel_fit_matches_serial_on_both_paths(family, data):
-    """The per-attribute process pool changes nothing: all four
-    (path × job-count) combinations produce the same bytes."""
+    """The per-attribute process pool changes nothing: the fit at one
+    and two jobs and the reference fit produce the same bytes."""
     schema, table = data
     factory = FACTORIES[family]
     fingerprints = {
-        _fit_fingerprint(schema, table, factory, fit_path=path, n_jobs=jobs)
-        for path in ("columns", "rows")
-        for jobs in (1, 2)
+        _fit_fingerprint(schema, table, factory, n_jobs=jobs) for jobs in (1, 2)
     }
+    fingerprints.add(_fit_fingerprint(schema, table, factory, reference=True))
     assert len(fingerprints) == 1
 
 
@@ -204,18 +209,19 @@ def test_parallel_fit_matches_serial_on_both_paths(family, data):
 def test_tree_models_serialize_identically(data):
     """For the persistable classifier the full ``repro-auditor-v1``
     document — what ``repro fit`` writes and the registry content-
-    addresses — is byte-identical across paths and job counts."""
+    addresses — is byte-identical to the reference fit's at any job
+    count."""
     schema, table = data
-    documents = set()
-    for path in ("columns", "rows"):
-        for jobs in (1, 2):
-            auditor = DataAuditor(
-                schema, AuditorConfig(fit_path=path, fit_n_jobs=jobs)
-            )
-            auditor.fit(table)
-            documents.add(
-                json.dumps(auditor_to_dict(auditor), sort_keys=True).encode()
-            )
+    documents = {
+        json.dumps(
+            auditor_to_dict(ref.reference_fit(DataAuditor(schema), table)),
+            sort_keys=True,
+        ).encode()
+    }
+    for jobs in (1, 2):
+        auditor = DataAuditor(schema, AuditorConfig(fit_n_jobs=jobs))
+        auditor.fit(table)
+        documents.add(json.dumps(auditor_to_dict(auditor), sort_keys=True).encode())
     assert len(documents) == 1
 
 
@@ -259,23 +265,41 @@ def test_edge_case_tables_fit_identically(family, case):
     schema = _edge_schema()
     table = Table(schema, _EDGE_TABLES[case])
     factory = FACTORIES[family]
-    columns = _fit_fingerprint(schema, table, factory, fit_path="columns")
-    rows = _fit_fingerprint(schema, table, factory, fit_path="rows")
+    columns = _fit_fingerprint(schema, table, factory)
+    rows = _fit_fingerprint(schema, table, factory, reference=True)
     assert columns == rows
 
 
 @pytest.mark.parametrize("family", sorted(FACTORIES))
 def test_edge_case_parallel_fit(family):
-    """jobs=2 on the canned tied-values table, both paths."""
+    """jobs=2 on the canned tied-values table, against the reference."""
     schema = _edge_schema()
     table = Table(schema, _EDGE_TABLES["tied-values"])
     factory = FACTORIES[family]
     fingerprints = {
-        _fit_fingerprint(schema, table, factory, fit_path=path, n_jobs=jobs)
-        for path in ("columns", "rows")
-        for jobs in (1, 2)
+        _fit_fingerprint(schema, table, factory, n_jobs=jobs) for jobs in (1, 2)
     }
+    fingerprints.add(_fit_fingerprint(schema, table, factory, reference=True))
     assert len(fingerprints) == 1
+
+
+def test_quis_fit_matches_reference_at_any_job_count():
+    """On a QUIS sample — the shape the benchmark fits — the model
+    document is byte-identical to the reference fit's, serially and on
+    two workers (moved from the retired fit-throughput bench, which
+    checked it at 20k and 80k rows)."""
+    sample = generate_quis_sample(2_000, seed=2003)
+    documents = {
+        json.dumps(
+            auditor_to_dict(ref.reference_fit(DataAuditor(sample.schema), sample.dirty)),
+            sort_keys=True,
+        )
+    }
+    for jobs in (1, 2):
+        auditor = DataAuditor(sample.schema, AuditorConfig(fit_n_jobs=jobs))
+        auditor.fit(sample.dirty)
+        documents.add(json.dumps(auditor_to_dict(auditor), sort_keys=True))
+    assert len(documents) == 1
 
 
 # -- text columns: encoder-level parity ------------------------------------------
@@ -295,10 +319,10 @@ def test_edge_case_parallel_fit(family):
 def test_text_column_encoding_parity(values):
     """Text columns (rejected by the auditor, but encodable at the mining
     layer) take the per-cell fallback: numeric-looking strings such as
-    ``"1.5"`` must encode exactly like the row path — not be swept up by
-    the bulk float cast."""
+    ``"1.5"`` must encode exactly like the per-cell reference — not be
+    swept up by the bulk float cast."""
     encoder = BaseEncoder(text("T"))
     vectorized = encoder.encode_column(values)
-    rowwise = encoder.encode_column_rowwise(values)
+    rowwise = ref.reference_encode(encoder, values)
     assert np.array_equal(vectorized, rowwise, equal_nan=True)
     assert vectorized.dtype == rowwise.dtype

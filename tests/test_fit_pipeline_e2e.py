@@ -4,12 +4,12 @@ auto-refit → serving.
 The full production loop of the offline/online split, exercised through
 the same entry points an operator uses:
 
-1. ``repro fit --jobs 4 --register`` induces the model on the vectorized
-   column path with a 4-worker pool and registers it;
-2. the registered bytes are identical to a serial row-path fit of the
-   same table (the parity contract holding at the CLI boundary);
-3. ``repro monitor --refit auto`` on a drifting stream refits (on the
-   session's configured fit path — the vectorized default) and moves
+1. ``repro fit --jobs 4 --register`` induces the model with a 4-worker
+   pool and registers it;
+2. the registered bytes are identical to a serial fit of the same table,
+   and to the cell-at-a-time reference fit (the parity contract holding
+   at the CLI boundary);
+3. ``repro monitor --refit auto`` on a drifting stream refits and moves
    ``latest`` in the registry;
 4. the auto-refitted model round-trips through :mod:`repro.serve`:
    the service resolves it, audits with it, and its stored document
@@ -24,12 +24,13 @@ import random
 import pytest
 
 from repro.cli import main
-from repro.core import AuditorConfig, AuditSession
+from repro.core import AuditSession, DataAuditor
 from repro.registry import ModelRegistry, model_digest
 from repro.core.serialize import auditor_to_dict
-from repro.schema import Schema, Table, nominal, numeric, write_csv
-from repro.schema.serialize import schema_to_dict
+from repro.schema import Schema, Table, nominal, numeric, read_csv, write_csv
+from repro.schema.serialize import schema_from_dict, schema_to_dict
 from repro.serve import AuditService
+from tests import reference_lanes as ref
 
 
 def _structured_table(n, seed, error_rate):
@@ -101,8 +102,9 @@ def test_parallel_fit_register_refit_serve_round_trip(stand, capsys):
         == 0
     )
 
-    # 2. serial row-path oracle fit: byte-identical model file
-    oracle_model = stand["dir"] / "model-ser.json"
+    # 2. serial fit: byte-identical model file, equal to the
+    #    cell-at-a-time reference fit of the same table
+    serial_model = stand["dir"] / "model-ser.json"
     assert (
         main(
             [
@@ -113,24 +115,27 @@ def test_parallel_fit_register_refit_serve_round_trip(stand, capsys):
                 str(stand["train_csv"]),
                 "--jobs",
                 "1",
-                "--fit-path",
-                "rows",
                 "--model-out",
-                str(oracle_model),
+                str(serial_model),
             ]
         )
         == 0
     )
-    assert parallel_model.read_bytes() == oracle_model.read_bytes()
+    assert parallel_model.read_bytes() == serial_model.read_bytes()
+    schema = schema_from_dict(json.loads(stand["schema"].read_text()))
+    reference = ref.reference_fit(
+        DataAuditor(schema), read_csv(schema, stand["train_csv"])
+    )
+    assert model_digest(auditor_to_dict(reference)) == model_digest(
+        json.loads(serial_model.read_text())
+    )
     registry = ModelRegistry(stand["registry"])
     assert registry.resolve("loads@v1").digest == model_digest(
         json.loads(parallel_model.read_text())
     )
     capsys.readouterr()
 
-    # 3. drift-triggered auto-refit moves latest; the refit runs on the
-    #    session's fit path — "columns", the vectorized default
-    assert AuditorConfig().fit_path == "columns"
+    # 3. drift-triggered auto-refit moves latest
     assert (
         main(
             [
@@ -178,7 +183,7 @@ def test_service_fit_endpoint_accepts_fit_knobs(stand):
             "name": "knobs",
             "schema": schema_payload,
             "source": str(stand["train_csv"]),
-            "config": {"fit_n_jobs": 2, "fit_path": "rows"},
+            "config": {"fit_n_jobs": 2},
         }
     )
     default = service.fit(
@@ -190,4 +195,4 @@ def test_service_fit_endpoint_accepts_fit_knobs(stand):
     )
     assert knobs["digest"] == default["digest"]
     assert knobs["provenance"]["config"]["fit_n_jobs"] == 2
-    assert knobs["provenance"]["config"]["fit_path"] == "rows"
+    assert "fit_path" not in knobs["provenance"]["config"]

@@ -351,6 +351,15 @@ class TestCsvBackendProtocol:
             with pytest.raises(ValueError, match=r"line 2, attribute 'F'"):
                 source.read()
 
+    def test_repeated_header_column_rejected(self):
+        """A header naming a schema column twice is an error, not a read
+        of the first copy."""
+        schema = Schema([nominal("A", ["x", "y"]), numeric("N", 0, 9, integer=True)])
+        text = "A,N,A\nx,1,y\n"
+        with pytest.raises(ValueError) as excinfo:
+            CsvTableSource(schema, io.StringIO(text))
+        assert str(excinfo.value) == "CSV header ['A', 'N', 'A'] repeats ['A']"
+
 
 class TestParquetGating:
     @pytest.mark.skipif(HAVE_PYARROW, reason="pyarrow installed")

@@ -293,6 +293,12 @@ class TestTextTail:
         with pytest.raises(ValueError):
             open_tail(tail_schema, path)
 
+    def test_csv_repeated_header_rejected_at_construction(self, tail_schema, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("A,N,A\na,1,b\n")
+        with pytest.raises(ValueError, match=r"repeats \['A'\]"):
+            open_tail(tail_schema, path)
+
     def test_bad_cell_error_names_location_and_offset(self, tail_schema, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"A": "a", "N": "not-a-number"}\n')

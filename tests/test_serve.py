@@ -150,6 +150,12 @@ class TestServiceEndpoints:
             (lambda p: p.update(schema={"bad": 1}), 400, "invalid schema"),
             (lambda p: p.update(source="/no/such.csv"), 400, "cannot read source"),
             (lambda p: p.update(config={"polluters": 3}), 400, "unknown config"),
+            (lambda p: p.update(io_path="rows"), 400, "unknown request fields ['io_path']"),
+            (
+                lambda p: p.update(config={"fit_path": "rows"}),
+                400,
+                "unknown config fields ['fit_path']",
+            ),
         ],
     )
     def test_fit_rejections(self, corpus, mutate, status, fragment):
@@ -194,6 +200,7 @@ class TestServiceEndpoints:
             ({"model": "svc", "rows": [], "chunk_size": 0}, 400, "chunk_size"),
             ({"model": "svc", "rows": [{"A": "q"}]}, 400, "invalid rows payload"),
             ({"model": "svc", "rows": [], "engine": "duckdb"}, 400, "'engine'"),
+            ({"model": "svc", "rows": [], "jobs": 2}, 400, "unknown request fields ['jobs']"),
         ],
     )
     def test_audit_rejections(self, service, payload, status, fragment):
@@ -226,6 +233,22 @@ class TestServiceEndpoints:
         assert summary["engine"] == "memory"
         assert "not SQLite" in summary["notice"]
         assert summary["findings"] == "".join(lines).count("\n")
+
+    def test_audit_honours_format(self, service, corpus):
+        """A CSV stored under an unrecognized name audits with
+        ``"format": "csv"`` exactly as the ``.csv`` file does."""
+        renamed = corpus["root"] / "load.txt"
+        renamed.write_bytes(corpus["load_csv"].read_bytes())
+        with pytest.raises(ServiceError, match="cannot infer a table format"):
+            service.audit({"model": "svc", "source": str(renamed)})
+        summary, lines = service.audit(
+            {"model": "svc", "source": str(renamed), "format": "csv"}
+        )
+        reference, reference_lines = service.audit(
+            {"model": "svc", "source": str(corpus["load_csv"])}
+        )
+        assert "".join(lines) == "".join(reference_lines)
+        assert summary == reference
 
     def test_model_cache_reuses_loaded_auditor(self, service):
         service.audit({"model": "svc", "rows": []})
@@ -389,6 +412,26 @@ class TestHttpTransport:
                 {},
                 "chunk_size",
             ),
+            (
+                "/audit",
+                b'{"model": "svc", "rows": [], "io_path": "rows"}',
+                {},
+                "unknown request fields ['io_path'] (allowed: chunk_size, engine, "
+                "format, model, rows, source)",
+            ),
+            (
+                "/audit",
+                b'{"model": "svc", "rows": [], "jobs": 2}',
+                {},
+                "unknown request fields ['jobs']",
+            ),
+            (
+                "/fit",
+                b'{"name": "n", "schema": {}, "source": "x.csv", "io_path": "auto"}',
+                {},
+                "unknown request fields ['io_path'] (allowed: config, format, "
+                "name, schema, source)",
+            ),
         ],
         ids=[
             "numeric-model",
@@ -397,6 +440,9 @@ class TestHttpTransport:
             "infinity-cell",
             "non-numeric-content-length",
             "boolean-chunk-size",
+            "stale-io-path",
+            "stale-jobs",
+            "stale-fit-io-path",
         ],
     )
     def test_malformed_bodies_are_400(self, http_server, path, body, headers, fragment):

@@ -74,10 +74,13 @@ def online_in_database_check(model_path: Path, warehouse_path: Path) -> None:
           f"ships {shipped / batch.n_rows:.1%} of the {batch.n_rows} rows "
           f"an extract would move")
 
-    # engine="sql": the audit runs in-database, one whole-table report
+    # engine="sql": the audit runs in-database, one whole-table report;
+    # the run says which engine ran (and, after a fallback, why)
     started = time.perf_counter()
-    (report,) = session.audit_source(staging, engine="sql")
+    run = session.audit_source(staging, engine="sql")
+    (report,) = run
     elapsed = time.perf_counter() - started
+    assert run.engine == "sql", run.notice
     print(f"  in-database audit of {report.n_rows} records in "
           f"{elapsed * 1000:.0f} ms: {report.n_suspicious} quarantined")
 

@@ -35,13 +35,20 @@ for unrecognized names, and can be forced with ``--input-format`` /
     repro evaluate --schema schema.json --clean clean.csv --dirty warehouse.db \
                    --log truth.json --model model.json
 
-``repro audit --chunk-size N`` streams the input (any backend) through
-an :class:`~repro.core.session.AuditSession` in N-row chunks (sec. 2.2's
+``repro audit`` streams the input (any backend) through
+:meth:`AuditSession.audit_source
+<repro.core.session.AuditSession.audit_source>` in chunks (sec. 2.2's
 online load check: memory stays bounded by the chunk size plus the
 findings retained for ranking, not by the load's row count);
+``--chunk-size N`` picks the chunk size and prints one line per chunk,
+``--engine sql`` asks that method to screen a SQLite input in-database
+(it decides, and the command prints its fallback notice), and
 ``--format jsonl`` emits machine-readable findings. Output is
-bit-identical across chunk sizes and storage backends: auditing a SQLite
-table is bit-identical to auditing the equivalent CSV export.
+bit-identical across chunk sizes, engines and storage backends:
+auditing a SQLite table is bit-identical to auditing the equivalent CSV
+export. Unreadable input ends ``fit`` and ``audit`` with one ``error:``
+line (the missing file, or the line and attribute of a bad cell)
+instead of a traceback.
 ``repro fit --jobs N`` fits the per-attribute classifiers on N worker
 processes; the model is byte-identical at any job count. ``fit`` and
 ``audit`` read their input as column batches (:mod:`repro.io.columnar`),
@@ -67,6 +74,7 @@ from repro.core.findings import Finding, findings_to_table
 from repro.core.serialize import save_auditor
 from repro.core.session import AuditSession, ModelPersistenceError
 from repro.generator.profiles import base_profile, base_schema
+from repro.io.base import DEFAULT_CHUNK_SIZE
 from repro.io.jsonl_backend import JsonlTableSink
 from repro.io.registry import (
     available_formats,
@@ -289,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "--chunk-size",
         type=int,
-        help="stream the input in chunks of this many rows (bounded memory)",
+        help="audit the input in chunks of this many rows and print one "
+        f"line per chunk (default: {DEFAULT_CHUNK_SIZE}, no per-chunk lines); "
+        "memory stays bounded by the chunk size either way",
     )
     p_audit.add_argument(
         "--format",
@@ -305,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution engine: 'memory' extracts and audits in-process "
         "(default); 'sql' compiles the fitted model to SQL and screens "
         "deviations inside the SQLite --input itself — same ranked "
-        "findings, with a one-line notice and clean fallback to memory "
-        "when the input is not SQLite or the model (e.g. kNN) has no "
-        "SQL form",
+        "findings; when the input is not SQLite, the model (e.g. kNN) "
+        "has no SQL form or the pushdown fails at run time, a one-line "
+        "note on stderr says why and the audit runs in memory",
     )
 
     p_evaluate = sub.add_parser(
@@ -541,7 +551,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "a fit with neither destination would be discarded"
         )
     schema = _load_schema(args.schema)
-    table = _read_columns(schema, args.input, args.input_format, args.null_marker)
+    try:
+        table = _read_columns(schema, args.input, args.input_format, args.null_marker)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}") from exc
     auditor = DataAuditor(
         schema,
         AuditorConfig(min_error_confidence=args.min_confidence, fit_n_jobs=args.jobs),
@@ -638,78 +651,35 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         )
     auditor = _load_model(args.model, args.registry)
     quiet = args.format == "jsonl" and not args.findings_out
-    # engine selection: 'sql' holds only when the input is SQLite AND
-    # every audited attribute's model compiles — otherwise print the
-    # one-line notice and audit in memory (identical findings either way)
-    engine = args.engine
-    if engine == "sql":
-        from repro.compile import compilation_plan
-
-        if _resolve_format(args.input, args.input_format) != "sqlite":
-            print(
-                "note: --engine sql needs a SQLite --input; auditing in memory",
-                file=sys.stderr,
+    # keep only the findings across chunks (the output), never the
+    # per-row confidences — peak memory must not grow with row count
+    session = AuditSession(auditor=auditor)
+    findings: list[Finding] = []
+    n_rows = 0
+    try:
+        with _open_input(
+            auditor.schema, args.input, args.input_format, args.null_marker
+        ) as source:
+            run = session.audit_source(
+                source,
+                chunk_size=args.chunk_size or DEFAULT_CHUNK_SIZE,
+                engine=args.engine,
             )
-            engine = "memory"
-        else:
-            plan = compilation_plan(auditor)
-            if not plan.compilable:
-                print(f"note: {plan.notice()}", file=sys.stderr)
-                engine = "memory"
-    if args.chunk_size is not None:
-        # keep only the findings across chunks (the output), never the
-        # per-row confidences — peak memory must not grow with row count
-        session = AuditSession(auditor=auditor)
-        collected: list[Finding] = []
-        n_rows = 0
-        n_chunks = 0
-
-        def _consume(chunk_reports) -> None:
-            nonlocal n_rows, n_chunks
-            for chunk_report in chunk_reports:
-                n_chunks += 1
-                n_rows += chunk_report.n_rows
-                collected.extend(chunk_report.findings)
-                if not quiet:
+            for n_chunks, report in enumerate(run, start=1):
+                n_rows += report.n_rows
+                findings.extend(report.findings)
+                if args.chunk_size is not None and not quiet:
                     print(
-                        f"  chunk {n_chunks}: {chunk_report.n_rows} records, "
-                        f"{chunk_report.n_suspicious} suspicious"
+                        f"  chunk {n_chunks}: {report.n_rows} records, "
+                        f"{report.n_suspicious} suspicious"
                     )
-
-        if engine == "sql":
-            # hand the raw location through so the session can push the
-            # audit into the database (one whole-table report) instead
-            # of opening an extraction stream
-            _consume(
-                session.audit_source(
-                    args.input,
-                    chunk_size=args.chunk_size,
-                    engine="sql",
-                )
-            )
-        else:
-            with _open_input(
-                auditor.schema, args.input, args.input_format, args.null_marker
-            ) as source:
-                _consume(session.audit_source(source, chunk_size=args.chunk_size))
-        findings = sorted(collected, key=lambda f: (-f.confidence, f.row, f.attribute))
-    else:
-        report = None
-        if engine == "sql":
-            from repro.compile import NotCompilable, audit_sqlite, sqlite_location
-
-            database, sql_table = sqlite_location(args.input) or (args.input, None)
-            try:
-                report = audit_sqlite(auditor, database, table=sql_table)
-            except NotCompilable as exc:
-                print(f"note: {exc}; auditing in memory", file=sys.stderr)
-        if report is None:
-            table = _read_columns(
-                auditor.schema, args.input, args.input_format, args.null_marker
-            )
-            report = auditor.audit(table)
-        findings = report.findings
-        n_rows = report.n_rows
+    except BrokenPipeError:
+        raise  # a closed stdout is main()'s to handle (exit 0), not bad input
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}") from exc
+    if run.notice is not None:
+        print(f"note: {run.notice}", file=sys.stderr)
+    findings.sort(key=lambda f: (-f.confidence, f.row, f.attribute))
     n_suspicious = len({finding.row for finding in findings})
     if not quiet:
         print(

@@ -18,12 +18,16 @@ Entry points
 ------------
 * :func:`compilation_plan` — compile a fitted auditor; inspect
   ``plan.compilable`` / ``plan.notice()`` for the fallback decision.
-* :func:`audit_sqlite` / :func:`audit_connection` — run the pushdown
-  audit against a database file / an open connection.
-* :func:`audit_table_sql` — the ``audit(engine="sql")`` path for
-  in-memory tables (materialize to ``:memory:``, then push down).
+* :func:`audit_connection` — run the pushdown audit against one table
+  of an open connection.
 * :class:`NotCompilable` — raised wherever a model, schema, or engine
-  has no SQL form; every caller falls back to the in-memory batch path.
+  has no SQL form.
+
+Which engine runs is decided in one place,
+:meth:`AuditSession.audit_source
+<repro.core.session.AuditSession.audit_source>` with ``engine="sql"``:
+it pushes down when its source is a SQLite table and the plan compiles,
+and otherwise audits in memory with a one-line notice.
 
 Dialects are descriptor-driven (:class:`SqlDialect`); only
 :data:`~repro.compile.dialect.SQLITE` is executable today, but the
@@ -37,10 +41,7 @@ from repro.compile.engine import (
     CompilationPlan,
     ScreenStatement,
     audit_connection,
-    audit_sqlite,
-    audit_table_sql,
     compilation_plan,
-    sqlite_location,
 )
 from repro.compile.screen import FamilyScreen, NotCompilable
 
@@ -54,7 +55,4 @@ __all__ = [
     "NotCompilable",
     "compilation_plan",
     "audit_connection",
-    "audit_sqlite",
-    "audit_table_sql",
-    "sqlite_location",
 ]

@@ -48,7 +48,9 @@ the threshold and therefore flagged.
 Anything without a SQL form — a kNN classifier, an over-deep tree, an
 attribute exceeding the parameter cap on its own, a ``WITHOUT ROWID``
 table — ends in :class:`~repro.compile.screen.NotCompilable`, and
-callers fall back to the in-memory batch path (see
+:meth:`AuditSession.audit_source
+<repro.core.session.AuditSession.audit_source>`, the one caller that
+chooses an engine, falls back to the in-memory path with a notice (see
 ``docs/sql_compilation.md``).
 """
 
@@ -56,8 +58,7 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,16 +68,10 @@ from repro.compile.expressions import SqlBuilder, clean_expr, observed_class_exp
 from repro.compile.rules import compile_one_r, compile_prism
 from repro.compile.screen import FamilyScreen, NotCompilable
 from repro.compile.tree import compile_tree
+from repro.core.auditor import ColumnCache
 from repro.core.findings import AuditReport, Finding
 from repro.io.cells import cell_converters, convert_row
-from repro.io.sqlite_backend import (
-    SqliteTableSink,
-    _column_names,
-    _from_sql,
-    _user_tables,
-    parse_sqlite_url,
-)
-from repro.mining.confidence import error_confidence_batch
+from repro.io.sqlite_backend import _from_sql, resolve_table
 from repro.mining.naive_bayes import NaiveBayesClassifier
 from repro.mining.rule_induction import OneRClassifier, PrismClassifier
 from repro.mining.tree_classifier import TreeClassifier
@@ -87,9 +82,6 @@ __all__ = [
     "CompilationPlan",
     "compilation_plan",
     "audit_connection",
-    "audit_sqlite",
-    "audit_table_sql",
-    "sqlite_location",
 ]
 
 #: Reserved prefix of every SELECT-list alias the engine introduces;
@@ -346,8 +338,9 @@ def audit_connection(
 ) -> AuditReport:
     """Audit one table of an open SQLite *connection* in-database.
 
-    Without *table* the database must hold exactly one user table (the
-    same unambiguity rule as :class:`~repro.io.SqliteTableSource`).
+    Without *table* the database must hold exactly one user table; the
+    table is resolved, and its columns checked, by the rule (and with
+    the error messages) of :class:`~repro.io.SqliteTableSource`.
     Raises :class:`~repro.compile.screen.NotCompilable` when the plan
     (or the engine at runtime — e.g. a ``WITHOUT ROWID`` table, a
     connection with a lower parameter limit) cannot run the pushdown;
@@ -361,22 +354,8 @@ def audit_connection(
         raise NotCompilable(
             f"dialect {plan.dialect.name!r} has no execution engine yet"
         )
-    if table is None:
-        tables = _user_tables(connection)
-        if len(tables) != 1:
-            raise ValueError(
-                f"database holds {len(tables)} tables ({tables!r}); "
-                f"select one with table="
-            )
-        table = tables[0]
-    columns = _column_names(connection, table)
-    if not columns:
-        raise ValueError(f"database has no table named {table!r}")
-    if set(columns) != set(auditor.schema.names):
-        raise ValueError(
-            f"columns of table {table!r} {columns!r} do not match "
-            f"schema attributes {list(auditor.schema.names)!r}"
-        )
+    database = connection.execute("PRAGMA database_list").fetchone()[2]
+    table = resolve_table(connection, auditor.schema, table, database or ":memory:")
     getlimit = getattr(connection, "getlimit", None)
     if getlimit is not None:
         cap = getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
@@ -462,8 +441,11 @@ def _recheck_screen(
     Each row is converted once, in row order. Only dirty rows can fail
     conversion and every statement returns all of them, so the first
     failure is the one a sequential extract raises, with the same row
-    label. Attribute *a* is then re-checked on exactly its candidates:
-    the rows that are dirty or carry *a*'s flag.
+    label. Attribute *a* is then re-checked on exactly its candidates
+    (the rows that are dirty or carry *a*'s flag) by
+    :meth:`DataAuditor.audit_attribute
+    <repro.core.auditor.DataAuditor.audit_attribute>` itself, with the
+    candidates' table positions as the findings' rows.
     """
     first_cell = 2 + len(statement.attributes)
     positions = positions_of(
@@ -479,142 +461,14 @@ def _recheck_screen(
         if not picked:
             continue
         candidate_rows = positions[picked]
-        confidences, attr_findings = _recheck_candidates(
-            auditor,
-            class_attr,
-            [converted[i] for i in picked],
-            candidate_rows,
-            names,
+        cache = ColumnCache(
+            Table.adopt(auditor.schema, [converted[i] for i in picked])
+        )
+        confidences, attr_findings = auditor.audit_attribute(
+            class_attr, cache, rows=candidate_rows
         )
         record_confidence[candidate_rows] = np.maximum(
             record_confidence[candidate_rows], confidences
         )
         findings.extend(attr_findings)
     return findings
-
-
-def _recheck_candidates(
-    auditor, class_attr: str, converted, candidate_rows: np.ndarray, names
-) -> tuple[np.ndarray, list[Finding]]:
-    """Re-audit converted candidate rows through the in-memory code path.
-
-    Mirrors :meth:`DataAuditor.audit_attribute
-    <repro.core.auditor.DataAuditor.audit_attribute>` on the candidate
-    subset; *candidate_rows* holds the rows' positions in the table.
-    """
-    classifier = auditor.classifiers[class_attr]
-    dataset = classifier.dataset
-    assert dataset is not None
-    config = auditor.config
-    index_of = {name: position for position, name in enumerate(names)}
-    columns = {
-        name: dataset.encoders[name].encode_column(
-            [cells[index_of[name]] for cells in converted]
-        )
-        for name in dataset.base_attrs
-    }
-    class_values = [cells[index_of[class_attr]] for cells in converted]
-    observed_codes = dataset.class_encoder.encode_column(class_values)
-    batch = classifier.predict_batch(columns, n_rows=len(converted))
-    confidences = error_confidence_batch(
-        batch.probabilities, batch.support, observed_codes, config.bounds
-    )
-    findings: list[Finding] = []
-    flagged = np.flatnonzero(confidences >= config.min_error_confidence)
-    if flagged.size:
-        labels = dataset.class_encoder.labels
-        predicted_codes = np.argmax(batch.probabilities[flagged], axis=1)
-        proposals = {
-            code: dataset.class_encoder.proposal_for(labels[code])
-            for code in set(predicted_codes.tolist())
-        }
-        for candidate, predicted in zip(flagged.tolist(), predicted_codes.tolist()):
-            findings.append(
-                Finding(
-                    row=int(candidate_rows[candidate]),
-                    attribute=class_attr,
-                    observed_label=labels[int(observed_codes[candidate])],
-                    observed_value=class_values[candidate],
-                    predicted_label=labels[predicted],
-                    confidence=float(confidences[candidate]),
-                    support=float(batch.support[candidate]),
-                    proposal=proposals[predicted],
-                )
-            )
-    return confidences, findings
-
-
-def audit_sqlite(
-    auditor,
-    database: Union[str, Path],
-    *,
-    table: Optional[str] = None,
-    plan: Optional[CompilationPlan] = None,
-) -> AuditReport:
-    """Audit one table of a SQLite *database* file in-database.
-
-    The file-path face of :func:`audit_connection` — what
-    ``repro audit --engine sql --input sqlite:///wh.db?table=loads``
-    runs. Raises :class:`~repro.compile.screen.NotCompilable` when the
-    pushdown cannot run (callers fall back to the in-memory path) and
-    :class:`FileNotFoundError` for a missing database, like the SQLite
-    source.
-    """
-    path = Path(database)
-    if not path.exists():
-        raise FileNotFoundError(f"no such SQLite database: {database}")
-    connection = sqlite3.connect(path)
-    try:
-        return audit_connection(auditor, connection, table=table, plan=plan)
-    finally:
-        connection.close()
-
-
-def audit_table_sql(auditor, table: Table) -> AuditReport:
-    """Audit an in-memory :class:`~repro.schema.table.Table` through the
-    SQL engine.
-
-    What ``DataAuditor.audit(table, engine="sql")`` runs: the table is
-    materialized into a private ``:memory:`` SQLite database through the
-    standard sink (insertion order = ``rowid`` order, so row indices
-    match the in-memory audit) and pushed down. Raises
-    :class:`~repro.compile.screen.NotCompilable` when the model has no
-    SQL form.
-    """
-    if table.schema != auditor.schema:
-        raise ValueError("table schema does not match the auditor's schema")
-    plan = compilation_plan(auditor)
-    if not plan.compilable:
-        raise NotCompilable(plan.notice() or "plan is not compilable")
-    connection = sqlite3.connect(":memory:", isolation_level=None)
-    try:
-        with SqliteTableSink(
-            auditor.schema, None, table="data", connection=connection
-        ) as sink:
-            sink.write(table)
-        return audit_connection(auditor, connection, table="data", plan=plan)
-    finally:
-        connection.close()
-
-
-def sqlite_location(source) -> Optional[tuple[str, Optional[str]]]:
-    """``(database, table)`` when *source* names a SQLite database — a
-    ``sqlite:///…?table=…`` URI or a ``.db``/``.sqlite``/``.sqlite3``
-    path — else ``None``. The engine-selection probe used by
-    :meth:`AuditSession.audit_source
-    <repro.core.session.AuditSession.audit_source>` and the CLI."""
-    if not isinstance(source, (str, Path)):
-        return None
-    text = str(source)
-    if text.startswith("sqlite:"):
-        database, options = parse_sqlite_url(text)
-        return database, options.get("table")
-    from repro.io.registry import detect_format
-
-    try:
-        detected = detect_format(text)
-    except ValueError:
-        return None
-    if detected != "sqlite":
-        return None
-    return text, None

@@ -53,7 +53,6 @@ from repro.mining.tree_classifier import TreeClassifier
 from repro.mining.tree.rules import TreeRule
 from repro.schema.domain import TextDomain
 from repro.schema.schema import Schema
-from repro.schema.table import Table
 from repro.schema.types import AttributeKind
 
 __all__ = ["AuditorConfig", "ColumnCache", "FitColumnCache", "DataAuditor"]
@@ -436,7 +435,7 @@ class DataAuditor:
 
     # -- deviation detection ---------------------------------------------------
 
-    def audit(self, table, *, engine: Optional[str] = None) -> AuditReport:
+    def audit(self, table) -> AuditReport:
         """Check every record of *table* for deviations (sec. 5.2).
 
         The table may be the training table itself (the paper: "a data
@@ -447,8 +446,6 @@ class DataAuditor:
         row-major :class:`~repro.schema.table.Table`: the check reads
         only the columnar surface, so batches flow straight through
         (byte-identical findings, pinned by the columnar parity suite).
-        The SQL engine stages rows into its private database, so a batch
-        is materialized to a table for that engine only.
 
         The check runs batch-first: every classifier receives whole
         encoded column arrays via
@@ -459,31 +456,15 @@ class DataAuditor:
         shared across all classifiers that use it instead of being
         rebuilt per class attribute.
 
-        *engine* selects the execution engine: ``"memory"`` (the
-        default) is the in-process batch path above; ``"sql"`` compiles
-        the fitted models to SQL (:mod:`repro.compile`), stages the
-        table in a private ``:memory:`` SQLite database, and screens
-        deviations in-database — same ranked findings, confidences
-        recomputed Python-side (``docs/sql_compilation.md``). A model
-        with no SQL form (e.g. kNN) falls back to the in-memory path
-        cleanly.
+        A table that already sits in SQLite can be screened in-database
+        instead: :meth:`AuditSession.audit_source
+        <repro.core.session.AuditSession.audit_source>` with
+        ``engine="sql"`` (``docs/sql_compilation.md``).
         """
-        if engine not in (None, "memory", "sql"):
-            raise ValueError(
-                f"engine must be 'memory' or 'sql', got {engine!r}"
-            )
         if not self.classifiers:
             raise RuntimeError("auditor is not fitted")
         if table.schema != self.schema:
             raise ValueError("table schema does not match the auditor's schema")
-        if engine == "sql":
-            from repro.compile import NotCompilable, audit_table_sql
-
-            try:
-                staged = table if isinstance(table, Table) else table.to_table()
-                return audit_table_sql(self, staged)
-            except NotCompilable:
-                pass  # clean fallback to the in-memory batch path
         cache = ColumnCache(table)
         record_confidence = np.zeros(table.n_rows, dtype=float)
         findings: list[Finding] = []
@@ -500,14 +481,20 @@ class DataAuditor:
         )
 
     def audit_attribute(
-        self, class_attr: str, cache: ColumnCache
+        self,
+        class_attr: str,
+        cache: ColumnCache,
+        rows: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, list[Finding]]:
         """One class attribute's deviation check.
 
         Returns the per-record Def.-7 error confidences of this
         classifier (the Def.-8 record confidence is the elementwise
         maximum over all attributes) and the findings at or above the
-        configured threshold. Reads only the shared *cache*.
+        configured threshold. Reads only the shared *cache*. *rows*
+        gives the table position of each cached row when the cache holds
+        a subset of a table (the SQL pushdown's candidate rows); the
+        findings then carry those positions.
         """
         classifier = self.classifiers[class_attr]
         dataset = classifier.dataset
@@ -532,10 +519,12 @@ class DataAuditor:
             code: dataset.class_encoder.proposal_for(labels[code])
             for code in set(predicted_codes.tolist())
         }
-        for row, predicted in zip(flagged.tolist(), predicted_codes.tolist()):
+        local = flagged.tolist()
+        positions = local if rows is None else rows[flagged].tolist()
+        for row, position, predicted in zip(local, positions, predicted_codes.tolist()):
             findings.append(
                 Finding(
-                    row=row,
+                    row=position,
                     attribute=class_attr,
                     observed_label=labels[int(observed_codes[row])],
                     observed_value=cache.observed_value(class_attr, row),

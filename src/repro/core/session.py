@@ -28,6 +28,11 @@ first-class API on top of :class:`~repro.core.auditor.DataAuditor`:
   wrapper. Both source entry points read the backend's
   :class:`~repro.io.ColumnBatch` objects, so no row objects are built
   between storage and the encoding caches.
+  :meth:`AuditSession.audit_source` is also the one place that decides
+  whether an audit runs in-database (``engine="sql"``,
+  :mod:`repro.compile`); its :class:`AuditRun` reports the engine that
+  ran and why a requested pushdown did not, for the CLI and the
+  service to show.
 
 The fit entry points take ``n_jobs=`` and fan the per-attribute fits
 out over a process pool when it exceeds 1 (:mod:`repro.core.parallel`);
@@ -51,10 +56,11 @@ from repro.core.findings import AuditReport
 from repro.io.base import DEFAULT_CHUNK_SIZE, TableSource
 from repro.io.csv_backend import CsvTableSource
 from repro.io.registry import open_source
+from repro.io.sqlite_backend import SqliteTableSource
 from repro.schema.schema import Schema
 from repro.schema.table import Table
 
-__all__ = ["AuditSession", "ModelPersistenceError"]
+__all__ = ["AuditSession", "AuditRun", "ModelPersistenceError"]
 
 
 class ModelPersistenceError(RuntimeError):
@@ -249,15 +255,9 @@ class AuditSession:
 
     # -- online: deviation detection ----------------------------------------
 
-    def audit(self, table: Table, *, engine: Optional[str] = None) -> AuditReport:
-        """Check one whole table (the batch-vectorized path).
-
-        ``engine="sql"`` screens deviations in-database instead
-        (:mod:`repro.compile`), falling back in memory when the model
-        has no SQL form; see :meth:`DataAuditor.audit
-        <repro.core.auditor.DataAuditor.audit>`.
-        """
-        return self.auditor.audit(table, engine=engine)
+    def audit(self, table: Table) -> AuditReport:
+        """Check one whole table (the batch-vectorized path)."""
+        return self.auditor.audit(table)
 
     def audit_chunks(self, chunks: Iterable[Table]) -> Iterator[AuditReport]:
         """Check an iterable of table chunks, yielding one incremental
@@ -299,49 +299,32 @@ class AuditSession:
         *,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         engine: Optional[str] = None,
-    ) -> Iterator[AuditReport]:
+    ) -> "AuditRun":
         """Check any stored table chunk by chunk (the online half of
         sec. 2.2, on the warehouse's own formats).
 
         *source* is an open :class:`~repro.io.TableSource` or a location
         resolved through the format registry (CSV/JSONL/Parquet path,
-        SQLite database or ``sqlite:///…?table=…`` URI). Peak memory is
-        bounded by *chunk_size*, independent of the stored row count; see
+        SQLite database or ``sqlite:///…?table=…`` URI); open the source
+        yourself to force a format. Peak memory is bounded by
+        *chunk_size*, independent of the stored row count; see
         :meth:`audit_chunks` for the report semantics — in particular,
         ``AuditReport.merge`` of the yielded reports equals the
-        whole-table audit for every backend at every chunk size.
+        whole-table audit for every backend at every chunk size. Chunks
+        stream as :class:`~repro.io.ColumnBatch` objects straight into
+        the audit, with no row objects on the hot path.
 
-        ``engine="sql"`` pushes the deviation screen into the database
-        when *source* is a SQLite location (a ``.db``/``.sqlite`` path
-        or ``sqlite:`` URI) and the model compiles
-        (:mod:`repro.compile`): the generator then yields exactly one
-        whole-table report (no extraction, so chunking does not apply).
-        Non-SQLite sources and non-compilable models fall back to the
-        chunked in-memory path above, byte-identically. Chunks stream as
-        :class:`~repro.io.ColumnBatch` objects straight into the audit,
-        with no row objects on the hot path.
+        ``engine="sql"`` is the one place the audit engine is chosen:
+        when the opened source is a :class:`~repro.io.SqliteTableSource`
+        and the model compiles (:mod:`repro.compile`), the screen runs in
+        the database and exactly one whole-table report is yielded;
+        otherwise, a pushdown that fails at run time included, the
+        chunked path runs, with identical findings. The returned
+        :class:`AuditRun` says which engine ran and why.
         """
         if engine not in (None, "memory", "sql"):
             raise ValueError(f"engine must be 'memory' or 'sql', got {engine!r}")
-        if engine == "sql":
-            from repro.compile import NotCompilable, audit_sqlite, sqlite_location
-
-            location = sqlite_location(source)
-            if location is not None:
-                database, table = location
-                try:
-                    report = audit_sqlite(self.auditor, database, table=table)
-                except NotCompilable:
-                    report = None  # clean fallback to the chunked path
-                if report is not None:
-                    yield report
-                    return
-        source, owned = self._resolve_source(source)
-        try:
-            yield from self.audit_chunks(source.column_batches(chunk_size))
-        finally:
-            if owned:
-                source.close()
+        return AuditRun(self, source, chunk_size, pushdown=engine == "sql")
 
     def audit_csv_stream(
         self,
@@ -391,3 +374,70 @@ class AuditSession:
     def __repr__(self) -> str:
         state = "fitted" if self.is_fitted else "unfitted"
         return f"AuditSession({len(self.schema)} attributes, {state})"
+
+
+class AuditRun:
+    """The reports of one :meth:`AuditSession.audit_source` call, as an
+    iterator that, like a generator, opens a location and closes it as
+    the iteration runs.
+
+    Two attributes say how the reports were made. The first ``next()``
+    sets both, so they are final before the first report and readable
+    after an iteration that yielded none (a source with no rows):
+
+    * ``engine`` — ``"sql"`` when the screen ran in the database,
+      ``"memory"`` when the chunked in-memory path ran;
+    * ``notice`` — when ``engine="sql"`` was requested but the memory
+      path ran, the one-line reason (ending ``"; auditing in memory"``),
+      else ``None``.
+    """
+
+    #: the notice for a source that is not a SQLite table
+    NOT_SQLITE = "source is not SQLite; auditing in memory"
+
+    def __init__(
+        self, session: AuditSession, source, chunk_size: int, *, pushdown: bool
+    ):
+        self.engine: Optional[str] = None
+        self.notice: Optional[str] = None
+        self._reports = self._run(session, source, chunk_size, pushdown)
+
+    def __iter__(self) -> "AuditRun":
+        return self
+
+    def __next__(self) -> AuditReport:
+        return next(self._reports)
+
+    def _run(self, session, source, chunk_size, pushdown) -> Iterator[AuditReport]:
+        source, owned = session._resolve_source(source)
+        try:
+            report = self._pushdown(session.auditor, source) if pushdown else None
+            if report is not None:
+                self.engine = "sql"
+                yield report
+                return
+            self.engine = "memory"
+            yield from session.audit_chunks(source.column_batches(chunk_size))
+        finally:
+            if owned:
+                source.close()
+
+    def _pushdown(self, auditor, source) -> Optional[AuditReport]:
+        """The whole-table report screened in the database, or ``None``
+        with :attr:`notice` saying why the memory path runs instead."""
+        from repro.compile import NotCompilable, audit_connection, compilation_plan
+
+        if not isinstance(source, SqliteTableSource):
+            self.notice = self.NOT_SQLITE
+            return None
+        plan = compilation_plan(auditor)
+        if not plan.compilable:
+            self.notice = plan.notice()
+            return None
+        try:
+            return audit_connection(
+                auditor, source.connection, table=source.table, plan=plan
+            )
+        except NotCompilable as exc:  # e.g. a WITHOUT ROWID table
+            self.notice = f"{exc}; auditing in memory"
+            return None

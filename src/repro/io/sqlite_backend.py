@@ -107,6 +107,38 @@ def _column_names(connection: sqlite3.Connection, table: str) -> list[str]:
     ]
 
 
+def resolve_table(
+    connection: sqlite3.Connection,
+    schema: Schema,
+    table: Optional[str],
+    database: Union[str, Path],
+) -> str:
+    """The table of *database* that holds *schema*'s relation.
+
+    *table* names it; without one the database must hold exactly one
+    user table. Its columns must be the schema's attributes. The one
+    rule behind the source, the tail reader and the SQL pushdown.
+    """
+    if table is None:
+        tables = _user_tables(connection)
+        if len(tables) != 1:
+            raise ValueError(
+                f"{database} holds {len(tables)} tables "
+                f"({tables!r}); select one with "
+                f"'sqlite:///{database}?table=NAME'"
+            )
+        table = tables[0]
+    columns = _column_names(connection, table)
+    if not columns:
+        raise ValueError(f"{database} has no table named {table!r}")
+    if set(columns) != set(schema.names):
+        raise ValueError(
+            f"columns of table {table!r} {columns!r} do not match "
+            f"schema attributes {list(schema.names)!r}"
+        )
+    return table
+
+
 def _to_sql(value: Value) -> object:
     if isinstance(value, datetime.date):
         return value.isoformat()
@@ -144,6 +176,9 @@ class SqliteTableSource(TableSource):
     Each ``fetchmany`` batch converts column-at-a-time straight off the
     driver's row tuples, which the SELECT already puts in schema order;
     text and integer columns are taken as fetched.
+
+    ``connection`` and ``table`` name what the source reads; the SQL
+    pushdown screens ``table`` over the same ``connection``.
     """
 
     def __init__(
@@ -157,26 +192,9 @@ class SqliteTableSource(TableSource):
         path = Path(database)
         if not path.exists():
             raise FileNotFoundError(f"no such SQLite database: {database}")
-        self._connection = sqlite3.connect(path)
+        self.connection = sqlite3.connect(path)
         try:
-            if table is None:
-                tables = _user_tables(self._connection)
-                if len(tables) != 1:
-                    raise ValueError(
-                        f"{database} holds {len(tables)} tables "
-                        f"({tables!r}); select one with "
-                        f"'sqlite:///{database}?table=NAME'"
-                    )
-                table = tables[0]
-            self.table = table
-            columns = _column_names(self._connection, table)
-            if not columns:
-                raise ValueError(f"{database} has no table named {table!r}")
-            if set(columns) != set(schema.names):
-                raise ValueError(
-                    f"columns of table {table!r} {columns!r} do not match "
-                    f"schema attributes {list(schema.names)!r}"
-                )
+            self.table = resolve_table(self.connection, schema, table, database)
         except Exception:
             self.close()
             raise
@@ -187,9 +205,9 @@ class SqliteTableSource(TableSource):
             _quote(self.table),
         )
         try:
-            return self._connection.execute(select + " ORDER BY rowid")
+            return self.connection.execute(select + " ORDER BY rowid")
         except sqlite3.OperationalError:  # WITHOUT ROWID tables
-            return self._connection.execute(select)
+            return self.connection.execute(select)
 
     def _iter_column_batches(self, batch_size: int):
         names = self.schema.names
@@ -213,7 +231,7 @@ class SqliteTableSource(TableSource):
             yield ColumnBatch(self.schema, dict(zip(names, cols)), len(batch))
 
     def close(self) -> None:
-        self._connection.close()
+        self.connection.close()
 
 
 class SqliteTableSink(TableSink):
@@ -222,32 +240,20 @@ class SqliteTableSink(TableSink):
     ``if_exists`` decides what happens when the target table is already
     present: ``"replace"`` (default) drops and recreates it, ``"fail"``
     raises, ``"append"`` keeps it and adds rows.
-
-    Instead of a *database* path the caller may hand in an open
-    ``connection`` (opened with ``isolation_level=None`` so the sink's
-    explicit transaction works); the sink then commits or rolls back as
-    usual but never closes the connection — how the SQL pushdown engine
-    stages an in-memory table into its private ``:memory:`` database.
     """
 
     def __init__(
         self,
         schema: Schema,
-        database: Optional[Union[str, Path]] = None,
+        database: Union[str, Path],
         *,
         table: Optional[str] = None,
         if_exists: str = "replace",
-        connection: Optional[sqlite3.Connection] = None,
     ):
         super().__init__(schema)
         if if_exists not in ("replace", "fail", "append"):
             raise ValueError(
                 f"if_exists must be 'replace', 'fail' or 'append', got {if_exists!r}"
-            )
-        if (database is None) == (connection is None):
-            raise ValueError(
-                "pass exactly one of database (a path the sink opens and "
-                "closes) or connection (an open connection the caller owns)"
             )
         self.table = table or DEFAULT_TABLE
         self.if_exists = if_exists
@@ -255,15 +261,7 @@ class SqliteTableSink(TableSink):
         # every chunk ride one transaction, so a failed write rolls back
         # whole — Python's sqlite3 would otherwise autocommit DDL and a
         # dying replace-write would destroy the pre-existing table
-        if connection is None:
-            self._owns_connection = True
-            self._connection = sqlite3.connect(database, isolation_level=None)
-        else:
-            # caller-provided connection (e.g. the SQL pushdown engine's
-            # :memory: staging database): committed/rolled back here,
-            # closed by the caller; must be in explicit-transaction mode
-            self._owns_connection = False
-            self._connection = connection
+        self._connection = sqlite3.connect(database, isolation_level=None)
         self._insert = "INSERT INTO {} ({}) VALUES ({})".format(
             _quote(self.table),
             ", ".join(_quote(name) for name in schema.names),
@@ -307,8 +305,7 @@ class SqliteTableSink(TableSink):
             self._connection.commit()
         except sqlite3.ProgrammingError:  # already closed
             return
-        if self._owns_connection:
-            self._connection.close()
+        self._connection.close()
 
     def abort(self) -> None:
         # DDL is transactional in SQLite, so rolling back restores even a
@@ -318,5 +315,4 @@ class SqliteTableSink(TableSink):
             self._connection.rollback()
         except sqlite3.ProgrammingError:  # already closed
             return
-        if self._owns_connection:
-            self._connection.close()
+        self._connection.close()

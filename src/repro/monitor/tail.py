@@ -40,11 +40,10 @@ from repro.io.csv_backend import CsvTableSource
 from repro.io.jsonl_backend import JsonlTableSource
 from repro.io.registry import detect_format
 from repro.io.sqlite_backend import (
-    _column_names,
     _from_sql,
     _quote,
-    _user_tables,
     parse_sqlite_url,
+    resolve_table,
 )
 from repro.schema.schema import Schema
 from repro.schema.types import Value
@@ -218,24 +217,7 @@ class SqliteTailReader(TailReader):
             raise FileNotFoundError(f"no such SQLite database: {database}")
         self._connection = sqlite3.connect(path)
         try:
-            if table is None:
-                tables = _user_tables(self._connection)
-                if len(tables) != 1:
-                    raise ValueError(
-                        f"{database} holds {len(tables)} tables "
-                        f"({tables!r}); select one with "
-                        f"'sqlite:///{database}?table=NAME'"
-                    )
-                table = tables[0]
-            self.table = table
-            columns = _column_names(self._connection, table)
-            if not columns:
-                raise ValueError(f"{database} has no table named {table!r}")
-            if set(columns) != set(schema.names):
-                raise ValueError(
-                    f"columns of table {table!r} {columns!r} do not match "
-                    f"schema attributes {list(schema.names)!r}"
-                )
+            self.table = resolve_table(self._connection, schema, table, database)
         except Exception:
             self.close()
             raise

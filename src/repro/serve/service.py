@@ -25,12 +25,11 @@ import io
 import json
 import threading
 import time
-from contextlib import ExitStack
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.core.auditor import AuditorConfig, DataAuditor
 from repro.core.findings import Finding, findings_to_table
-from repro.core.session import AuditSession
+from repro.core.session import AuditRun, AuditSession
 from repro.io.base import DEFAULT_CHUNK_SIZE
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
 from repro.io.registry import open_source
@@ -267,14 +266,16 @@ class AuditService:
         with ``"format"``, which overrides format detection as in
         ``POST /fit``) or ``"rows"`` (inline JSON objects); optional
         ``"chunk_size"`` overrides the daemon default, and ``"engine":
-        "sql"`` pushes the deviation screen into the database
-        (:mod:`repro.compile`) when the source is SQLite and the model
-        compiles — the summary's ``engine`` field reports the engine
-        actually selected, with a ``notice`` line when the request fell
-        back to memory. Any other field is a 400. Returns ``(summary
-        headers, JSONL line stream)`` — the stream is byte-identical to
-        the CLI's ``repro audit --format jsonl`` on the same model and
-        table, whichever engine ran.
+        "sql"`` is handed to :meth:`AuditSession.audit_source
+        <repro.core.session.AuditSession.audit_source>`, which pushes
+        the deviation screen into the database when the source is a
+        SQLite table and the model compiles. The summary's ``engine``
+        field reports the engine that actually ran, with the session's
+        ``notice`` line when a requested pushdown did not; inline rows
+        are never SQLite, so they always run in memory. Any other field
+        is a 400. Returns ``(summary headers, JSONL line stream)`` — the
+        stream is byte-identical to the CLI's ``repro audit --format
+        jsonl`` on the same model and table, whichever engine ran.
         """
         _reject_unknown(payload, _AUDIT_FIELDS, "request")
         ref = _require(payload, "model")
@@ -292,45 +293,31 @@ class AuditService:
         engine = payload.get("engine") or "memory"
         if engine not in ("memory", "sql"):
             raise ServiceError(400, f"'engine' must be 'memory' or 'sql', got {engine!r}")
-        notice = None
-        if engine == "sql":
-            from repro.compile import compilation_plan, sqlite_location
-
-            if has_source and sqlite_location(payload["source"]) is None:
-                notice = "source is not SQLite; auditing in memory"
-                engine = "memory"
-            else:
-                plan = compilation_plan(auditor)
-                if not plan.compilable:
-                    notice = plan.notice()
-                    engine = "memory"
         findings: list[Finding] = []
         n_rows = 0
         if has_rows:
             table = self._table_from_rows(auditor, payload["rows"])
-            report = session.audit(table, engine=engine)
+            report = session.audit(table)
             findings = report.findings  # already (-confidence, row, attribute)
             n_rows = report.n_rows
+            # inline rows are never a SQLite table
+            notice = AuditRun.NOT_SQLITE if engine == "sql" else None
+            engine = "memory"
         else:
             location = payload["source"]
             try:
-                with ExitStack() as stack:
-                    source = location  # the SQL engine needs the location
-                    if engine == "memory":
-                        source = stack.enter_context(
-                            open_source(
-                                auditor.schema, location, format=payload.get("format")
-                            )
-                        )
-                    for report in session.audit_source(
+                with open_source(
+                    auditor.schema, location, format=payload.get("format")
+                ) as source:
+                    run = session.audit_source(
                         source, chunk_size=chunk_size, engine=engine
-                    ):
+                    )
+                    for report in run:
                         findings.extend(report.findings)
                         n_rows += report.n_rows
             except (OSError, ValueError) as exc:
-                raise ServiceError(
-                    400, f"cannot audit source {payload['source']!r}: {exc}"
-                )
+                raise ServiceError(400, f"cannot audit source {location!r}: {exc}")
+            engine, notice = run.engine, run.notice
             # the CLI's chunked path re-sorts globally; match it exactly
             findings.sort(key=lambda f: (-f.confidence, f.row, f.attribute))
         summary = {

@@ -391,6 +391,82 @@ class TestCliPolish:
             )
 
 
+class TestBadInput:
+    """`fit` and `audit` end in one `error:` line on input they cannot
+    read: a missing file, or a cell its column cannot hold."""
+
+    BAD_CELL = (
+        "error: line 6, attribute 'HUBRAUM': "
+        "invalid literal for int() with base 10: 'abc'"
+    )
+
+    @pytest.fixture
+    def stand(self, tmp_path):
+        from repro.io import write_table
+        from repro.quis import generate_quis_sample
+
+        sample = generate_quis_sample(300, seed=7)
+        schema = tmp_path / "quis.json"
+        assert main(["schema", "--kind", "quis", "--out", str(schema)]) == 0
+        good = tmp_path / "load.csv"
+        write_table(sample.dirty, good)
+        model = tmp_path / "model.json"
+        assert main(
+            ["fit", "--schema", str(schema), "--input", str(good),
+             "--model-out", str(model)]
+        ) == 0
+        lines = good.read_text(encoding="utf-8").splitlines(keepends=True)
+        column = lines[0].rstrip("\n").split(",").index("HUBRAUM")
+        cells = lines[5].split(",")  # line 6 of the file
+        cells[column] = "abc"
+        lines[5] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        return {
+            "fit": ["fit", "--schema", str(schema), "--model-out",
+                    str(tmp_path / "refit.json")],
+            "audit": ["audit", "--model", str(model)],
+            "bad": bad,
+            "missing": tmp_path / "absent.csv",
+        }
+
+    @pytest.mark.parametrize("command", ["fit", "audit"])
+    def test_bad_cell_names_line_and_attribute(self, stand, command, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(stand[command] + ["--input", str(stand["bad"])])
+        assert excinfo.value.code == self.BAD_CELL
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["fit", "audit"])
+    def test_missing_input_is_one_line(self, stand, command, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(stand[command] + ["--input", str(stand["missing"])])
+        message = excinfo.value.code
+        assert message.startswith("error: ") and "absent.csv" in message
+        assert "\n" not in message
+        assert capsys.readouterr().err == ""
+
+    def test_process_exits_1_with_one_stderr_line(self, stand):
+        import os
+        import subprocess
+        import sys
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *stand["audit"],
+             "--input", str(stand["bad"])],
+            cwd=repo,
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == self.BAD_CELL + "\n"
+
+
 class TestStorageBackends:
     """The CLI speaks every registered format on its table arguments."""
 

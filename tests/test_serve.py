@@ -234,6 +234,60 @@ class TestServiceEndpoints:
         assert "not SQLite" in summary["notice"]
         assert summary["findings"] == "".join(lines).count("\n")
 
+    def test_audit_engine_sql_honours_format(self, service, corpus):
+        """A SQLite database under an unrecognized name, named as such
+        by ``"format"``, is pushed down."""
+        from repro.io.sqlite_backend import SqliteTableSink
+
+        database = corpus["root"] / "load-sqlite.txt"
+        with SqliteTableSink(corpus["schema"], database, table="loads") as sink:
+            sink.write(corpus["load"])
+        _, memory_lines = service.audit(
+            {"model": "svc", "source": str(corpus["load_csv"])}
+        )
+        summary, lines = service.audit(
+            {
+                "model": "svc",
+                "source": str(database),
+                "format": "sqlite",
+                "engine": "sql",
+            }
+        )
+        assert "".join(lines) == "".join(memory_lines)
+        assert summary["engine"] == "sql"
+        assert "notice" not in summary
+
+    def test_audit_engine_sql_runtime_failure_reports_memory(self, service, corpus):
+        """A ``WITHOUT ROWID`` table defeats the pushdown at run time: the
+        summary names the engine that ran and why."""
+        import sqlite3
+
+        database = corpus["root"] / "keyed.db"
+        names = ", ".join(f'"{name}"' for name in corpus["schema"].names)
+        with sqlite3.connect(database) as connection:
+            connection.execute(
+                f"CREATE TABLE keyed ({names}, PRIMARY KEY ({names})) WITHOUT ROWID"
+            )
+            connection.executemany(
+                "INSERT OR IGNORE INTO keyed VALUES (?, ?, ?)", corpus["load"].rows
+            )
+        _, memory_lines = service.audit({"model": "svc", "source": str(database)})
+        summary, lines = service.audit(
+            {"model": "svc", "source": str(database), "engine": "sql"}
+        )
+        assert "".join(lines) == "".join(memory_lines)
+        assert summary["engine"] == "memory"
+        assert summary["notice"].startswith("SQL pushdown failed at runtime: ")
+        assert summary["notice"].endswith("; auditing in memory")
+
+    def test_audit_inline_rows_engine_sql_runs_in_memory(self, service, corpus):
+        rows = [record.to_dict() for record in corpus["load"].records()]
+        _, memory_lines = service.audit({"model": "svc", "rows": rows})
+        summary, lines = service.audit({"model": "svc", "rows": rows, "engine": "sql"})
+        assert "".join(lines) == "".join(memory_lines)
+        assert summary["engine"] == "memory"
+        assert summary["notice"] == "source is not SQLite; auditing in memory"
+
     def test_audit_honours_format(self, service, corpus):
         """A CSV stored under an unrecognized name audits with
         ``"format": "csv"`` exactly as the ``.csv`` file does."""

@@ -13,8 +13,12 @@ never showed, exact ties, domain-boundary numerics/dates, tables with
 deleted rows (rowid gaps), and plans split over several statements by
 the dialect's limits.
 
-Non-compilable configurations (kNN) and non-SQLite sources must fall
-back to the in-memory path cleanly — same findings, one-line notice.
+Non-compilable configurations (kNN), non-SQLite sources and pushdowns
+that fail at run time (``WITHOUT ROWID`` tables) must fall back to the
+in-memory path cleanly — same findings, one-line notice. The engine is
+chosen in one place, :meth:`AuditSession.audit_source`; the CLI and the
+service only pass the request on and report its ``engine`` and
+``notice``.
 """
 
 import datetime
@@ -28,8 +32,7 @@ from repro.compile import (
     SQLITE,
     NotCompilable,
     SqlDialect,
-    audit_sqlite,
-    audit_table_sql,
+    audit_connection,
     compilation_plan,
 )
 from repro.compile import engine as engine_module
@@ -118,6 +121,28 @@ def _warehouse(audit: Table, directory):
     return database
 
 
+def _pushdown(auditor, database, plan=None) -> AuditReport:
+    """The in-database audit of *database*'s one table."""
+    connection = sqlite3.connect(database)
+    try:
+        return audit_connection(auditor, connection, plan=plan)
+    finally:
+        connection.close()
+
+
+def _drop_rowid(database, schema: Schema) -> None:
+    """Move table ``loads`` of *database* into a ``WITHOUT ROWID`` table
+    keyed on every column (rows with nulls or duplicates drop out): the
+    plan compiles, but the pushdown fails at run time without ``rowid``."""
+    names = ", ".join(f'"{name}"' for name in schema.names)
+    with sqlite3.connect(database) as connection:
+        connection.execute(
+            f"CREATE TABLE keyed ({names}, PRIMARY KEY ({names})) WITHOUT ROWID"
+        )
+        connection.execute(f"INSERT OR IGNORE INTO keyed SELECT {names} FROM loads")
+        connection.execute("DROP TABLE loads")
+
+
 def _extract(schema: Schema, database) -> Table:
     with open_source(schema, str(database)) as source:
         return source.read()
@@ -128,7 +153,7 @@ def _assert_same_error(auditor, schema: Schema, database) -> str:
     with pytest.raises(ValueError) as via_extract:
         _extract(schema, database)
     with pytest.raises(ValueError) as via_pushdown:
-        audit_sqlite(auditor, database)
+        _pushdown(auditor, database)
     assert str(via_pushdown.value) == str(via_extract.value)
     return str(via_extract.value)
 
@@ -144,47 +169,52 @@ def _assert_reports_match(memory: AuditReport, sql: AuditReport) -> None:
 
 class TestFamilyParity:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_findings_byte_identical(self, family):
+    def test_findings_byte_identical(self, family, tmp_path):
         train, audit = _rich_tables()
         auditor = _fitted(FAMILIES[family], train)
         plan = compilation_plan(auditor)
         assert plan.compilable and plan.reasons == {}
         memory = auditor.audit(audit)
         assert memory.findings, "fixture must actually flag deviations"
-        _assert_reports_match(memory, audit_table_sql(auditor, audit))
+        _assert_reports_match(memory, _pushdown(auditor, _warehouse(audit, tmp_path)))
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_self_audit_parity(self, family):
+    def test_self_audit_parity(self, family, tmp_path):
         # fit table == audit table: the all-clean regime where the screen
         # should certify nearly everything without a Python recheck
         train, _ = _rich_tables()
         auditor = _fitted(FAMILIES[family], train)
-        _assert_reports_match(auditor.audit(train), audit_table_sql(auditor, train))
+        _assert_reports_match(
+            auditor.audit(train), _pushdown(auditor, _warehouse(train, tmp_path))
+        )
 
-    def test_record_confidence_censoring_is_one_sided(self):
+    def test_record_confidence_censoring_is_one_sided(self, tmp_path):
         # the single documented divergence: rows the screen certifies
         # clean keep confidence 0.0; flagged rows stay exact, so the
         # SQL confidence can never exceed the in-memory one
         train, audit = _rich_tables()
         auditor = _fitted(FAMILIES["tree"], train)
         memory = auditor.audit(audit)
-        sql = audit_table_sql(auditor, audit)
+        sql = _pushdown(auditor, _warehouse(audit, tmp_path))
         assert any(
             s < m for s, m in zip(sql.record_confidence, memory.record_confidence)
         ), "fixture must exercise the censoring"
         for s, m in zip(sql.record_confidence, memory.record_confidence):
             assert s <= m
 
-    def test_engine_flag_on_audit(self):
+    def test_engine_flag_on_audit(self, tmp_path):
         train, audit = _rich_tables()
         auditor = _fitted(FAMILIES["tree"], train)
-        assert auditor.audit(audit, engine="sql").findings == auditor.audit(audit).findings
-        assert (
-            auditor.audit(audit, engine="memory").findings
-            == auditor.audit(audit).findings
-        )
+        session = AuditSession(auditor=auditor)
+        database = str(_warehouse(audit, tmp_path))
+        sql = session.audit_source(database, engine="sql")
+        assert AuditReport.merge(sql).findings == auditor.audit(audit).findings
+        assert sql.engine == "sql"
+        memory = session.audit_source(database, engine="memory")
+        assert AuditReport.merge(memory).findings == auditor.audit(audit).findings
+        assert memory.engine == "memory"
         with pytest.raises(ValueError, match="engine"):
-            auditor.audit(audit, engine="duckdb")
+            session.audit_source(database, engine="duckdb")
 
 
 class TestDatabaseFiles:
@@ -199,7 +229,7 @@ class TestDatabaseFiles:
 
     def test_audit_sqlite_matches_memory(self, warehouse):
         auditor, audit, database = warehouse
-        _assert_reports_match(auditor.audit(audit), audit_sqlite(auditor, database))
+        _assert_reports_match(auditor.audit(audit), _pushdown(auditor, database))
 
     def test_audit_source_sql_yields_one_whole_table_report(self, warehouse):
         auditor, audit, database = warehouse
@@ -220,7 +250,7 @@ class TestDatabaseFiles:
             with pytest.raises(ValueError) as via_extract:
                 source.read()
         with pytest.raises(ValueError) as via_pushdown:
-            audit_sqlite(auditor, database)
+            _pushdown(auditor, database)
         assert str(via_pushdown.value) == str(via_extract.value)
 
     def test_non_integral_real_in_integer_column_raises_the_extraction_error(
@@ -244,12 +274,25 @@ class TestDatabaseFiles:
             connection.execute("UPDATE loads SET N = CAST(N AS TEXT)")
         memory = auditor.audit(_extract(audit.schema, database))
         assert memory.findings == auditor.audit(audit).findings
-        _assert_reports_match(memory, audit_sqlite(auditor, database))
+        _assert_reports_match(memory, _pushdown(auditor, database))
+
+    def test_table_resolution_errors_match_the_source(self, warehouse):
+        # one resolver: an ambiguous database fails with the source's words
+        auditor, audit, database = warehouse
+        with sqlite3.connect(database) as connection:
+            connection.execute("CREATE TABLE other (x)")
+        with pytest.raises(ValueError) as via_source:
+            open_source(audit.schema, str(database.resolve()))
+        with pytest.raises(ValueError) as via_pushdown:
+            _pushdown(auditor, database)
+        assert str(via_pushdown.value) == str(via_source.value)
+        assert "select one with" in str(via_source.value)
 
     def test_missing_database(self, warehouse):
         auditor, _, database = warehouse
+        session = AuditSession(auditor=auditor)
         with pytest.raises(FileNotFoundError):
-            audit_sqlite(auditor, database.with_name("absent.db"))
+            list(session.audit_source(database.with_name("absent.db"), engine="sql"))
 
 
 class TestRowidGaps:
@@ -269,7 +312,7 @@ class TestRowidGaps:
         auditor, schema, database = gapped
         memory = auditor.audit(_extract(schema, database))
         assert memory.findings, "fixture must actually flag deviations"
-        _assert_reports_match(memory, audit_sqlite(auditor, database))
+        _assert_reports_match(memory, _pushdown(auditor, database))
 
     def test_mistyped_cell_after_a_gap_raises_the_extraction_error(self, gapped):
         auditor, schema, database = gapped
@@ -281,17 +324,21 @@ class TestRowidGaps:
 
 
 class TestFallbacks:
-    def test_knn_is_not_compilable(self):
+    def test_knn_is_not_compilable(self, tmp_path):
         train, audit = _rich_tables()
         auditor = _fitted(lambda config: KnnClassifier(), train)
         plan = compilation_plan(auditor)
         assert not plan.compilable
         assert "auditing in memory" in plan.notice()
         assert "KnnClassifier" in plan.notice()
+        database = _warehouse(audit, tmp_path)
         with pytest.raises(NotCompilable):
-            audit_table_sql(auditor, audit)
-        # engine="sql" falls back silently to the identical memory audit
-        assert auditor.audit(audit, engine="sql").findings == auditor.audit(audit).findings
+            _pushdown(auditor, database)
+        # engine="sql" falls back to the identical memory audit, with the
+        # plan's notice
+        run = AuditSession(auditor=auditor).audit_source(database, engine="sql")
+        assert AuditReport.merge(run).findings == auditor.audit(audit).findings
+        assert (run.engine, run.notice) == ("memory", plan.notice())
 
     def test_audit_source_non_sqlite_falls_back_chunked(self, tmp_path):
         train, audit = _rich_tables()
@@ -311,6 +358,63 @@ class TestFallbacks:
         session = AuditSession(auditor=auditor)
         with pytest.raises(ValueError, match="engine"):
             next(session.audit_source(str(tmp_path / "x.csv"), engine="duckdb"))
+
+
+class TestEngineDecision:
+    """``AuditSession.audit_source`` is the one place the engine is
+    chosen; its run says which engine ran and, after a requested
+    pushdown did not, why."""
+
+    NOT_SQLITE = "source is not SQLite; auditing in memory"
+
+    @pytest.fixture
+    def fitted(self):
+        train, audit = _rich_tables()
+        auditor = _fitted(FAMILIES["tree"], train)
+        return AuditSession(auditor=auditor), audit
+
+    def test_non_sqlite_source_notice(self, fitted, tmp_path):
+        session, audit = fitted
+        path = tmp_path / "loads.csv"
+        write_table(audit, path)
+        run = session.audit_source(str(path), engine="sql")
+        assert AuditReport.merge(run).findings == session.audit(audit).findings
+        assert (run.engine, run.notice) == ("memory", self.NOT_SQLITE)
+
+    def test_opened_source_keeps_its_format(self, fitted, tmp_path):
+        # a SQLite database under a name no format is inferred from
+        session, audit = fitted
+        path = tmp_path / "load.txt"
+        _warehouse(audit, tmp_path).rename(path)
+        with open_source(audit.schema, path, format="sqlite") as source:
+            run = session.audit_source(source, chunk_size=50, engine="sql")
+            reports = list(run)
+        assert (run.engine, run.notice) == ("sql", None)
+        assert len(reports) == 1
+        _assert_reports_match(session.audit(audit), reports[0])
+
+    def test_runtime_failure_falls_back_with_notice(self, fitted, tmp_path):
+        session, audit = fitted
+        database = _warehouse(audit, tmp_path)
+        _drop_rowid(database, audit.schema)
+        run = session.audit_source(database, chunk_size=50, engine="sql")
+        expected = session.audit(_extract(audit.schema, database))
+        assert AuditReport.merge(run).findings == expected.findings
+        assert run.engine == "memory"
+        assert run.notice.startswith("SQL pushdown failed at runtime: ")
+        assert run.notice.endswith("; auditing in memory")
+
+    @pytest.mark.parametrize(
+        "name, engine, notice",
+        [("loads.csv", "memory", NOT_SQLITE), ("wh.db", "sql", None)],
+    )
+    def test_readable_without_rows(self, fitted, tmp_path, name, engine, notice):
+        session, audit = fitted
+        path = tmp_path / name
+        write_table(Table(audit.schema), path)
+        run = session.audit_source(path, engine="sql")
+        assert sum(report.n_rows for report in run) == 0
+        assert (run.engine, run.notice) == (engine, notice)
 
 
 class TestCompilationPlan:
@@ -354,8 +458,8 @@ class TestCompilationPlan:
         assert len(split.statements) >= 2
         attributes = [a for s in split.statements for a in s.attributes]
         assert attributes == list(auditor.classifiers)
-        expected = audit_sqlite(auditor, database, plan=fused)
-        actual = audit_sqlite(auditor, database, plan=split)
+        expected = _pushdown(auditor, database, plan=fused)
+        actual = _pushdown(auditor, database, plan=split)
         _assert_reports_match(auditor.audit(audit), actual)
         assert actual.findings == expected.findings
         assert actual.record_confidence == expected.record_confidence
@@ -368,9 +472,9 @@ class TestCompilationPlan:
         assert set(plan.reasons) == set(auditor.classifiers)
         assert "bound parameters" in plan.notice()
         with pytest.raises(NotCompilable):
-            audit_sqlite(auditor, _warehouse(audit, tmp_path), plan=plan)
+            _pushdown(auditor, _warehouse(audit, tmp_path), plan=plan)
 
-    def test_rowid_column_falls_back(self):
+    def test_rowid_column_falls_back(self, tmp_path):
         # a column named rowid shadows the row identity positions come from
         schema = Schema([nominal("RowId", ["a", "b"]), nominal("B", ["x", "y"])])
         rng = random.Random(5)
@@ -380,7 +484,13 @@ class TestCompilationPlan:
         plan = compilation_plan(auditor)
         assert not plan.compilable
         assert "rowid" in plan.notice()
-        assert auditor.audit(table, engine="sql").findings == auditor.audit(table).findings
+        database = _warehouse(table, tmp_path)
+        run = AuditSession(auditor=auditor).audit_source(database, engine="sql")
+        assert (
+            AuditReport.merge(run).findings
+            == auditor.audit(_extract(schema, database)).findings
+        )
+        assert (run.engine, run.notice) == ("memory", plan.notice())
 
     def test_unfitted_auditor_is_rejected(self):
         with pytest.raises(RuntimeError, match="fit"):
@@ -414,7 +524,7 @@ class TestQuisSample:
         database = tmp_path / "warehouse.db"
         write_table(sample.dirty, database)
         extracted = auditor.audit(_extract(sample.schema, database))
-        pushed = audit_sqlite(auditor, database)
+        pushed = _pushdown(auditor, database)
         assert pushed.findings == extracted.findings
         assert pushed.suspicious_rows() == extracted.suspicious_rows()
         # the screen ships a small share of the table's rows (~3% here)
@@ -470,35 +580,36 @@ class TestCli:
         )
         assert sql_out == memory_out
 
+    def test_engine_sql_honours_input_format(self, workspace, capsys, tmp_path):
+        renamed = tmp_path / "load.txt"
+        renamed.write_bytes(workspace["db"].read_bytes())
+        memory_out, _ = self._audit_jsonl(capsys, workspace["model"], workspace["db"])
+        sql_out, sql_err = self._audit_jsonl(
+            capsys, workspace["model"], renamed,
+            "--input-format", "sqlite", "--engine", "sql", "--chunk-size", "500",
+        )
+        assert sql_out == memory_out
+        assert "note:" not in sql_err  # pushdown ran; no fallback notice
+
+    def test_engine_sql_runtime_failure_notes_and_falls_back(
+        self, workspace, capsys
+    ):
+        _drop_rowid(workspace["db"], _rich_schema())
+        memory_out, _ = self._audit_jsonl(capsys, workspace["model"], workspace["db"])
+        for chunking in ((), ("--chunk-size", "50")):
+            sql_out, sql_err = self._audit_jsonl(
+                capsys, workspace["model"], workspace["db"], "--engine", "sql",
+                *chunking,
+            )
+            assert sql_out == memory_out
+            (note,) = sql_err.splitlines()
+            assert note.startswith("note: SQL pushdown failed at runtime: ")
+            assert note.endswith("; auditing in memory")
+
     def test_engine_sql_on_csv_notes_and_falls_back(self, workspace, capsys):
         memory_out, _ = self._audit_jsonl(capsys, workspace["model"], workspace["csv"])
         sql_out, sql_err = self._audit_jsonl(
             capsys, workspace["model"], workspace["csv"], "--engine", "sql"
         )
         assert sql_out == memory_out
-        assert "note: --engine sql needs a SQLite --input" in sql_err
-
-
-class TestSinkConnection:
-    def test_exactly_one_of_database_or_connection(self):
-        schema = _rich_schema()
-        with pytest.raises(ValueError, match="exactly one"):
-            SqliteTableSink(schema)
-        connection = sqlite3.connect(":memory:", isolation_level=None)
-        try:
-            with pytest.raises(ValueError, match="exactly one"):
-                SqliteTableSink(schema, "wh.db", connection=connection)
-        finally:
-            connection.close()
-
-    def test_caller_connection_stays_open(self):
-        train, _ = _rich_tables()
-        connection = sqlite3.connect(":memory:", isolation_level=None)
-        try:
-            with SqliteTableSink(train.schema, table="t", connection=connection) as sink:
-                sink.write(train)
-            # the sink committed but did not close the caller's connection
-            (count,) = connection.execute("SELECT COUNT(*) FROM t").fetchone()
-            assert count == train.n_rows
-        finally:
-            connection.close()
+        assert "note: source is not SQLite; auditing in memory" in sql_err

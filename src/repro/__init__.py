@@ -22,7 +22,7 @@ The package mirrors the paper's architecture:
   persistence, the streaming :class:`~repro.core.session.AuditSession`
   facade for the offline-fit / online-check warehouse-loading split
   (secs. 2.2, 5), and the per-attribute fit fan-out
-  (:mod:`repro.core.parallel`) behind ``fit(n_jobs=)``;
+  (:mod:`repro.core.parallel`) behind ``AuditorConfig.fit_n_jobs``;
 * :mod:`repro.registry` — the content-addressed, versioned on-disk
   model registry: named model versions (``loads@v3``) with provenance
   (schema hash, training source, config, fit time) behind the

@@ -46,9 +46,9 @@ findings retained for ranking, not by the load's row count);
 ``--format jsonl`` emits machine-readable findings. Output is
 bit-identical across chunk sizes, engines and storage backends:
 auditing a SQLite table is bit-identical to auditing the equivalent CSV
-export. Unreadable input ends ``fit`` and ``audit`` with one ``error:``
-line (the missing file, or the line and attribute of a bad cell)
-instead of a traceback.
+export. Unreadable input ends ``pollute``, ``fit``, ``audit`` and
+``evaluate`` with one ``error:`` line (the missing file, or the line and
+attribute of a bad cell) instead of a traceback.
 ``repro fit --jobs N`` fits the per-attribute classifiers on N worker
 processes; the model is byte-identical at any job count. ``fit`` and
 ``audit`` read their input as column batches (:mod:`repro.io.columnar`),
@@ -70,7 +70,7 @@ from typing import Optional, Sequence
 
 from repro import __version__
 from repro.core.auditor import AuditorConfig, DataAuditor
-from repro.core.findings import Finding, findings_to_table
+from repro.core.findings import Finding, StreamReport, findings_to_table
 from repro.core.serialize import save_auditor
 from repro.core.session import AuditSession, ModelPersistenceError
 from repro.generator.profiles import base_profile, base_schema
@@ -526,7 +526,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_pollute(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    table = _read_input(schema, args.input, args.input_format, args.null_marker)
+    try:
+        table = _read_input(schema, args.input, args.input_format, args.null_marker)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}") from exc
     pipeline = PollutionPipeline(default_polluters(), factor=args.factor)
     dirty, log = pipeline.apply(table, random.Random(args.seed))
     _write_output(dirty, args.output, args.output_format, args.null_marker)
@@ -577,10 +580,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 provenance=Provenance(
                     source=str(args.input),
                     source_format=_resolve_format(args.input, args.input_format),
-                    config={
-                        "min_error_confidence": args.min_confidence,
-                        "fit_n_jobs": args.jobs,
-                    },
                     n_rows=table.n_rows,
                     fit_seconds=auditor.fit_seconds,
                 ),
@@ -594,29 +593,29 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model(path, registry_dir: Optional[str] = None) -> DataAuditor:
-    """Load a persisted auditor, turning the many ways a model file can be
-    broken (missing, not JSON, wrong format, truncated payload, unfitted)
-    into one clear CLI error instead of a traceback. The translation
-    itself lives in :meth:`AuditSession.load
-    <repro.core.session.AuditSession.load>`, so every caller gets the
-    same one-line errors.
+def _load_model(path, registry_dir: Optional[str] = None):
+    """The session of a ``--model`` argument (``audit``, ``evaluate``,
+    ``monitor``) and the registry version it resolved to, ``None`` for a
+    model file.
 
-    A *path* containing ``@`` is a registry reference (``name@v3``) and
-    resolves through the :mod:`repro.registry` store named by
-    *registry_dir* / ``$REPRO_REGISTRY``; a bare name also falls through
-    to the registry when it is not a file on disk but a registry is
-    configured."""
+    A *path* containing ``@`` is a registry reference (``name@v3``),
+    resolved once in the store named by *registry_dir* /
+    ``$REPRO_REGISTRY``; so is a bare name that is no file on disk when
+    a registry is configured. A broken model or unknown reference ends
+    in one ``error:`` line instead of a traceback."""
+    from repro.registry import RegistryError
+
     text = str(path)
     use_registry = "@" in text or (
         registry_dir is not None and not Path(text).exists()
     )
     try:
-        if use_registry:
-            registry = _open_registry(registry_dir)
-            return AuditSession.load_from_registry(registry, text).auditor
-        return AuditSession.load(path).auditor
-    except ModelPersistenceError as exc:
+        if not use_registry:
+            return AuditSession.load(path), None
+        registry = _open_registry(registry_dir)
+        version = registry.resolve(text)
+        return AuditSession(auditor=registry.get_version(version)), version
+    except (ModelPersistenceError, RegistryError) as exc:
         raise SystemExit(f"error: {exc}") from exc
 
 
@@ -649,29 +648,26 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             f"error: --format {args.format} needs --findings-out "
             f"(only {', '.join(_STDOUT_FORMATS)} can stream to stdout)"
         )
-    auditor = _load_model(args.model, args.registry)
+    session, _ = _load_model(args.model, args.registry)
     quiet = args.format == "jsonl" and not args.findings_out
-    # keep only the findings across chunks (the output), never the
-    # per-row confidences — peak memory must not grow with row count
-    session = AuditSession(auditor=auditor)
-    findings: list[Finding] = []
-    n_rows = 0
+    # the accumulator keeps the findings across chunks (the output), never
+    # the per-row confidences — peak memory must not grow with row count
+    report = StreamReport(session.config.min_error_confidence, schema=session.schema)
     try:
         with _open_input(
-            auditor.schema, args.input, args.input_format, args.null_marker
+            session.schema, args.input, args.input_format, args.null_marker
         ) as source:
             run = session.audit_source(
                 source,
                 chunk_size=args.chunk_size or DEFAULT_CHUNK_SIZE,
                 engine=args.engine,
             )
-            for n_chunks, report in enumerate(run, start=1):
-                n_rows += report.n_rows
-                findings.extend(report.findings)
+            for n_chunks, chunk in enumerate(run, start=1):
+                report.extend(chunk)
                 if args.chunk_size is not None and not quiet:
                     print(
-                        f"  chunk {n_chunks}: {report.n_rows} records, "
-                        f"{report.n_suspicious} suspicious"
+                        f"  chunk {n_chunks}: {chunk.n_rows} records, "
+                        f"{chunk.n_suspicious} suspicious"
                     )
     except BrokenPipeError:
         raise  # a closed stdout is main()'s to handle (exit 0), not bad input
@@ -679,13 +675,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {exc}") from exc
     if run.notice is not None:
         print(f"note: {run.notice}", file=sys.stderr)
-    findings.sort(key=lambda f: (-f.confidence, f.row, f.attribute))
-    n_suspicious = len({finding.row for finding in findings})
+    findings = report.ranked_findings()
     if not quiet:
         print(
-            f"audited {n_rows} records: {n_suspicious} suspicious, "
+            f"audited {report.n_rows} records: {report.n_suspicious} suspicious, "
             f"{len(findings)} findings at ≥ "
-            f"{auditor.config.min_error_confidence:.0%} confidence"
+            f"{report.min_error_confidence:.0%} confidence"
         )
         for finding in findings[: args.top]:
             print(f"  {finding.describe()}")
@@ -695,12 +690,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    clean = _read_input(schema, args.clean, args.input_format)
-    dirty = _read_input(schema, args.dirty, args.input_format)
-    with open(args.log, "r", encoding="utf-8") as handle:
-        log = PollutionLog.from_dict(json.load(handle))
-    auditor = _load_model(args.model)
-    report = auditor.audit(dirty)
+    try:
+        clean = _read_input(schema, args.clean, args.input_format)
+        dirty = _read_input(schema, args.dirty, args.input_format)
+        with open(args.log, "r", encoding="utf-8") as handle:
+            log = PollutionLog.from_dict(json.load(handle))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}") from exc
+    session, _ = _load_model(args.model)
+    report = session.audit(dirty)
     result = evaluate_audit(report, log, clean, dirty)
     print(result.records.to_table())
     print()
@@ -731,17 +729,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
                     f"{tags}"
                 )
         elif args.models_command == "show":
-            version = registry.resolve(args.ref)
-            print(json.dumps(
-                {
-                    "name": version.name,
-                    "version": version.version,
-                    "ref": version.ref,
-                    "digest": version.digest,
-                    "provenance": version.provenance.to_dict(),
-                },
-                indent=2,
-            ))
+            print(json.dumps(registry.resolve(args.ref).to_record(), indent=2))
         elif args.models_command == "tag":
             version = registry.tag(args.ref, args.tag)
             print(f"tagged {version.ref} as {version.name}@{args.tag}")
@@ -759,7 +747,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
     from repro.monitor.drift import DriftConfig
     from repro.monitor.refit import RefitPolicy
-    from repro.registry import RegistryError
 
     # findings JSONL and stdout are the output; progress and drift events
     # go to stderr through the repro.monitor logger
@@ -768,26 +755,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
 
-    # resolve the model — a registry reference also names the default
-    # refit target and the concrete version recorded in the watermark
-    text = str(args.model)
-    use_registry = "@" in text or (
-        args.registry is not None and not Path(text).exists()
-    )
-    registry = None
-    model_name = None
-    try:
-        if use_registry:
-            registry = _open_registry(args.registry)
-            version = registry.resolve(text)
-            session = AuditSession(auditor=registry.get_version(version))
-            model_ref = version.ref
-            model_name = version.name
-        else:
-            session = AuditSession.load(args.model)
-            model_ref = text
-    except (ModelPersistenceError, RegistryError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    # a registry reference also names the default refit target and the
+    # concrete version recorded in the watermark
+    session, version = _load_model(args.model, args.registry)
 
     findings_path = args.findings_out
     if findings_path is None:
@@ -806,9 +776,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             baseline_windows=args.baseline_windows,
             sustain_windows=args.sustain_windows,
         )
-        if args.refit == "auto" and registry is None:
-            registry = _open_registry(args.registry)
-        refit_name = args.refit_name or model_name
+        registry = _open_registry(args.registry) if args.refit == "auto" else None
+        refit_name = args.refit_name or (version.name if version else None)
         if args.refit == "auto" and not refit_name:
             raise SystemExit(
                 "error: --refit auto needs --refit-name (or a registry "
@@ -816,7 +785,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             )
         refit = RefitPolicy(
             args.refit,
-            registry=registry if args.refit == "auto" else None,
+            registry=registry,
             model_name=refit_name,
             refit_rows=args.refit_rows,
         )
@@ -838,7 +807,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             poll_interval=args.poll_interval,
             drift=drift,
             refit=refit,
-            model_ref=model_ref,
+            model_ref=version.ref if version else str(args.model),
             emit=_emit,
         )
     except (OSError, ValueError) as exc:

@@ -5,7 +5,7 @@ measures (Defs. 7–9), ranked findings and correction proposals
 (sec. 5.2–5.3), structure model, model persistence, the streaming
 :class:`~repro.core.session.AuditSession` facade for the asynchronous
 warehouse-loading workflow (sec. 2.2), and the per-attribute fit fan-out
-(:mod:`repro.core.parallel`) behind ``fit(n_jobs=)``.
+(:mod:`repro.core.parallel`) behind ``AuditorConfig.fit_n_jobs``.
 """
 
 from repro.core.auditor import AuditorConfig, ColumnCache, DataAuditor
@@ -21,8 +21,10 @@ from repro.core.findings import (
     AuditReport,
     Correction,
     Finding,
+    StreamReport,
     findings_schema,
     findings_to_table,
+    rank_key,
 )
 from repro.core.parallel import resolve_n_jobs
 from repro.core.review import Decision, DecisionKind, ReviewItem, ReviewSession
@@ -41,6 +43,8 @@ __all__ = [
     "AuditSession",
     "ModelPersistenceError",
     "AuditReport",
+    "StreamReport",
+    "rank_key",
     "resolve_n_jobs",
     "Finding",
     "findings_schema",

@@ -19,9 +19,10 @@ Domain knowledge plugs in through :attr:`AuditorConfig.base_attributes`
 attribute, it can be removed from the set of base attributes") and
 :attr:`AuditorConfig.audited_attributes`.
 
-Structure induction fans out per attribute: ``fit(table, n_jobs=N)``
-fits the classifiers on a process pool (:mod:`repro.core.parallel`) and
-produces the same serialized model as the serial fit, byte for byte.
+Structure induction fans out per attribute: ``fit(table)`` with
+``AuditorConfig(fit_n_jobs=N)`` fits the classifiers on a process pool
+(:mod:`repro.core.parallel`) and produces the same serialized model as
+the serial fit, byte for byte.
 Deviation detection runs serially, one batch-vectorized
 :meth:`DataAuditor.audit_attribute` check per class attribute.
 """
@@ -299,12 +300,11 @@ class AuditorConfig:
     audited_attributes:
         Restrict auditing to these attributes (default: all).
     fit_n_jobs:
-        Default worker count for structure induction: ``1`` (the
-        default) fits serially in-process, ``N > 1`` fans out over *N*
+        Worker count for structure induction: ``1`` (the default)
+        fits serially in-process, ``N > 1`` fans out over *N*
         worker processes, negative counts are cpu-relative (``-1`` = all
-        cores); overridden per call by ``fit(n_jobs=)``. Each task is
-        one audited attribute's classifier fit. Parallel and serial fits
-        produce byte-identical serialized models.
+        cores). Each task is one audited attribute's classifier fit.
+        Parallel and serial fits produce byte-identical serialized models.
     """
 
     min_error_confidence: float = 0.80
@@ -370,7 +370,7 @@ class DataAuditor:
             return [name for name in configured if name != class_attr]
         return [name for name in self.schema.names if name != class_attr]
 
-    def fit(self, table, *, n_jobs: Optional[int] = None) -> "DataAuditor":
+    def fit(self, table) -> "DataAuditor":
         """Induce one classifier per audited attribute (sec. 5's structure
         induction; may run offline, see module docstring).
 
@@ -383,9 +383,9 @@ class DataAuditor:
         :class:`FitColumnCache`, and every classifier trains on those
         shared arrays.
 
-        *n_jobs* (default: :attr:`AuditorConfig.fit_n_jobs`) selects the
-        executor: ``1`` fits serially in-process; ``N > 1`` fans the
-        per-attribute fits out over *N* worker processes
+        :attr:`AuditorConfig.fit_n_jobs` selects the executor: ``1`` fits
+        serially in-process; ``N > 1`` fans the per-attribute fits out
+        over *N* worker processes
         (:func:`repro.core.parallel.fit_table_parallel`); negative counts
         are cpu-relative (``-1`` = all cores). The fitted model is
         byte-identical (serialized form) at any job count.
@@ -395,7 +395,7 @@ class DataAuditor:
         if table.schema != self.schema:
             raise ValueError("table schema does not match the auditor's schema")
         started = time.perf_counter()
-        jobs = resolve_n_jobs(self.config.fit_n_jobs if n_jobs is None else n_jobs)
+        jobs = resolve_n_jobs(self.config.fit_n_jobs)
         attrs = self.audited_attributes()
         if jobs > 1 and len(attrs) > 1 and table.n_rows > 0:
             self.classifiers = fit_table_parallel(self, table, jobs)

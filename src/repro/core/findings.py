@@ -23,6 +23,8 @@ __all__ = [
     "Finding",
     "Correction",
     "AuditReport",
+    "StreamReport",
+    "rank_key",
     "findings_schema",
     "findings_to_table",
 ]
@@ -47,6 +49,14 @@ class Finding:
             f"deviates (expected {self.predicted_label}, "
             f"confidence {self.confidence:.2%}, n={self.support:g})"
         )
+
+
+def rank_key(finding: Finding) -> tuple[float, int, str]:
+    """The one findings order: descending confidence, then row, then
+    attribute. Every ranked output (the library's reports, ``repro
+    audit``, ``POST /audit`` and the monitor) sorts by this key, which is
+    what makes their findings byte-identical."""
+    return (-finding.confidence, finding.row, finding.attribute)
 
 
 @dataclass(frozen=True)
@@ -131,9 +141,7 @@ class AuditReport:
         schema: Optional[Schema] = None,
     ):
         self.n_rows = n_rows
-        self.findings: list[Finding] = sorted(
-            findings, key=lambda f: (-f.confidence, f.row, f.attribute)
-        )
+        self.findings: list[Finding] = sorted(findings, key=rank_key)
         self.record_confidence = list(record_confidence)
         if len(self.record_confidence) != n_rows:
             raise ValueError("record_confidence must cover every row")
@@ -304,4 +312,60 @@ class AuditReport:
             f"AuditReport(rows={self.n_rows}, findings={len(self.findings)}, "
             f"suspicious={self.n_suspicious}, "
             f"min_conf={self.min_error_confidence:.0%})"
+        )
+
+
+class StreamReport:
+    """The findings of a stream audited one report at a time.
+
+    ``repro audit``, ``POST /audit`` and the monitor :meth:`extend` it
+    with each chunk or window report, in stream order. It keeps no
+    per-row record confidences, so its memory grows with the findings,
+    not the rows; :meth:`ranked_findings` equals the whole-table audit's
+    ranking of the same rows. A resumed monitor seeds it with ``n_rows``
+    and the persisted ``findings``.
+    """
+
+    def __init__(
+        self,
+        min_error_confidence: float,
+        *,
+        schema: Optional[Schema] = None,
+        n_rows: int = 0,
+        findings: Iterable[Finding] = (),
+    ):
+        self.min_error_confidence = min_error_confidence
+        self.schema = schema
+        self.n_rows = n_rows
+        self.findings: list[Finding] = list(findings)  #: stream order
+        #: distinct flagged rows (Def.-8 suspicious records)
+        self.n_suspicious = len({finding.row for finding in self.findings})
+
+    def extend(self, report: AuditReport) -> None:
+        """Append the report of the stream's next rows."""
+        if report.min_error_confidence != self.min_error_confidence:
+            raise ValueError("report has a different confidence threshold")
+        if report.row_offset != self.n_rows:
+            raise ValueError(
+                f"report is not stream-contiguous: expected rows from "
+                f"{self.n_rows}, got row_offset={report.row_offset}"
+            )
+        self.findings.extend(report.findings)
+        self.n_rows += report.n_rows
+        # reports cover disjoint rows, so their flagged rows simply add up
+        self.n_suspicious += report.n_suspicious
+
+    @property
+    def n_findings(self) -> int:
+        return len(self.findings)
+
+    def ranked_findings(self, limit: Optional[int] = None) -> list[Finding]:
+        """All findings ranked globally, by :func:`rank_key`."""
+        ranked = sorted(self.findings, key=rank_key)
+        return ranked if limit is None else ranked[:limit]
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamReport(rows={self.n_rows}, findings={self.n_findings}, "
+            f"suspicious={self.n_suspicious})"
         )

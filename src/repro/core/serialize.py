@@ -38,6 +38,7 @@ __all__ = [
     "auditor_from_dict",
     "save_auditor",
     "load_auditor",
+    "write_atomic",
 ]
 
 
@@ -204,29 +205,37 @@ def auditor_from_dict(payload: Mapping[str, Any]) -> DataAuditor:
     return auditor
 
 
-def save_auditor(auditor: DataAuditor, path: Union[str, Path]) -> None:
-    """Persist a fitted auditor as JSON, atomically.
-
-    The document is written to a sibling temp file and moved into place
-    with :func:`os.replace`, so a crash (or serialization error) mid-save
-    can never leave a truncated model at *path* — the online job either
-    finds the previous model intact or the complete new one.
-    """
+def write_atomic(path: Union[str, Path], data: bytes) -> None:
+    """Replace *path* with *data* atomically: a sibling temp file,
+    fsync, then an atomic rename onto *path*. The file either keeps its old
+    content or holds all of the new one, never a prefix, and the temp
+    file is removed on any exception, ``KeyboardInterrupt`` included.
+    Model files, registry objects and indexes, and monitor watermarks
+    are all written through it."""
     path = Path(path)
-    payload = auditor_to_dict(auditor)  # serialize before touching disk
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        with open(tmp, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
-            os.unlink(tmp)
+            tmp.unlink()
         except OSError:
             pass
         raise
+
+
+def save_auditor(auditor: DataAuditor, path: Union[str, Path]) -> None:
+    """Persist a fitted auditor as JSON, atomically (:func:`write_atomic`),
+    so a crash (or serialization error) mid-save can never leave a
+    truncated model at *path* — the online job either finds the previous
+    model intact or the complete new one.
+    """
+    payload = auditor_to_dict(auditor)  # serialize before touching disk
+    write_atomic(path, json.dumps(payload).encode("utf-8"))
 
 
 def load_auditor(path: Union[str, Path]) -> DataAuditor:

@@ -34,9 +34,11 @@ first-class API on top of :class:`~repro.core.auditor.DataAuditor`:
   ran and why a requested pushdown did not, for the CLI and the
   service to show.
 
-The fit entry points take ``n_jobs=`` and fan the per-attribute fits
-out over a process pool when it exceeds 1 (:mod:`repro.core.parallel`);
-the model is byte-identical to the serial fit. Audits run serially.
+The fit entry points fan the per-attribute fits out over a process pool
+when :attr:`AuditorConfig.fit_n_jobs
+<repro.core.auditor.AuditorConfig.fit_n_jobs>` exceeds 1
+(:mod:`repro.core.parallel`); the model is byte-identical to the serial
+fit. Audits run serially.
 
 Model-file failures surface as :class:`ModelPersistenceError`, whose
 ``str()`` is a one-line reason (missing file, corrupt JSON, wrong
@@ -117,25 +119,19 @@ class AuditSession:
 
     # -- offline: structure induction --------------------------------------
 
-    def fit(self, table: Table, *, n_jobs: Optional[int] = None) -> "AuditSession":
+    def fit(self, table: Table) -> "AuditSession":
         """Induce the structure model (sec. 5; may run offline).
 
-        ``n_jobs > 1`` fits the audited attributes on a process pool
-        (:func:`~repro.core.parallel.fit_table_parallel`); the default
-        comes from :attr:`AuditorConfig.fit_n_jobs
-        <repro.core.auditor.AuditorConfig.fit_n_jobs>`. The fitted model
-        is byte-identical to the serial fit at any job count.
+        :attr:`AuditorConfig.fit_n_jobs
+        <repro.core.auditor.AuditorConfig.fit_n_jobs>` above 1 fits the
+        audited attributes on a process pool
+        (:func:`~repro.core.parallel.fit_table_parallel`). The fitted
+        model is byte-identical to the serial fit at any job count.
         """
-        self.auditor.fit(table, n_jobs=n_jobs)
+        self.auditor.fit(table)
         return self
 
-    def fit_source(
-        self,
-        source,
-        *,
-        validate: bool = False,
-        n_jobs: Optional[int] = None,
-    ) -> "AuditSession":
+    def fit_source(self, source) -> "AuditSession":
         """:meth:`fit` on any stored table (the offline half of sec. 2.2).
 
         *source* is an open :class:`~repro.io.TableSource` or a location
@@ -148,7 +144,7 @@ class AuditSession:
         """
         source, owned = self._resolve_source(source)
         try:
-            return self.fit(source.read_columns(validate=validate), n_jobs=n_jobs)
+            return self.fit(source.read_columns())
         finally:
             if owned:
                 source.close()
@@ -353,11 +349,11 @@ class AuditSession:
         :class:`~repro.monitor.watcher.TableWatcher` (``state_path`` and
         ``findings_path`` are required — they are the monitor's durable
         exactly-once state). The watcher audits the stream in fixed
-        windows, keeps a cumulative :class:`MonitorReport
-        <repro.monitor.watcher.MonitorReport>` byte-compatible with a
-        one-shot :meth:`audit` of the same rows, tracks per-attribute
-        drift, and can refit through a :class:`RefitPolicy
-        <repro.monitor.refit.RefitPolicy>`::
+        windows, keeps a cumulative
+        :class:`~repro.core.findings.StreamReport` that ranks
+        byte-for-byte like a one-shot :meth:`audit` of the same rows,
+        tracks per-attribute drift, and can refit through a
+        :class:`RefitPolicy <repro.monitor.refit.RefitPolicy>`::
 
             watcher = session.monitor(
                 "loads.jsonl",

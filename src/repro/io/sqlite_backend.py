@@ -59,6 +59,10 @@ DEFAULT_TABLE = "data"
 #: bound as text and parsed back through the schema.
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
+#: SQLite's names for a row's id; a declared column of the same name, in
+#: any letter case, shadows that name
+_ROWID_ALIASES = ("rowid", "_rowid_", "oid")
+
 
 def parse_sqlite_url(url: str) -> tuple[str, dict[str, str]]:
     """Split ``sqlite:///path?table=name`` into (database path, options).
@@ -105,6 +109,13 @@ def _column_names(connection: sqlite3.Connection, table: str) -> list[str]:
     return [
         row[1] for row in connection.execute(f"PRAGMA table_info({_quote(table)})")
     ]
+
+
+def rowid_alias(connection: sqlite3.Connection, table: str) -> Optional[str]:
+    """The first of SQLite's row-id names that no column of *table*
+    shadows, or ``None`` when its columns take all three."""
+    shadowed = {name.lower() for name in _column_names(connection, table)}
+    return next((name for name in _ROWID_ALIASES if name not in shadowed), None)
 
 
 def resolve_table(
@@ -168,10 +179,13 @@ def _from_sql(raw: object, kind: AttributeKind, integer: bool) -> Value:
 class SqliteTableSource(TableSource):
     """Chunked ``fetchmany`` reader over one SQLite table.
 
-    Rows are streamed in ``rowid`` order, so auditing a table loaded from
-    a CSV export visits records in exactly the export's order — the
+    Rows are streamed in row-id order, so auditing a table loaded from a
+    CSV export visits records in exactly the export's order — the
     bit-identity bridge between ``--input warehouse.db`` and
-    ``--input export.csv``.
+    ``--input export.csv``. The order uses the first row-id name no
+    attribute shadows (:func:`rowid_alias`); a table whose attributes
+    shadow all three, like a ``WITHOUT ROWID`` table, is read in scan
+    order.
 
     Each ``fetchmany`` batch converts column-at-a-time straight off the
     driver's row tuples, which the SELECT already puts in schema order;
@@ -204,10 +218,13 @@ class SqliteTableSource(TableSource):
             ", ".join(_quote(name) for name in self.schema.names),
             _quote(self.table),
         )
-        try:
-            return self.connection.execute(select + " ORDER BY rowid")
-        except sqlite3.OperationalError:  # WITHOUT ROWID tables
-            return self.connection.execute(select)
+        rowid = rowid_alias(self.connection, self.table)
+        if rowid is not None:
+            try:
+                return self.connection.execute(f"{select} ORDER BY {rowid}")
+            except sqlite3.OperationalError:  # WITHOUT ROWID tables
+                pass
+        return self.connection.execute(select)
 
     def _iter_column_batches(self, batch_size: int):
         names = self.schema.names

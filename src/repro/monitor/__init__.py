@@ -9,8 +9,8 @@ scenario on top of the batch engine:
   files (byte offsets, torn-tail safe) and SQLite tables (rowids);
 * :mod:`repro.monitor.watermark` — durable exactly-once progress
   (atomic state file + findings-file truncation on resume);
-* :mod:`repro.monitor.watcher` — the :class:`TableWatcher` engine and
-  cumulative :class:`MonitorReport`;
+* :mod:`repro.monitor.watcher` — the :class:`TableWatcher` engine, whose
+  runs return the cumulative :class:`~repro.core.findings.StreamReport`;
 * :mod:`repro.monitor.drift` — per-attribute finding-rate drift with
   Wilson intervals;
 * :mod:`repro.monitor.refit` — drift responses, up to automatic refit
@@ -29,14 +29,13 @@ from .tail import (
     open_tail,
     split_records,
 )
-from .watcher import MonitorReport, TableWatcher
-from .watermark import Watermark, load_watermark, write_atomic
+from .watcher import TableWatcher
+from .watermark import Watermark, load_watermark
 
 __all__ = [
     "DriftConfig",
     "DriftEvent",
     "DriftTracker",
-    "MonitorReport",
     "RefitPolicy",
     "SqliteTailReader",
     "TableWatcher",
@@ -47,5 +46,4 @@ __all__ = [
     "open_tail",
     "perform_refit",
     "split_records",
-    "write_atomic",
 ]

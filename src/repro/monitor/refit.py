@@ -24,13 +24,11 @@ watermark write.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.core.auditor import DataAuditor
 from repro.registry.store import ModelRegistry, ModelVersion, Provenance
 from repro.schema.table import Table
-from repro.serve.service import _config_json
 
 from .drift import DriftEvent
 
@@ -95,16 +93,12 @@ def perform_refit(
     """
     from repro.core.session import AuditSession
 
-    auditor = DataAuditor(session.schema, session.config)
-    start = time.perf_counter()
-    auditor.fit(buffer)
-    fit_seconds = time.perf_counter() - start
+    auditor = DataAuditor(session.schema, session.config).fit(buffer)
     provenance = Provenance(
         source=str(source) if source is not None else None,
         source_format=source_format,
-        config=_config_json(session.config),
         n_rows=len(buffer.rows),
-        fit_seconds=fit_seconds,
+        fit_seconds=auditor.fit_seconds,
         extra={
             "trigger": "drift",
             "drift": event.to_dict(),

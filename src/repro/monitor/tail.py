@@ -44,6 +44,7 @@ from repro.io.sqlite_backend import (
     _quote,
     parse_sqlite_url,
     resolve_table,
+    rowid_alias,
 )
 from repro.schema.schema import Schema
 from repro.schema.types import Value
@@ -200,7 +201,12 @@ class TextTailReader(TailReader):
 
 
 class SqliteTailReader(TailReader):
-    """Rowid tailing of one SQLite table: ``WHERE rowid > ?`` is resume."""
+    """Rowid tailing of one SQLite table: ``WHERE rowid > ?`` is resume.
+
+    The row id is read through the first of its names (``rowid``,
+    ``_rowid_``, ``oid``) that no attribute shadows; a table whose
+    attributes shadow all three cannot be tailed and is refused here.
+    """
 
     offset_kind = "rowid"
 
@@ -218,6 +224,12 @@ class SqliteTailReader(TailReader):
         self._connection = sqlite3.connect(path)
         try:
             self.table = resolve_table(self._connection, schema, table, database)
+            self._rowid = rowid_alias(self._connection, self.table)
+            if self._rowid is None:
+                raise ValueError(
+                    f"cannot tail table {self.table!r}: its columns shadow "
+                    f"every SQLite row-id name (rowid, _rowid_, oid)"
+                )
         except Exception:
             self.close()
             raise
@@ -228,8 +240,11 @@ class SqliteTailReader(TailReader):
     def read_new(self, offset: int) -> list[TailedRow]:
         names = self.schema.names
         converters = cell_converters(self.schema, _from_sql)
-        select = "SELECT rowid, {} FROM {} WHERE rowid > ? ORDER BY rowid".format(
-            ", ".join(_quote(name) for name in names), _quote(self.table)
+        rowid = self._rowid
+        columns = ", ".join(_quote(name) for name in names)
+        select = (
+            f"SELECT {rowid}, {columns} FROM {_quote(self.table)} "
+            f"WHERE {rowid} > ? ORDER BY {rowid}"
         )
         tailed: list[TailedRow] = []
         for raw in self._connection.execute(select, (offset,)):

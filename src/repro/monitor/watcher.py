@@ -18,15 +18,15 @@ length and re-audits from the watermark's source offset — the resumed
 file is byte-identical to an uninterrupted run. Within a window the
 findings are rendered exactly as ``repro audit --format jsonl`` renders
 them (same ``findings_to_table`` → ``JsonlTableSink`` path), so the
-cumulative ranked report compares byte-for-byte with a one-shot audit
-of the same rows.
+cumulative :class:`~repro.core.findings.StreamReport` ranks
+byte-for-byte like a one-shot audit of the same rows.
 
 Each committed window also feeds the per-attribute
 :class:`~repro.monitor.drift.DriftTracker`; sustained drift is answered
 by the :class:`~repro.monitor.refit.RefitPolicy` — logged, recorded as
 a recommendation, or auto-refit on a rolling buffer of recent rows and
 registered to the model registry (the ``latest`` tag flip is what lets
-a running ``repro serve`` pick the new model up without restart).
+a running audit daemon pick the new model up without restart).
 
 In catch-up mode (``run()``) the watcher drains the source and finally
 audits the trailing partial window, so every complete row is covered.
@@ -43,16 +43,16 @@ import os
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.core.findings import (
     AuditReport,
     Finding,
+    StreamReport,
     findings_schema,
     findings_to_table,
 )
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
-from repro.schema.schema import Schema
 from repro.schema.table import Table
 from repro.schema.types import Value
 
@@ -61,100 +61,9 @@ from .refit import RefitPolicy, perform_refit, refit_event_record
 from .tail import open_tail
 from .watermark import Watermark, load_watermark
 
-__all__ = ["MonitorReport", "TableWatcher"]
+__all__ = ["TableWatcher"]
 
 logger = logging.getLogger("repro.monitor")
-
-
-class MonitorReport:
-    """The cumulative audit of every row a monitor has committed.
-
-    Grows window by window via :meth:`extend`; ranking is global, so
-    :meth:`ranked_findings` of a monitor that consumed *N* rows equals
-    the ranked findings of a one-shot audit of those *N* rows (the
-    chunked-merge parity guarantee of :class:`AuditReport.merge`). A
-    report seeded from a reloaded findings file (:meth:`resumed`) keeps
-    counting and ranking but can no longer rebuild the full
-    :class:`AuditReport` — record confidences of pre-resume rows were
-    not persisted, only their findings.
-    """
-
-    def __init__(self, min_error_confidence: float, *, schema: Optional[Schema] = None):
-        self.min_error_confidence = min_error_confidence
-        self.schema = schema
-        self.n_rows = 0
-        self.findings: list[Finding] = []  #: window order (ranked per window)
-        self._window_reports: Optional[list[AuditReport]] = []
-
-    @classmethod
-    def resumed(
-        cls,
-        min_error_confidence: float,
-        findings: Iterable[Finding],
-        n_rows: int,
-        *,
-        schema: Optional[Schema] = None,
-    ) -> "MonitorReport":
-        """A report seeded from persisted findings after a restart."""
-        report = cls(min_error_confidence, schema=schema)
-        report.findings = list(findings)
-        report.n_rows = n_rows
-        report._window_reports = None
-        return report
-
-    def extend(self, report: AuditReport) -> None:
-        """Append one committed window's :class:`AuditReport`."""
-        if report.min_error_confidence != self.min_error_confidence:
-            raise ValueError("window report has a different confidence threshold")
-        if report.row_offset != self.n_rows:
-            raise ValueError(
-                f"window is not stream-contiguous: expected rows from "
-                f"{self.n_rows}, got row_offset={report.row_offset}"
-            )
-        self.findings.extend(report.findings)
-        self.n_rows += report.n_rows
-        if self._window_reports is not None:
-            self._window_reports.append(report)
-
-    @property
-    def n_findings(self) -> int:
-        return len(self.findings)
-
-    @property
-    def n_suspicious(self) -> int:
-        """Distinct flagged rows (Def.-8 suspicious records)."""
-        return len({finding.row for finding in self.findings})
-
-    def ranked_findings(self, limit: Optional[int] = None) -> list[Finding]:
-        """All findings ranked globally — the one-shot-audit ordering."""
-        ranked = sorted(
-            self.findings, key=lambda f: (-f.confidence, f.row, f.attribute)
-        )
-        return ranked[: limit if limit is not None else len(ranked)]
-
-    def attribute_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.attribute] = counts.get(finding.attribute, 0) + 1
-        return counts
-
-    def as_audit_report(self) -> AuditReport:
-        """The equivalent whole-stream :class:`AuditReport` (merge of all
-        committed windows). Unavailable after a resume."""
-        if self._window_reports is None:
-            raise ValueError(
-                "this report was resumed from persisted findings; "
-                "record confidences of pre-resume windows are gone"
-            )
-        if not self._window_reports:
-            return AuditReport(0, [], [], self.min_error_confidence, schema=self.schema)
-        return AuditReport.merge(self._window_reports)
-
-    def __repr__(self) -> str:
-        return (
-            f"MonitorReport(rows={self.n_rows}, findings={self.n_findings}, "
-            f"suspicious={self.n_suspicious})"
-        )
 
 
 def _render_findings_jsonl(findings: list[Finding]) -> str:
@@ -246,7 +155,7 @@ class TableWatcher:
             self.watermark = Watermark(source_offset=self._tail.start_offset())
             self.watermark.model_ref = model_ref
             self.tracker = DriftTracker(attributes, drift_config)
-            self.report = MonitorReport(
+            self.report = StreamReport(
                 session.config.min_error_confidence, schema=session.schema
             )
             self.findings_path.parent.mkdir(parents=True, exist_ok=True)
@@ -290,11 +199,11 @@ class TableWatcher:
             if watermark.drift
             else DriftTracker(attributes, drift_config)
         )
-        self.report = MonitorReport.resumed(
+        self.report = StreamReport(
             self.session.config.min_error_confidence,
-            findings,
-            watermark.rows,
             schema=self.session.schema,
+            n_rows=watermark.rows,
+            findings=findings,
         )
         logger.info(
             "resumed at row %d (window %d, offset %d)",
@@ -332,7 +241,7 @@ class TableWatcher:
         *,
         follow: bool = False,
         stop: Optional[threading.Event] = None,
-    ) -> MonitorReport:
+    ) -> StreamReport:
         """Catch up with the source, or follow it until *stop* is set.
 
         Catch-up (the default) drains everything currently readable,

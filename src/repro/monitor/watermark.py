@@ -3,8 +3,9 @@
 A continuous monitor must survive being killed at any instruction and
 resume without duplicating or dropping a single finding. The watermark
 is the whole mechanism: one small JSON file, written atomically
-(tmp file + fsync + ``os.replace``, the same discipline as the model
-registry), that records how far the monitor has durably progressed:
+(:func:`~repro.core.serialize.write_atomic`, the one temp file + fsync +
+replace helper behind model files and the registry too), that records
+how far the monitor has durably progressed:
 
 * ``rows`` — stream-global rows consumed (committed audit windows only);
 * ``source_offset`` — the position in the tailed source those rows end
@@ -33,33 +34,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-__all__ = ["Watermark", "load_watermark", "write_atomic"]
+from repro.core.serialize import write_atomic
+
+__all__ = ["Watermark", "load_watermark"]
 
 _STATE_FORMAT = "repro-monitor-state-v1"
-
-
-def write_atomic(path: Union[str, Path], data: bytes) -> None:
-    """tmp file + fsync + ``os.replace``: the file either keeps its old
-    content or holds all of the new one — never a prefix."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:  # incl. KeyboardInterrupt: leave no debris behind
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
 
 
 @dataclass

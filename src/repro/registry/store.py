@@ -16,9 +16,10 @@ that cannot tear.
   same digest *are* the same model. Loading re-hashes the object's
   bytes, so an object edited or corrupted on disk is refused.
 * **immutability + atomicity** — object files are written once
-  (tmp file + :func:`os.replace`) and never modified; name indexes are
-  replaced atomically. A reader therefore sees either the old or the
-  new state of a name, never a torn one, without taking any lock.
+  (:func:`~repro.core.serialize.write_atomic`) and never modified;
+  name indexes are replaced atomically. A reader therefore sees either
+  the old or the new state of a name, never a torn one, without taking
+  any lock.
 * **single writer** — mutations (`put`/`tag`/`delete`) serialize on a
   lockfile (``O_CREAT | O_EXCL``, the portable primitive), so two
   concurrent registrations of ``name`` get distinct version numbers
@@ -52,8 +53,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
-from repro.core.auditor import DataAuditor
-from repro.core.serialize import auditor_from_dict, auditor_to_dict
+from repro.core.auditor import AuditorConfig, DataAuditor
+from repro.core.serialize import auditor_from_dict, auditor_to_dict, write_atomic
 from repro.schema.schema import Schema
 from repro.schema.serialize import schema_to_dict
 
@@ -106,6 +107,21 @@ def parse_ref(ref: str) -> tuple[str, str]:
     return name, selector or "latest"
 
 
+def _config_json(config: AuditorConfig) -> dict[str, Any]:
+    """The provenance form of an auditor config (scalar knobs only)."""
+    return {
+        "min_error_confidence": config.min_error_confidence,
+        "n_bins": config.n_bins,
+        "base_attributes": {k: list(v) for k, v in config.base_attributes.items()},
+        "audited_attributes": (
+            list(config.audited_attributes)
+            if config.audited_attributes is not None
+            else None
+        ),
+        "fit_n_jobs": config.fit_n_jobs,
+    }
+
+
 def _utc_now_iso() -> str:
     return (
         datetime.datetime.now(datetime.timezone.utc)
@@ -118,16 +134,17 @@ def _utc_now_iso() -> str:
 class Provenance:
     """Where one stored model version came from (recorded at ``put``).
 
-    ``schema_hash`` is always filled in by the registry; the caller
-    supplies what it knows about the training run. ``extra`` carries
-    free-form caller context (experiment ids, operator names, …) as
-    plain JSON types.
+    ``schema_hash`` and ``config`` are always filled in by the registry,
+    from the auditor it stores; the caller supplies what it knows about
+    the training run (``source``, ``source_format``, ``n_rows``,
+    ``fit_seconds``). ``extra`` carries free-form caller context
+    (experiment ids, operator names, …) as plain JSON types.
     """
 
     schema_hash: str = ""
     source: Optional[str] = None  #: training-table location / URI
     source_format: Optional[str] = None  #: registry format name of ``source``
-    config: Optional[dict] = None  #: the AuditorConfig the fit used (JSON form)
+    config: Optional[dict] = None  #: the auditor's AuditorConfig (JSON form)
     n_rows: Optional[int] = None  #: training row count
     fit_seconds: Optional[float] = None  #: structure-induction wall time
     created_at: str = ""  #: ISO-8601 UTC, filled in by the registry
@@ -159,6 +176,17 @@ class ModelVersion:
     def to_dict(self) -> dict[str, Any]:
         return {
             "version": self.version,
+            "digest": self.digest,
+            "provenance": self.provenance.to_dict(),
+        }
+
+    def to_record(self) -> dict[str, Any]:
+        """The version as ``repro models show`` prints it and the
+        service's ``/models`` endpoints return it."""
+        return {
+            "name": self.name,
+            "version": self.version,
+            "ref": self.ref,
             "digest": self.digest,
             "provenance": self.provenance.to_dict(),
         }
@@ -236,20 +264,11 @@ class ModelRegistry:
 
     @staticmethod
     def _write_atomic(path: Path, data: bytes) -> None:
-        """tmp file + ``os.replace``: the file either keeps its old
-        content or holds all of the new one — never a prefix."""
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+        """:func:`~repro.core.serialize.write_atomic`, with its
+        ``OSError`` as a :class:`RegistryError`."""
         try:
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            write_atomic(path, data)
         except OSError as exc:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
             raise RegistryError(f"cannot write {path}: {exc}") from exc
 
     def _object_path(self, digest: str) -> Path:
@@ -302,8 +321,9 @@ class ModelRegistry:
         The model object is stored by content digest (an already-stored
         identical model is reused, not rewritten); the name index gains
         one version entry carrying the provenance record (``schema_hash``
-        and ``created_at`` are filled in here) and the ``latest`` tag
-        moves to it. Returns the new :class:`ModelVersion`.
+        and ``config`` come from *auditor*, ``created_at`` is filled in
+        here) and the ``latest`` tag moves to it. Returns the new
+        :class:`ModelVersion`.
         """
         if not auditor.classifiers:
             raise RegistryError(
@@ -318,6 +338,7 @@ class ModelRegistry:
         record = dataclasses.replace(
             base,
             schema_hash=schema_digest(auditor.schema),
+            config=_config_json(auditor.config),
             created_at=base.created_at or _utc_now_iso(),
         )
         self._index_path(name)  # validate the name before touching disk

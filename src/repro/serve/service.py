@@ -10,12 +10,12 @@ handlers directly.
 
 The one invariant worth stating twice: **the findings a** ``POST
 /audit`` **streams are byte-identical to** ``repro audit --format
-jsonl`` **on the same model and table.** Both paths collect the
-findings, sort them by ``(-confidence, row, attribute)`` (the order
-:class:`~repro.core.findings.AuditReport` guarantees), shape them
-through :func:`~repro.core.findings.findings_to_table`, and write them
-through the same :class:`~repro.io.jsonl_backend.JsonlTableSink`. A
-warehouse can therefore swap the CLI for the service (or back) without
+jsonl`` **on the same model and table.** Both paths rank the findings
+by :func:`~repro.core.findings.rank_key` (a chunked source through the
+same :class:`~repro.core.findings.StreamReport`), shape them through
+:func:`~repro.core.findings.findings_to_table`, and write them through
+the same :class:`~repro.io.jsonl_backend.JsonlTableSink`. A warehouse
+can therefore swap the CLI for the service (or back) without
 re-baselining a single downstream parser.
 """
 
@@ -28,12 +28,12 @@ import time
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.core.auditor import AuditorConfig, DataAuditor
-from repro.core.findings import Finding, findings_to_table
+from repro.core.findings import Finding, StreamReport, findings_to_table
 from repro.core.session import AuditRun, AuditSession
 from repro.io.base import DEFAULT_CHUNK_SIZE
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
-from repro.io.registry import open_source
-from repro.registry import ModelRegistry, Provenance, RegistryError
+from repro.io.registry import detect_format, open_source
+from repro.registry import ModelRegistry, ModelVersion, Provenance, RegistryError
 from repro.schema.serialize import schema_from_dict
 from repro.schema.table import Table
 
@@ -100,16 +100,6 @@ def _parse_config(payload: Optional[Mapping[str, Any]]) -> AuditorConfig:
         raise ServiceError(400, f"invalid auditor config: {exc}")
 
 
-def _version_json(version) -> dict[str, Any]:
-    return {
-        "name": version.name,
-        "version": version.version,
-        "ref": version.ref,
-        "digest": version.digest,
-        "provenance": version.provenance.to_dict(),
-    }
-
-
 class AuditService:
     """Endpoint semantics of the audit daemon (see module docstring).
 
@@ -119,14 +109,8 @@ class AuditService:
     lockfile.
     """
 
-    def __init__(
-        self,
-        registry: ModelRegistry,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ):
+    def __init__(self, registry: ModelRegistry):
         self.registry = registry
-        self.chunk_size = chunk_size
         self.started_at = time.time()
         self.requests_served = 0
         self._cache_lock = threading.Lock()
@@ -159,14 +143,14 @@ class AuditService:
                     "name": name,
                     "versions": len(versions),
                     "tags": self.registry.tags(name),
-                    "latest": _version_json(versions[-1]),
+                    "latest": versions[-1].to_record(),
                 }
             )
         return {"models": models}
 
     def show_model(self, ref: str) -> dict[str, Any]:
         try:
-            return _version_json(self.registry.resolve(ref))
+            return self.registry.resolve(ref).to_record()
         except RegistryError as exc:
             raise ServiceError(404, str(exc))
 
@@ -178,7 +162,8 @@ class AuditService:
         Body: ``{"name": str, "schema": {...}, "source": location,
         "format": optional registry format, "config": optional scalar
         AuditorConfig fields}``; any other field is a 400. Returns the
-        stored version record.
+        stored version record, whose provenance names the detected format
+        when the body gives none.
         """
         _reject_unknown(payload, _FIT_FIELDS, "request")
         name = _require(payload, "name")
@@ -192,8 +177,8 @@ class AuditService:
             auditor = DataAuditor(schema, config)
         except ValueError as exc:
             raise ServiceError(400, str(exc))
-        fmt = payload.get("format")
         try:
+            fmt = payload.get("format") or detect_format(source_uri)
             with open_source(schema, source_uri, format=fmt) as source:
                 table = source.read_columns()
         except (OSError, ValueError) as exc:
@@ -206,7 +191,6 @@ class AuditService:
                 provenance=Provenance(
                     source=str(source_uri),
                     source_format=fmt,
-                    config=_config_json(config),
                     n_rows=table.n_rows,
                     fit_seconds=auditor.fit_seconds,
                 ),
@@ -215,11 +199,14 @@ class AuditService:
             raise ServiceError(500, str(exc))
         with self._cache_lock:
             self._model_cache[version.digest] = auditor
-        return _version_json(version)
+        return version.to_record()
 
     # -- POST /audit ---------------------------------------------------------
 
-    def _load_model(self, ref) -> DataAuditor:
+    def _load_model(self, ref) -> tuple[DataAuditor, ModelVersion]:
+        """Resolve *ref* once; the auditor and the version it resolved to.
+        Callers name that version, never a second resolve, because a
+        hosted monitor's auto-refit can move ``@latest`` at any time."""
         if not isinstance(ref, str):
             raise ServiceError(
                 400, f"'model' must be a string reference (name[@ref]), got {ref!r}"
@@ -231,14 +218,14 @@ class AuditService:
         with self._cache_lock:
             cached = self._model_cache.get(version.digest)
         if cached is not None:
-            return cached
+            return cached, version
         try:
             auditor = self.registry.get_version(version)
         except RegistryError as exc:
             raise ServiceError(500, str(exc))
         with self._cache_lock:
             self._model_cache[version.digest] = auditor
-        return auditor
+        return auditor, version
 
     def _table_from_rows(self, auditor: DataAuditor, rows: list) -> Table:
         """Parse an inline ``rows`` payload through the JSONL backend, so
@@ -265,7 +252,7 @@ class AuditService:
         ``"source"`` (a server-side ``repro.io`` location, optionally
         with ``"format"``, which overrides format detection as in
         ``POST /fit``) or ``"rows"`` (inline JSON objects); optional
-        ``"chunk_size"`` overrides the daemon default, and ``"engine":
+        ``"chunk_size"`` (default ``DEFAULT_CHUNK_SIZE``), and ``"engine":
         "sql"`` is handed to :meth:`AuditSession.audit_source
         <repro.core.session.AuditSession.audit_source>`, which pushes
         the deviation screen into the database when the source is a
@@ -278,10 +265,9 @@ class AuditService:
         jsonl`` on the same model and table, whichever engine ran.
         """
         _reject_unknown(payload, _AUDIT_FIELDS, "request")
-        ref = _require(payload, "model")
-        auditor = self._load_model(ref)
+        auditor, version = self._load_model(_require(payload, "model"))
         session = AuditSession(auditor=auditor)
-        chunk_size = payload.get("chunk_size", self.chunk_size)
+        chunk_size = payload.get("chunk_size", DEFAULT_CHUNK_SIZE)
         if type(chunk_size) is not int or chunk_size < 1:  # bool is not a size
             raise ServiceError(400, "'chunk_size' must be a positive integer")
         has_source = "source" in payload
@@ -293,18 +279,16 @@ class AuditService:
         engine = payload.get("engine") or "memory"
         if engine not in ("memory", "sql"):
             raise ServiceError(400, f"'engine' must be 'memory' or 'sql', got {engine!r}")
-        findings: list[Finding] = []
-        n_rows = 0
         if has_rows:
             table = self._table_from_rows(auditor, payload["rows"])
             report = session.audit(table)
-            findings = report.findings  # already (-confidence, row, attribute)
-            n_rows = report.n_rows
+            findings = report.findings  # already ranked
             # inline rows are never a SQLite table
             notice = AuditRun.NOT_SQLITE if engine == "sql" else None
             engine = "memory"
         else:
             location = payload["source"]
+            report = StreamReport(auditor.config.min_error_confidence)
             try:
                 with open_source(
                     auditor.schema, location, format=payload.get("format")
@@ -312,19 +296,17 @@ class AuditService:
                     run = session.audit_source(
                         source, chunk_size=chunk_size, engine=engine
                     )
-                    for report in run:
-                        findings.extend(report.findings)
-                        n_rows += report.n_rows
+                    for chunk_report in run:
+                        report.extend(chunk_report)
             except (OSError, ValueError) as exc:
                 raise ServiceError(400, f"cannot audit source {location!r}: {exc}")
             engine, notice = run.engine, run.notice
-            # the CLI's chunked path re-sorts globally; match it exactly
-            findings.sort(key=lambda f: (-f.confidence, f.row, f.attribute))
+            findings = report.ranked_findings()
         summary = {
-            "model": self.registry.resolve(ref).ref,
-            "rows": n_rows,
+            "model": version.ref,
+            "rows": report.n_rows,
             "findings": len(findings),
-            "suspicious": len({f.row for f in findings}),
+            "suspicious": report.n_suspicious,
             "engine": engine,
         }
         if notice is not None:
@@ -363,15 +345,14 @@ class AuditService:
             entry = self._monitors.get(name)
             if entry is not None and entry["thread"].is_alive():
                 raise ServiceError(409, f"monitor {name!r} is already running")
-        auditor = self._load_model(ref)
+        auditor, version = self._load_model(ref)
         try:
-            resolved = self.registry.resolve(ref)
             drift = DriftConfig(**dict(payload.get("drift") or {}))
             refit_mode = payload.get("refit", "off")
             refit = RefitPolicy(
                 refit_mode,
                 registry=self.registry if refit_mode == "auto" else None,
-                model_name=payload.get("refit_name") or resolved.name,
+                model_name=payload.get("refit_name") or version.name,
                 refit_rows=int(payload.get("refit_rows", 4096)),
             )
             state_dir = self.registry.root / "monitors"
@@ -389,7 +370,7 @@ class AuditService:
                 poll_interval=float(payload.get("poll_interval", 1.0)),
                 drift=drift,
                 refit=refit,
-                model_ref=resolved.ref,
+                model_ref=version.ref,
             )
         except (OSError, TypeError, ValueError) as exc:
             raise ServiceError(400, f"cannot start monitor {name!r}: {exc}")
@@ -437,21 +418,6 @@ class AuditService:
     def mark_request(self) -> None:
         """Count one served request (called by the transport)."""
         self.requests_served += 1
-
-
-def _config_json(config: AuditorConfig) -> dict[str, Any]:
-    """The provenance form of an auditor config (scalar knobs only)."""
-    return {
-        "min_error_confidence": config.min_error_confidence,
-        "n_bins": config.n_bins,
-        "base_attributes": {k: list(v) for k, v in config.base_attributes.items()},
-        "audited_attributes": (
-            list(config.audited_attributes)
-            if config.audited_attributes is not None
-            else None
-        ),
-        "fit_n_jobs": config.fit_n_jobs,
-    }
 
 
 def _findings_jsonl(findings: list[Finding]) -> Iterator[str]:

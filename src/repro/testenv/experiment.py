@@ -48,10 +48,6 @@ class ExperimentConfig:
     #: optional rule-shape override (e.g. conjunctive premises for the
     #: classifier-selection experiment)
     rule_config: Optional[RuleGenerationConfig] = None
-    #: worker processes for structure induction (one audited attribute's
-    #: classifier per task); the fitted model is byte-identical across
-    #: job counts, so throughput sweeps may scale this freely
-    fit_n_jobs: int = 1
     #: model-registry directory for the two pinning knobs below
     #: (:class:`~repro.registry.ModelRegistry` root or path)
     registry_dir: Optional[str] = None
@@ -164,10 +160,8 @@ class TestEnvironment:
                 )
             fit_seconds = 0.0
         else:
-            session = AuditSession(profile.schema, config.auditor)
-            started = time.perf_counter()
-            session.fit(dirty, n_jobs=config.fit_n_jobs)
-            fit_seconds = time.perf_counter() - started
+            session = AuditSession(profile.schema, config.auditor).fit(dirty)
+            fit_seconds = session.auditor.fit_seconds
             if config.register_model_as is not None:
                 if config.registry_dir is None:
                     raise ValueError("register_model_as requires registry_dir")

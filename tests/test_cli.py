@@ -392,8 +392,9 @@ class TestCliPolish:
 
 
 class TestBadInput:
-    """`fit` and `audit` end in one `error:` line on input they cannot
-    read: a missing file, or a cell its column cannot hold."""
+    """`pollute`, `fit`, `audit` and `evaluate` end in one `error:` line
+    on input they cannot read: a missing file, or a cell its column
+    cannot hold."""
 
     BAD_CELL = (
         "error: line 6, attribute 'HUBRAUM': "
@@ -422,13 +423,28 @@ class TestBadInput:
         lines[5] = ",".join(cells)
         bad = tmp_path / "bad.csv"
         bad.write_text("".join(lines), encoding="utf-8")
+        dirty, log = tmp_path / "dirty.csv", tmp_path / "log.json"
+        assert main(
+            ["pollute", "--schema", str(schema), "--input", str(good),
+             "--output", str(dirty), "--log-out", str(log)]
+        ) == 0
         return {
             "fit": ["fit", "--schema", str(schema), "--model-out",
                     str(tmp_path / "refit.json")],
             "audit": ["audit", "--model", str(model)],
+            # working arguments, one of which each case below replaces
+            "pollute": {"--schema": schema, "--input": good,
+                        "--output": tmp_path / "repolluted.csv"},
+            "evaluate": {"--schema": schema, "--clean": good, "--dirty": dirty,
+                         "--log": log, "--model": model},
             "bad": bad,
             "missing": tmp_path / "absent.csv",
         }
+
+    @staticmethod
+    def _argv(stand, command, flag, value):
+        options = {**stand[command], flag: value}
+        return [command] + [str(part) for item in options.items() for part in item]
 
     @pytest.mark.parametrize("command", ["fit", "audit"])
     def test_bad_cell_names_line_and_attribute(self, stand, command, capsys):
@@ -446,6 +462,34 @@ class TestBadInput:
         message = excinfo.value.code
         assert message.startswith("error: ") and "absent.csv" in message
         assert "\n" not in message
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("pollute", "--input"),
+            ("evaluate", "--clean"),
+            ("evaluate", "--dirty"),
+            ("evaluate", "--log"),
+        ],
+    )
+    def test_missing_table_or_log_is_one_line(self, stand, command, flag, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._argv(stand, command, flag, stand["missing"]))
+        message = excinfo.value.code
+        assert message.startswith("error: ") and "absent.csv" in message
+        assert "\n" not in message
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "command, flag", [("pollute", "--input"), ("evaluate", "--dirty")]
+    )
+    def test_bad_table_cell_names_line_and_attribute(self, stand, command, flag, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._argv(stand, command, flag, stand["bad"]))
+        assert excinfo.value.code == self.BAD_CELL
         assert capsys.readouterr().err == ""
 
     def test_process_exits_1_with_one_stderr_line(self, stand):
@@ -778,6 +822,9 @@ class TestModelRegistryCli:
         assert provenance["n_rows"] >= 600  # pollution may duplicate rows
         assert provenance["config"] == {
             "min_error_confidence": 0.8,
+            "n_bins": 10,
+            "base_attributes": {},
+            "audited_attributes": None,
             "fit_n_jobs": 1,
         }
 

@@ -225,13 +225,14 @@ class TestParallelModelPersistence:
 class TestFitWorkerFailure:
     def test_worker_exception_propagates_and_leaves_no_children(self, e9_audit):
         """A classifier that raises inside a fit worker surfaces its own
-        exception from ``fit(n_jobs=2)``, and the pool is reaped."""
+        exception from a ``fit_n_jobs=2`` fit, and the pool is reaped."""
         _, table = e9_audit
         before = {child.pid for child in multiprocessing.active_children()}
         auditor = DataAuditor(
-            table.schema, AuditorConfig(classifier_factory=_make_crashing)
+            table.schema,
+            AuditorConfig(classifier_factory=_make_crashing, fit_n_jobs=2),
         )
         with pytest.raises(RuntimeError, match="worker crash"):
-            auditor.fit(table, n_jobs=2)
+            auditor.fit(table)
         after = {child.pid for child in multiprocessing.active_children()}
         assert after <= before

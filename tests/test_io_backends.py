@@ -282,6 +282,26 @@ class TestSqliteBackend:
             rows = [row for chunk in source.chunks(2) for row in chunk.rows]
         assert rows == table.rows
 
+    def test_rowid_attribute_reads_in_insertion_order(self, tmp_path):
+        """An attribute named ``RowId`` shadows SQLite's ``rowid``; the
+        source orders by an unshadowed row-id name, not by its values."""
+        schema = Schema(
+            [numeric("RowId", 0, 1000, integer=True), nominal("B", ["x", "y"])]
+        )
+        table = Table(schema, [[(7 * i) % 1000, "xy"[i % 2]] for i in range(200)])
+        path = tmp_path / "wh.db"
+        write_table(table, path)
+        assert read_table(schema, path).rows == table.rows
+
+    def test_every_rowid_name_shadowed_reads_in_scan_order(self, tmp_path):
+        schema = Schema(
+            [numeric(name, 0, 9, integer=True) for name in ("ROWID", "_rowid_", "oid")]
+        )
+        rows = [[3, 1, 2], [1, 2, 3], [2, 3, 1]]
+        path = tmp_path / "wh.db"
+        write_table(Table(schema, rows), path)
+        assert read_table(schema, path).rows == rows
+
 
 class TestJsonlBackend:
     def test_text_is_one_object_per_line(self, schema, table):

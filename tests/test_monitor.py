@@ -7,7 +7,7 @@ The load-bearing contracts, in the order the classes below cover them:
 * exactly-once watermarks: a monitor killed at any point — mid-window,
   or between the findings append and the watermark write — resumes to a
   findings file byte-identical to an uninterrupted run;
-* audit parity: the cumulative :class:`MonitorReport` of a monitored
+* audit parity: the cumulative :class:`StreamReport` of a monitored
   stream equals a one-shot audit of the same rows, bytes included,
   regardless of poll timing or storage backend;
 * drift: a mid-stream pollution step trips detection within a bounded
@@ -24,14 +24,13 @@ import threading
 
 import pytest
 
-from repro.core import AuditorConfig, AuditReport, AuditSession
+from repro.core import AuditorConfig, AuditReport, AuditSession, StreamReport
 from repro.core.findings import findings_schema, findings_to_table
 from repro.io.jsonl_backend import JsonlTableSink
 from repro.io.registry import open_sink
 from repro.monitor import (
     DriftConfig,
     DriftTracker,
-    MonitorReport,
     RefitPolicy,
     TableWatcher,
     Watermark,
@@ -178,7 +177,7 @@ class TestWatermark:
             load_watermark(path)
 
     def test_crash_before_rename_keeps_previous_state(self, tmp_path, monkeypatch):
-        import repro.monitor.watermark as watermark_module
+        import repro.core.serialize as serialize_module  # write_atomic's home
 
         path = tmp_path / "m.state"
         Watermark(rows=100).save(path)
@@ -187,7 +186,7 @@ class TestWatermark:
         def killed(src, dst):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(watermark_module.os, "replace", killed)
+        monkeypatch.setattr(serialize_module.os, "replace", killed)
         with pytest.raises(KeyboardInterrupt):
             Watermark(rows=200).save(path)
         monkeypatch.undo()
@@ -197,7 +196,7 @@ class TestWatermark:
         assert load_watermark(path).rows == 100
 
     def test_disk_full_mid_write_keeps_previous_state(self, tmp_path, monkeypatch):
-        import repro.monitor.watermark as watermark_module
+        import repro.core.serialize as serialize_module  # write_atomic's home
 
         path = tmp_path / "m.state"
         Watermark(rows=100).save(path)
@@ -206,7 +205,7 @@ class TestWatermark:
         def disk_full(fd):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(watermark_module.os, "fsync", disk_full)
+        monkeypatch.setattr(serialize_module.os, "fsync", disk_full)
         with pytest.raises(OSError, match="No space left"):
             Watermark(rows=200).save(path)
         monkeypatch.undo()
@@ -354,6 +353,51 @@ class TestSqliteTail:
         with pytest.raises(ValueError, match="do not match"):
             open_tail(other, db)
 
+    @staticmethod
+    def _rowid_column_db(path, column):
+        """A table whose attribute *column* shadows a row-id name and
+        holds values (500, 900) unlike the row ids (1, 2)."""
+        schema = Schema(
+            [nominal("A", list("abcd")), numeric(column, 0, 1000, integer=True)]
+        )
+        with sqlite3.connect(path) as conn:
+            conn.execute(f'CREATE TABLE loads (A TEXT, "{column}" INTEGER)')
+            conn.executemany("INSERT INTO loads VALUES (?, ?)", [("a", 500), ("b", 900)])
+        return schema
+
+    def test_rowid_attribute_offsets_are_rowids(self, tmp_path):
+        schema = self._rowid_column_db(tmp_path / "t.db", "RowId")
+        reader = open_tail(schema, tmp_path / "t.db")
+        rows = reader.read_new(0)
+        assert [cells for cells, _ in rows] == [["a", 500], ["b", 900]]
+        assert [offset for _, offset in rows] == [1, 2]
+        reader.close()
+
+    def test_rowid_attribute_resume_returns_appended_rows(self, tmp_path):
+        schema = self._rowid_column_db(tmp_path / "t.db", "RowId")
+        reader = open_tail(schema, tmp_path / "t.db")
+        first = reader.read_new(0)
+        # appended rows whose attribute value is below the rows already read
+        with sqlite3.connect(tmp_path / "t.db") as conn:
+            conn.executemany("INSERT INTO loads VALUES (?, ?)", [("c", 100), ("d", 200)])
+        rows = reader.read_new(first[-1][1])
+        assert [cells for cells, _ in rows] == [["c", 100], ["d", 200]]
+        assert [offset for _, offset in rows] == [3, 4]
+        reader.close()
+
+    def test_every_rowid_name_shadowed_is_refused(self, tmp_path):
+        schema = Schema(
+            [
+                numeric("rowid", 0, 9, integer=True),
+                numeric("_RowID_", 0, 9, integer=True),
+                numeric("OID", 0, 9, integer=True),
+            ]
+        )
+        with sqlite3.connect(tmp_path / "t.db") as conn:
+            conn.execute('CREATE TABLE loads (rowid, "_RowID_", OID)')
+        with pytest.raises(ValueError, match="cannot tail table 'loads'"):
+            open_tail(schema, tmp_path / "t.db")
+
 
 class TestOpenTail:
     def test_parquet_cannot_be_tailed(self, tail_schema, tmp_path):
@@ -462,12 +506,12 @@ class TestDriftTracker:
             tracker.observe(0, {})
 
 
-# -- MonitorReport ----------------------------------------------------------
+# -- the monitor's report: StreamReport --------------------------------------
 
 
 class TestMonitorReport:
     def test_extend_requires_contiguity(self, session, stream):
-        report = MonitorReport(0.8, schema=session.schema)
+        report = StreamReport(0.8, schema=session.schema)
         first = session.audit(Table(session.schema, stream.rows[:100]))
         report.extend(first)
         gap = session.audit(Table(session.schema, stream.rows[200:300]))
@@ -475,30 +519,25 @@ class TestMonitorReport:
             report.extend(gap.with_row_offset(200))
 
     def test_extend_requires_same_threshold(self, session):
-        report = MonitorReport(0.9)
+        report = StreamReport(0.9)
         window = AuditReport(1, [], [0.0], 0.8)
         with pytest.raises(ValueError, match="threshold"):
             report.extend(window)
 
-    def test_as_audit_report_matches_whole_table(self, session, stream):
-        report = MonitorReport(0.8, schema=session.schema)
+    def test_ranking_matches_whole_table(self, session, stream):
+        report = StreamReport(0.8, schema=session.schema)
         for start in range(0, stream.n_rows, 256):
             chunk = Table(session.schema, stream.rows[start : start + 256])
             report.extend(session.audit(chunk).with_row_offset(start))
         oneshot = session.audit(stream)
-        merged = report.as_audit_report()
-        assert merged.findings == oneshot.findings
-        assert merged.record_confidence == oneshot.record_confidence
         assert report.ranked_findings() == oneshot.ranked_findings()
         assert report.n_suspicious == oneshot.n_suspicious
 
-    def test_resumed_report_keeps_counts_but_not_confidences(self, session, stream):
+    def test_seeded_report_keeps_counts(self, session, stream):
         oneshot = session.audit(Table(session.schema, stream.rows[:256]))
-        report = MonitorReport.resumed(0.8, oneshot.findings, 256)
+        report = StreamReport(0.8, n_rows=256, findings=oneshot.findings)
         assert report.n_rows == 256
         assert report.n_findings == len(oneshot.findings)
-        with pytest.raises(ValueError, match="resumed"):
-            report.as_audit_report()
         # further windows still extend it
         more = session.audit(
             Table(session.schema, stream.rows[256:512])
@@ -520,9 +559,6 @@ class TestWatcherCatchUp:
         assert _ranked_jsonl(report.ranked_findings()) == _ranked_jsonl(
             oneshot.ranked_findings()
         )
-        merged = report.as_audit_report()
-        assert merged.findings == oneshot.findings
-        assert merged.record_confidence == oneshot.record_confidence
 
     def test_csv_and_sqlite_backends_agree(self, session, stream, tmp_path):
         _write_jsonl(stream, tmp_path / "s.jsonl")

@@ -271,6 +271,30 @@ class TestCorruptionAndLocking:
         ]
         assert leftovers == []
 
+    @pytest.mark.parametrize("fsyncs_before", [0, 1], ids=["object", "index"])
+    def test_interrupted_put_leaves_no_debris(
+        self, registry, fitted, monkeypatch, fsyncs_before
+    ):
+        """Ctrl-C inside the object write or the index write of a put
+        leaves neither a temp file nor the writer lock behind."""
+        import os
+
+        real_fsync, calls = os.fsync, []
+
+        def interrupted(fd):
+            calls.append(fd)
+            if len(calls) > fsyncs_before:
+                raise KeyboardInterrupt
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            registry.put(fitted.auditor, "loads")
+        monkeypatch.undo()
+        leftovers = [p for p in registry.root.rglob("*") if ".tmp." in p.name]
+        assert leftovers == []
+        assert not registry._lock_path.exists()
+
 
 def _concurrent_put(args):
     """Register one version from a separate process (module-level so it

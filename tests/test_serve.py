@@ -507,18 +507,28 @@ class TestHttpTransport:
         assert fragment in payload["error"]
 
     def test_concurrent_requests(self, http_server, corpus):
+        """4 concurrent clients per body, inline rows and the stored CSV
+        of the same load: every response carries the same bytes."""
         rows = [record.to_dict() for record in corpus["load"].records()]
+        payloads = [
+            {"model": "svc", "rows": rows},
+            {"model": "svc", "source": str(corpus["load_csv"])},
+        ]
         results = []
 
-        def hit():
-            results.append(_post(f"{http_server}/audit", {"model": "svc", "rows": rows}))
+        def hit(payload):
+            results.append(_post(f"{http_server}/audit", payload))
 
-        threads = [threading.Thread(target=hit) for _ in range(4)]
+        threads = [
+            threading.Thread(target=hit, args=(payload,))
+            for payload in payloads
+            for _ in range(4)
+        ]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
-        assert len(results) == 4
+        assert len(results) == 8
         assert len({body for _, _, body in results}) == 1  # all identical
 
 
@@ -682,3 +692,76 @@ class TestDaemonProcess:
             if proc.poll() is None:
                 proc.kill()
             proc.stdout.close()
+
+
+class TestOneResolvePerRequest:
+    """A request names the model version that produced its findings, even
+    when ``@latest`` moves while it runs (a hosted monitor's auto-refit
+    registers into the same registry)."""
+
+    @pytest.fixture
+    def racing(self, corpus, tmp_path, monkeypatch):
+        """A service whose registry registers the next version of ``svc``
+        right after every resolve."""
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.put(corpus["session"].auditor, "svc")
+        resolve = registry.resolve
+
+        def resolve_then_register(ref):
+            version = resolve(ref)
+            registry.put(corpus["session"].auditor, "svc")
+            return version
+
+        monkeypatch.setattr(registry, "resolve", resolve_then_register)
+        return AuditService(registry)
+
+    @pytest.mark.parametrize("body", ["source", "rows"])
+    def test_audit_names_the_version_that_ran(self, racing, corpus, body):
+        payload = {"model": "svc"}
+        if body == "source":
+            payload["source"] = str(corpus["load_csv"])
+        else:
+            payload["rows"] = [record.to_dict() for record in corpus["load"].records()]
+        summary, _ = racing.audit(payload)
+        assert summary["model"] == "svc@v1"
+
+    def test_monitor_names_the_version_that_runs(self, racing, tmp_path):
+        source = tmp_path / "s.jsonl"
+        _write_stream(_structured_table(n=64, seed=3), source)
+        try:
+            started = racing.start_monitor(
+                {"name": "m", "model": "svc", "source": str(source)}
+            )
+        finally:
+            racing.stop_monitors()
+        assert started["model"] == "svc@v1"
+
+
+def test_cli_and_service_record_one_provenance(corpus, tmp_path, monkeypatch):
+    """`repro fit --register` and `POST /fit` without a "format" store the
+    same provenance for one CSV, apart from the creation time and the
+    fit's wall time."""
+    monkeypatch.delenv("REPRO_REGISTRY", raising=False)
+    schema_json = tmp_path / "schema.json"
+    schema_json.write_text(json.dumps(schema_to_dict(corpus["schema"])))
+    registry = ModelRegistry(tmp_path / "registry")
+    source = str(corpus["train_csv"])
+    assert main(
+        ["fit", "--schema", str(schema_json), "--input", source,
+         "--register", "loads", "--registry", str(registry.root)]
+    ) == 0
+    served = AuditService(registry).fit(
+        {"name": "loads", "schema": schema_to_dict(corpus["schema"]), "source": source}
+    )
+    by_cli = registry.resolve("loads@v1")
+    assert served["digest"] == by_cli.digest
+
+    def comparable(record):
+        return {
+            key: value
+            for key, value in record.items()
+            if key not in ("created_at", "fit_seconds")
+        }
+
+    assert comparable(served["provenance"]) == comparable(by_cli.provenance.to_dict())
+    assert served["provenance"]["source_format"] == "csv"

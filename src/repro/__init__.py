@@ -3,6 +3,8 @@ Data Quality Tools* (Luebbers, Grimmer, Jarke; VLDB 2003).
 
 The package mirrors the paper's architecture:
 
+* :mod:`repro.errors` — the failure contract: :class:`InputError`, the
+  one error for input from outside the program that cannot be used;
 * :mod:`repro.schema` — relational substrate (domains, schemas, tables);
 * :mod:`repro.io` — pluggable table storage: ``TableSource`` /
   ``TableSink`` protocols and a format registry with CSV, JSONL, SQLite
@@ -75,6 +77,7 @@ from repro.core import (
     save_auditor,
 )
 from repro.core.findings import findings_schema, findings_to_table
+from repro.errors import InputError
 from repro.generator import (
     BayesianNetwork,
     GeneratorProfile,
@@ -144,10 +147,7 @@ from repro.schema import (
     date,
     nominal,
     numeric,
-    read_csv,
-    read_csv_chunks,
     text,
-    write_csv,
 )
 from repro.testenv import (
     ExperimentConfig,
@@ -167,6 +167,8 @@ __version__ = "1.3.0"
 
 __all__ = [
     "__version__",
+    # failure contract (repro.errors)
+    "InputError",
     # schema
     "AttributeKind",
     "Attribute",
@@ -180,9 +182,6 @@ __all__ = [
     "numeric",
     "date",
     "text",
-    "read_csv",
-    "read_csv_chunks",
-    "write_csv",
     # storage backends (repro.io)
     "TableSource",
     "TableSink",

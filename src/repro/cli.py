@@ -46,9 +46,13 @@ findings retained for ranking, not by the load's row count);
 ``--format jsonl`` emits machine-readable findings. Output is
 bit-identical across chunk sizes, engines and storage backends:
 auditing a SQLite table is bit-identical to auditing the equivalent CSV
-export. Unreadable input ends ``pollute``, ``fit``, ``audit`` and
-``evaluate`` with one ``error:`` line (the missing file, or the line and
-attribute of a bad cell) instead of a traceback.
+export. Every subcommand ends in one ``error:`` line (exit 1) instead of
+a traceback when its input is unusable — a missing or unwritable file, a
+bad flag, a damaged schema, model or log, a cell its column cannot hold
+(named by line and attribute), an unknown registry reference: :func:`main`
+turns every :class:`~repro.errors.InputError`,
+:class:`~repro.registry.RegistryError` and ``OSError`` into that line.
+Any other exception is a fault of the program and stays a traceback.
 ``repro fit --jobs N`` fits the per-attribute classifiers on N worker
 processes; the model is byte-identical at any job count. ``fit`` and
 ``audit`` read their input as column batches (:mod:`repro.io.columnar`),
@@ -71,8 +75,8 @@ from typing import Optional, Sequence
 from repro import __version__
 from repro.core.auditor import AuditorConfig, DataAuditor
 from repro.core.findings import Finding, StreamReport, findings_to_table
-from repro.core.serialize import save_auditor
-from repro.core.session import AuditSession, ModelPersistenceError
+from repro.core.session import AuditSession
+from repro.errors import InputError
 from repro.generator.profiles import base_profile, base_schema
 from repro.io.base import DEFAULT_CHUNK_SIZE
 from repro.io.jsonl_backend import JsonlTableSink
@@ -85,6 +89,7 @@ from repro.io.registry import (
 from repro.pollution.log import PollutionLog
 from repro.pollution.pipeline import PollutionPipeline, default_polluters
 from repro.quis.simulator import quis_schema
+from repro.registry import ModelRegistry, Provenance, RegistryError
 from repro.schema.serialize import schema_from_dict, schema_to_dict
 from repro.schema.table import Table
 from repro.testenv.metrics import evaluate_audit
@@ -102,14 +107,13 @@ def _registry_default() -> Optional[str]:
     return os.environ.get(_REGISTRY_ENV) or None
 
 
-def _open_registry(registry_dir: Optional[str], *, flag: str = "--registry"):
-    """A :class:`~repro.registry.ModelRegistry` for a CLI flag value, or a
-    clear error when neither the flag nor ``$REPRO_REGISTRY`` is set."""
-    from repro.registry import ModelRegistry
-
+def _open_registry(registry_dir: Optional[str]) -> ModelRegistry:
+    """A :class:`~repro.registry.ModelRegistry` for a ``--registry``
+    value, or a clear error when neither the flag nor
+    ``$REPRO_REGISTRY`` is set."""
     if not registry_dir:
-        raise SystemExit(
-            f"error: this command needs a model registry; pass {flag} DIR "
+        raise InputError(
+            f"this command needs a model registry; pass --registry DIR "
             f"or set ${_REGISTRY_ENV}"
         )
     return ModelRegistry(registry_dir)
@@ -125,7 +129,7 @@ def _resolve_format(location: str, override: Optional[str]) -> str:
         return override
     try:
         return detect_format(location)
-    except ValueError:
+    except InputError:
         return "csv"
 
 
@@ -484,9 +488,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_json(path: Path, decode):
+    """*decode* applied to the JSON document in the file at *path* (the
+    schema and pollution-log loaders); a file that is not such a
+    document raises an :class:`~repro.errors.InputError` naming the
+    path."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return decode(json.loads(data.decode("utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _load_schema(path: Path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return schema_from_dict(json.load(handle))
+    return _load_json(path, schema_from_dict)
 
 
 def _cmd_schema(args: argparse.Namespace) -> int:
@@ -499,7 +515,7 @@ def _cmd_schema(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if (args.schema is None) != (args.rules_file is None):
-        raise SystemExit("--schema and --rules-file must be used together")
+        raise InputError("--schema and --rules-file must be used together")
     if args.schema is not None:
         from repro.generator.datagen import TestDataGenerator
         from repro.logic.parse import parse_rules
@@ -526,10 +542,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_pollute(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    try:
-        table = _read_input(schema, args.input, args.input_format, args.null_marker)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    table = _read_input(schema, args.input, args.input_format, args.null_marker)
     pipeline = PollutionPipeline(default_polluters(), factor=args.factor)
     dirty, log = pipeline.apply(table, random.Random(args.seed))
     _write_output(dirty, args.output, args.output_format, args.null_marker)
@@ -547,45 +560,37 @@ def _cmd_pollute(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     if args.jobs == 0:
-        raise SystemExit("error: --jobs must not be 0 (use 1 for serial, -1 for all cores)")
+        raise InputError("--jobs must not be 0 (use 1 for serial, -1 for all cores)")
     if args.model_out is None and args.register is None:
-        raise SystemExit(
-            "error: pass --model-out FILE, --register NAME, or both — "
+        raise InputError(
+            "pass --model-out FILE, --register NAME, or both — "
             "a fit with neither destination would be discarded"
         )
     schema = _load_schema(args.schema)
-    try:
-        table = _read_columns(schema, args.input, args.input_format, args.null_marker)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    table = _read_columns(schema, args.input, args.input_format, args.null_marker)
     auditor = DataAuditor(
         schema,
         AuditorConfig(min_error_confidence=args.min_confidence, fit_n_jobs=args.jobs),
     )
     auditor.fit(table)
     if args.model_out is not None:
-        save_auditor(auditor, args.model_out)
+        AuditSession(auditor=auditor).save(args.model_out)
         print(
             f"induced structure model from {table.n_rows} records "
             f"in {auditor.fit_seconds:.1f}s → {args.model_out}"
         )
     if args.register is not None:
-        from repro.registry import Provenance, RegistryError
-
         registry = _open_registry(args.registry)
-        try:
-            version = registry.put(
-                auditor,
-                args.register,
-                provenance=Provenance(
-                    source=str(args.input),
-                    source_format=_resolve_format(args.input, args.input_format),
-                    n_rows=table.n_rows,
-                    fit_seconds=auditor.fit_seconds,
-                ),
-            )
-        except RegistryError as exc:
-            raise SystemExit(f"error: {exc}") from exc
+        version = registry.put(
+            auditor,
+            args.register,
+            provenance=Provenance(
+                source=str(args.input),
+                source_format=_resolve_format(args.input, args.input_format),
+                n_rows=table.n_rows,
+                fit_seconds=auditor.fit_seconds,
+            ),
+        )
         print(
             f"registered {version.ref} (digest {version.digest[:12]}) "
             f"in {registry.root}"
@@ -601,22 +606,16 @@ def _load_model(path, registry_dir: Optional[str] = None):
     A *path* containing ``@`` is a registry reference (``name@v3``),
     resolved once in the store named by *registry_dir* /
     ``$REPRO_REGISTRY``; so is a bare name that is no file on disk when
-    a registry is configured. A broken model or unknown reference ends
-    in one ``error:`` line instead of a traceback."""
-    from repro.registry import RegistryError
-
+    a registry is configured."""
     text = str(path)
     use_registry = "@" in text or (
         registry_dir is not None and not Path(text).exists()
     )
-    try:
-        if not use_registry:
-            return AuditSession.load(path), None
-        registry = _open_registry(registry_dir)
-        version = registry.resolve(text)
-        return AuditSession(auditor=registry.get_version(version)), version
-    except (ModelPersistenceError, RegistryError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    if not use_registry:
+        return AuditSession.load(path), None
+    registry = _open_registry(registry_dir)
+    version = registry.resolve(text)
+    return AuditSession(auditor=registry.get_version(version)), version
 
 
 def _write_findings(findings: list[Finding], args: argparse.Namespace) -> None:
@@ -635,7 +634,7 @@ def _write_findings(findings: list[Finding], args: argparse.Namespace) -> None:
 def _cmd_audit(args: argparse.Namespace) -> int:
     # flag validation first — don't pay a model load to report a bad flag
     if args.chunk_size is not None and args.chunk_size < 1:
-        raise SystemExit("error: --chunk-size must be at least 1")
+        raise InputError("--chunk-size must be at least 1")
     # without --findings-out, jsonl streams to stdout and csv (the
     # historical default) is a no-op — only the file-only formats need
     # the output path
@@ -644,8 +643,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         and args.format not in ("csv",) + _STDOUT_FORMATS
         and not args.findings_out
     ):
-        raise SystemExit(
-            f"error: --format {args.format} needs --findings-out "
+        raise InputError(
+            f"--format {args.format} needs --findings-out "
             f"(only {', '.join(_STDOUT_FORMATS)} can stream to stdout)"
         )
     session, _ = _load_model(args.model, args.registry)
@@ -653,26 +652,21 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     # the accumulator keeps the findings across chunks (the output), never
     # the per-row confidences — peak memory must not grow with row count
     report = StreamReport(session.config.min_error_confidence, schema=session.schema)
-    try:
-        with _open_input(
-            session.schema, args.input, args.input_format, args.null_marker
-        ) as source:
-            run = session.audit_source(
-                source,
-                chunk_size=args.chunk_size or DEFAULT_CHUNK_SIZE,
-                engine=args.engine,
-            )
-            for n_chunks, chunk in enumerate(run, start=1):
-                report.extend(chunk)
-                if args.chunk_size is not None and not quiet:
-                    print(
-                        f"  chunk {n_chunks}: {chunk.n_rows} records, "
-                        f"{chunk.n_suspicious} suspicious"
-                    )
-    except BrokenPipeError:
-        raise  # a closed stdout is main()'s to handle (exit 0), not bad input
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    with _open_input(
+        session.schema, args.input, args.input_format, args.null_marker
+    ) as source:
+        run = session.audit_source(
+            source,
+            chunk_size=args.chunk_size or DEFAULT_CHUNK_SIZE,
+            engine=args.engine,
+        )
+        for n_chunks, chunk in enumerate(run, start=1):
+            report.extend(chunk)
+            if args.chunk_size is not None and not quiet:
+                print(
+                    f"  chunk {n_chunks}: {chunk.n_rows} records, "
+                    f"{chunk.n_suspicious} suspicious"
+                )
     if run.notice is not None:
         print(f"note: {run.notice}", file=sys.stderr)
     findings = report.ranked_findings()
@@ -690,13 +684,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    try:
-        clean = _read_input(schema, args.clean, args.input_format)
-        dirty = _read_input(schema, args.dirty, args.input_format)
-        with open(args.log, "r", encoding="utf-8") as handle:
-            log = PollutionLog.from_dict(json.load(handle))
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    clean = _read_input(schema, args.clean, args.input_format)
+    dirty = _read_input(schema, args.dirty, args.input_format)
+    log = _load_json(args.log, PollutionLog.from_dict)
     session, _ = _load_model(args.model)
     report = session.audit(dirty)
     result = evaluate_audit(report, log, clean, dirty)
@@ -707,37 +697,32 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
-    from repro.registry import RegistryError
-
     registry = _open_registry(args.registry)
-    try:
-        if args.models_command == "list":
-            names = registry.list()
-            if not names:
-                print(f"registry {registry.root} holds no models")
-                return 0
-            print(f"{'NAME':20} {'VERSIONS':>8}  {'LATEST':24} TAGS")
-            for name in names:
-                versions = registry.versions(name)
-                latest = versions[-1]
-                tags = ", ".join(
-                    f"{t}→v{v}" for t, v in sorted(registry.tags(name).items())
-                )
-                print(
-                    f"{name:20} {len(versions):>8}  "
-                    f"{latest.digest[:12] + ' ' + latest.provenance.created_at:24} "
-                    f"{tags}"
-                )
-        elif args.models_command == "show":
-            print(json.dumps(registry.resolve(args.ref).to_record(), indent=2))
-        elif args.models_command == "tag":
-            version = registry.tag(args.ref, args.tag)
-            print(f"tagged {version.ref} as {version.name}@{args.tag}")
-        elif args.models_command == "rm":
-            removed = registry.delete(args.ref)
-            print(f"removed {removed} version(s) of {args.ref}")
-    except RegistryError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    if args.models_command == "list":
+        names = registry.list()
+        if not names:
+            print(f"registry {registry.root} holds no models")
+            return 0
+        print(f"{'NAME':20} {'VERSIONS':>8}  {'LATEST':24} TAGS")
+        for name in names:
+            versions = registry.versions(name)
+            latest = versions[-1]
+            tags = ", ".join(
+                f"{t}→v{v}" for t, v in sorted(registry.tags(name).items())
+            )
+            print(
+                f"{name:20} {len(versions):>8}  "
+                f"{latest.digest[:12] + ' ' + latest.provenance.created_at:24} "
+                f"{tags}"
+            )
+    elif args.models_command == "show":
+        print(json.dumps(registry.resolve(args.ref).to_record(), indent=2))
+    elif args.models_command == "tag":
+        version = registry.tag(args.ref, args.tag)
+        print(f"tagged {version.ref} as {version.name}@{args.tag}")
+    elif args.models_command == "rm":
+        removed = registry.delete(args.ref)
+        print(f"removed {removed} version(s) of {args.ref}")
     return 0
 
 
@@ -762,56 +747,50 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     findings_path = args.findings_out
     if findings_path is None:
         if str(args.source).startswith("sqlite:") or args.input_format == "sqlite":
-            raise SystemExit(
-                "error: --findings-out is required for SQLite sources "
+            raise InputError(
+                "--findings-out is required for SQLite sources "
                 "(there is no file path to derive it from)"
             )
         findings_path = Path(str(args.source) + ".findings.jsonl")
     state_path = args.state or Path(str(findings_path) + ".state")
 
-    try:
-        drift = DriftConfig(
-            confidence=args.drift_confidence,
-            threshold=args.drift_threshold,
-            baseline_windows=args.baseline_windows,
-            sustain_windows=args.sustain_windows,
+    drift = DriftConfig(
+        confidence=args.drift_confidence,
+        threshold=args.drift_threshold,
+        baseline_windows=args.baseline_windows,
+        sustain_windows=args.sustain_windows,
+    )
+    registry = _open_registry(args.registry) if args.refit == "auto" else None
+    refit_name = args.refit_name or (version.name if version else None)
+    if args.refit == "auto" and not refit_name:
+        raise InputError(
+            "--refit auto needs --refit-name (or a registry "
+            "--model reference to take the name from)"
         )
-        registry = _open_registry(args.registry) if args.refit == "auto" else None
-        refit_name = args.refit_name or (version.name if version else None)
-        if args.refit == "auto" and not refit_name:
-            raise SystemExit(
-                "error: --refit auto needs --refit-name (or a registry "
-                "--model reference to take the name from)"
-            )
-        refit = RefitPolicy(
-            args.refit,
-            registry=registry,
-            model_name=refit_name,
-            refit_rows=args.refit_rows,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    refit = RefitPolicy(
+        args.refit,
+        registry=registry,
+        model_name=refit_name,
+        refit_rows=args.refit_rows,
+    )
 
     def _emit(text_block: str) -> None:
         sys.stdout.write(text_block)
         sys.stdout.flush()
 
-    try:
-        watcher = session.monitor(
-            args.source,
-            state_path=state_path,
-            findings_path=findings_path,
-            format=args.input_format,
-            null_marker=args.null_marker,
-            window_rows=args.window_rows,
-            poll_interval=args.poll_interval,
-            drift=drift,
-            refit=refit,
-            model_ref=version.ref if version else str(args.model),
-            emit=_emit,
-        )
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    watcher = session.monitor(
+        args.source,
+        state_path=state_path,
+        findings_path=findings_path,
+        format=args.input_format,
+        null_marker=args.null_marker,
+        window_rows=args.window_rows,
+        poll_interval=args.poll_interval,
+        drift=drift,
+        refit=refit,
+        model_ref=version.ref if version else str(args.model),
+        emit=_emit,
+    )
 
     try:
         if args.follow:
@@ -875,7 +854,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     Ctrl-C returns 130 (the shell convention for SIGINT) and a
     downstream consumer closing the pipe early (``repro audit … |
     head``) returns 0 — the truncation was the consumer's choice, not
-    an error.
+    an error. Unusable input — an :class:`~repro.errors.InputError`, a
+    :class:`~repro.registry.RegistryError` or an ``OSError`` from any
+    subcommand — exits 1 with one ``error:`` line; this is the only
+    place the CLI translates an exception.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -892,6 +874,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, ValueError, AttributeError):
             pass  # stdout is not a real fd (test harness); nothing to silence
         return 0
+    except (InputError, RegistryError, OSError) as exc:
+        raise SystemExit(f"error: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.findings import AuditReport, Finding
+from repro.errors import InputError
 from repro.mining.base import AttributeClassifier
 from repro.mining.confidence import (
     error_confidence_batch,
@@ -317,11 +318,11 @@ class AuditorConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.min_error_confidence < 1.0:
-            raise ValueError("min_error_confidence must lie strictly in (0, 1)")
+            raise InputError("min_error_confidence must lie strictly in (0, 1)")
         if self.n_bins < 2:
-            raise ValueError("n_bins must be at least 2")
+            raise InputError("n_bins must be at least 2")
         if self.fit_n_jobs == 0:
-            raise ValueError(
+            raise InputError(
                 "fit_n_jobs must be a positive worker count or a negative "
                 "cpu-relative count (-1 = all cores), not 0"
             )
@@ -346,7 +347,7 @@ class DataAuditor:
             if isinstance(attribute.domain, TextDomain)
         ]
         if unmineable:
-            raise ValueError(
+            raise InputError(
                 f"text attributes cannot be audited: {unmineable!r} use the "
                 f"open-vocabulary TextDomain (meant for reporting tables "
                 f"such as findings exports); audit relations need "

@@ -14,6 +14,12 @@ discretizers), and the induced decision trees — as plain JSON types;
 Only tree-based classifiers are serializable (they are the production
 path); attempting to persist an auditor with other classifier types
 raises ``TypeError``.
+
+A model document comes from outside the program, so
+:func:`auditor_from_dict` validates it as it decodes it and refuses a
+damaged one with :class:`~repro.errors.InputError` — at load time, naming
+the classifier's attribute and the tree node — instead of restoring a
+model that fails, or answers wrongly, at audit time.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from typing import Any, Mapping, Union
 import numpy as np
 
 from repro.core.auditor import AuditorConfig, DataAuditor
+from repro.errors import InputError, InputKeyError, decoding
 from repro.mining.dataset import ClassEncoder, Dataset
 from repro.mining.intervals import ConfidenceBounds, IntervalMethod
 from repro.mining.tree.grow import PruningStrategy, TreeConfig
@@ -69,28 +76,66 @@ def _node_to_dict(node: Node) -> dict[str, Any]:
     raise TypeError(f"unknown node type: {type(node).__name__}")
 
 
-def _node_from_dict(payload: Mapping[str, Any]) -> Node:
+def _node_from_dict(payload: Mapping[str, Any], dataset: Dataset, path: str) -> Node:
+    """Decode the tree node at *path* (``root``, ``root.low``,
+    ``root[3]``, …) of *dataset*'s classifier; ``ValueError`` for a node
+    the prediction could not use: a count vector that is not one finite,
+    non-negative entry per class label, a split on an attribute that is
+    not an encoded base attribute of the right kind, a branch code
+    outside its encoder, a fraction outside [0, 1], an unknown kind."""
     counts = np.asarray(payload["counts"], dtype=float)
+    n_labels = dataset.class_encoder.n_labels
+    if counts.shape != (n_labels,):
+        raise ValueError(
+            f"tree node {path}: counts has {counts.size} entries, expected "
+            f"{n_labels} (one per class label)"
+        )
+    if not np.isfinite(counts.sum()) or (counts < 0).any():
+        raise ValueError(f"tree node {path}: counts must be finite and non-negative")
     node_type = payload["type"]
     if node_type == "leaf":
         return Leaf(counts)
+    if node_type not in ("nominal", "numeric"):
+        raise ValueError(f"tree node {path}: unknown node type: {node_type!r}")
+    attribute = payload["attribute"]
+    encoder = dataset.encoders.get(attribute)
+    if encoder is None or encoder.categorical != (node_type == "nominal"):
+        raise ValueError(
+            f"tree node {path}: a {node_type} split needs a {node_type} base "
+            f"attribute of the classifier, not {attribute!r}"
+        )
     if node_type == "nominal":
-        return NominalSplit(
-            counts,
-            payload["attribute"],
-            {int(code): _node_from_dict(child) for code, child in payload["branches"].items()},
-            {int(code): float(f) for code, f in payload["fractions"].items()},
-        )
-    if node_type == "numeric":
-        return NumericSplit(
-            counts,
-            payload["attribute"],
-            float(payload["threshold"]),
-            _node_from_dict(payload["low"]),
-            _node_from_dict(payload["high"]),
-            float(payload["low_fraction"]),
-        )
-    raise ValueError(f"unknown node type: {node_type!r}")
+        branches = {}
+        for code, child in payload["branches"].items():
+            branch = int(code)
+            if not 0 <= branch < encoder.n_categories:
+                raise ValueError(
+                    f"tree node {path}: branch code {branch} is outside the "
+                    f"{encoder.n_categories} category codes of {attribute!r}"
+                )
+            branches[branch] = _node_from_dict(child, dataset, f"{path}[{branch}]")
+        fractions = {int(code): _fraction(f, path) for code, f in payload["fractions"].items()}
+        if fractions.keys() != branches.keys():
+            raise ValueError(f"tree node {path}: fractions do not match the branches")
+        return NominalSplit(counts, attribute, branches, fractions)
+    threshold = float(payload["threshold"])
+    if not np.isfinite(threshold):
+        raise ValueError(f"tree node {path}: threshold {threshold!r} is not finite")
+    return NumericSplit(
+        counts,
+        attribute,
+        threshold,
+        _node_from_dict(payload["low"], dataset, f"{path}.low"),
+        _node_from_dict(payload["high"], dataset, f"{path}.high"),
+        _fraction(payload["low_fraction"], path),
+    )
+
+
+def _fraction(value: Any, path: str) -> float:
+    fraction = float(value)
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"tree node {path}: fraction {fraction!r} is outside [0, 1]")
+    return fraction
 
 
 # -- configs --------------------------------------------------------------------
@@ -176,33 +221,73 @@ def auditor_to_dict(auditor: DataAuditor) -> dict[str, Any]:
 
 def auditor_from_dict(payload: Mapping[str, Any]) -> DataAuditor:
     """Restore a ready-to-audit :class:`DataAuditor` (inverse of
-    :func:`auditor_to_dict`)."""
-    if payload.get("format") != "repro-auditor-v1":
-        raise ValueError(f"unsupported model format: {payload.get('format')!r}")
-    schema = schema_from_dict(payload["schema"])
-    config_payload = payload["config"]
-    # documents written while audits took a job count carry an "n_jobs";
-    # audits are serial now, so any value is accepted and ignored
-    config = AuditorConfig(
-        min_error_confidence=config_payload["min_error_confidence"],
-        bounds=_bounds_from_dict(config_payload["bounds"]),
-        n_bins=config_payload["n_bins"],
-        base_attributes=config_payload["base_attributes"],
-        audited_attributes=config_payload["audited_attributes"],
-    )
-    auditor = DataAuditor(schema, config)
-    for class_attr, entry in payload["classifiers"].items():
-        class_encoder = ClassEncoder.from_state(
-            schema.attribute(class_attr), entry["class_encoder"]
+    :func:`auditor_to_dict`).
+
+    Raises :class:`~repro.errors.InputError` for a document that is not
+    such a model (see module docstring); a missing field or an attribute
+    name the schema does not hold raises its
+    :class:`~repro.errors.InputKeyError` form.
+    """
+    found = payload.get("format") if isinstance(payload, Mapping) else None
+    if found != "repro-auditor-v1":
+        raise InputError(f"unsupported model format: {found!r}")
+    with decoding("model"):
+        schema = schema_from_dict(payload["schema"])
+        config_payload = payload["config"]
+        # documents written while audits took a job count carry an
+        # "n_jobs"; audits are serial now, so any value is ignored
+        config = AuditorConfig(
+            min_error_confidence=config_payload["min_error_confidence"],
+            bounds=_bounds_from_dict(config_payload["bounds"]),
+            n_bins=config_payload["n_bins"],
+            base_attributes=config_payload["base_attributes"],
+            audited_attributes=config_payload["audited_attributes"],
         )
-        dataset = Dataset.for_prediction(
-            schema, class_attr, entry["base_attrs"], class_encoder
-        )
-        classifier = TreeClassifier(_tree_config_from_dict(entry["tree_config"]))
-        classifier.dataset = dataset
-        classifier.root = _node_from_dict(entry["tree"])
-        auditor.classifiers[class_attr] = classifier
+        _check_names(schema, list(config.base_attributes), "base_attributes")
+        for names in config.base_attributes.values():
+            _check_names(schema, names, "base_attributes")
+        if config.audited_attributes is not None:
+            _check_names(schema, config.audited_attributes, "audited_attributes")
+        auditor = DataAuditor(schema, config)
+        entries = payload["classifiers"].items()
+        _check_names(schema, [class_attr for class_attr, _ in entries], "classifiers")
+    for class_attr, entry in entries:
+        with decoding(f"classifier {class_attr!r}"):
+            auditor.classifiers[class_attr] = _classifier_from_dict(
+                schema, class_attr, entry
+            )
     return auditor
+
+
+def _check_names(schema, names, field: str) -> None:
+    """Refuse *names* unless it is a list of attributes of *schema*; a
+    name the schema does not hold is an
+    :class:`~repro.errors.InputKeyError`."""
+    if not isinstance(names, list):
+        raise ValueError(f"{field} must be a list of attribute names, got {names!r}")
+    unknown = [name for name in names if name not in schema]
+    if unknown:
+        raise InputKeyError(
+            f"model {field} names {unknown!r}, which its schema does not hold"
+        )
+
+
+def _classifier_from_dict(schema, class_attr: str, entry: Mapping[str, Any]) -> TreeClassifier:
+    base_attrs = entry["base_attrs"]
+    _check_names(schema, base_attrs, "base_attrs")
+    if class_attr in base_attrs or len(set(base_attrs)) != len(base_attrs):
+        raise ValueError(
+            f"base_attrs {base_attrs!r} must be distinct attributes other than "
+            f"the class attribute"
+        )
+    class_encoder = ClassEncoder.from_state(
+        schema.attribute(class_attr), entry["class_encoder"]
+    )
+    dataset = Dataset.for_prediction(schema, class_attr, base_attrs, class_encoder)
+    classifier = TreeClassifier(_tree_config_from_dict(entry["tree_config"]))
+    classifier.dataset = dataset
+    classifier.root = _node_from_dict(entry["tree"], dataset, "root")
+    return classifier
 
 
 def write_atomic(path: Union[str, Path], data: bytes) -> None:

@@ -23,9 +23,8 @@ first-class API on top of :class:`~repro.core.auditor.DataAuditor`:
   :meth:`AuditSession.audit_source` speaks every registered storage
   backend (:mod:`repro.io`) — a CSV path, a JSONL log, a SQLite
   warehouse table (``sqlite:///wh.db?table=loads``), a Parquet extract —
-  and :meth:`AuditSession.fit_source` is its offline counterpart;
-  :meth:`AuditSession.audit_csv_stream` remains as the CSV-specific
-  wrapper. Both source entry points read the backend's
+  and :meth:`AuditSession.fit_source` is its offline counterpart.
+  Both source entry points read the backend's
   :class:`~repro.io.ColumnBatch` objects, so no row objects are built
   between storage and the encoding caches.
   :meth:`AuditSession.audit_source` is also the one place that decides
@@ -40,9 +39,10 @@ when :attr:`AuditorConfig.fit_n_jobs
 (:mod:`repro.core.parallel`); the model is byte-identical to the serial
 fit. Audits run serially.
 
-Model-file failures surface as :class:`ModelPersistenceError`, whose
-``str()`` is a one-line reason (missing file, corrupt JSON, wrong
-format, unfitted model) — the CLI prints it verbatim, and callers
+Model-file failures surface as :class:`ModelPersistenceError`, an
+:class:`~repro.errors.InputError` whose ``str()`` is a one-line reason
+(missing file, corrupt JSON, wrong format, a damaged tree, unfitted
+model) — the CLI prints it as its ``error:`` line, and callers
 embedding the session get one exception type to catch instead of the
 open-ended set the JSON/OS layers raise.
 """
@@ -55,8 +55,8 @@ from typing import Iterable, Iterator, Optional, Union
 
 from repro.core.auditor import AuditorConfig, DataAuditor
 from repro.core.findings import AuditReport
+from repro.errors import InputError
 from repro.io.base import DEFAULT_CHUNK_SIZE, TableSource
-from repro.io.csv_backend import CsvTableSource
 from repro.io.registry import open_source
 from repro.io.sqlite_backend import SqliteTableSource
 from repro.schema.schema import Schema
@@ -65,15 +65,16 @@ from repro.schema.table import Table
 __all__ = ["AuditSession", "AuditRun", "ModelPersistenceError"]
 
 
-class ModelPersistenceError(RuntimeError):
+class ModelPersistenceError(InputError):
     """A persisted structure model could not be written or read back.
 
-    ``str(exc)`` is a single line naming the file and the reason —
-    suitable for direct display to an operator. Raised by
-    :meth:`AuditSession.save` / :meth:`AuditSession.load` for every
-    failure class: unreadable or unwritable files, corrupt or truncated
-    JSON, unknown model formats, invalid configurations, and models
-    without fitted classifiers.
+    An :class:`~repro.errors.InputError`: ``str(exc)`` is a single line
+    naming the file and the reason — suitable for direct display to an
+    operator. Raised by :meth:`AuditSession.save` /
+    :meth:`AuditSession.load` for every failure class: unreadable or
+    unwritable files, corrupt or truncated JSON, unknown model formats,
+    invalid configurations or trees, and models without fitted
+    classifiers.
     """
 
 
@@ -179,8 +180,8 @@ class AuditSession:
 
         Raises :class:`ModelPersistenceError` (one-line message) for a
         missing/unreadable file, corrupt or truncated JSON, an unknown
-        format, an invalid configuration, or a model with no fitted
-        classifiers.
+        format, an invalid configuration or tree, or a model with no
+        fitted classifiers.
         """
         from repro.core.serialize import load_auditor
 
@@ -190,7 +191,7 @@ class AuditSession:
             raise ModelPersistenceError(
                 f"cannot read model file {path}: {exc}"
             ) from exc
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, InputError) as exc:
             raise ModelPersistenceError(
                 f"{path} is not a valid auditor model "
                 f"(expected the JSON written by 'repro fit' or "
@@ -321,25 +322,6 @@ class AuditSession:
         if engine not in (None, "memory", "sql"):
             raise ValueError(f"engine must be 'memory' or 'sql', got {engine!r}")
         return AuditRun(self, source, chunk_size, pushdown=engine == "sql")
-
-    def audit_csv_stream(
-        self,
-        source,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        null_marker: str = "",
-    ) -> Iterator[AuditReport]:
-        """Check a CSV file (path or text stream) chunk by chunk.
-
-        The CSV-specific wrapper around :meth:`audit_source` (which
-        speaks every registered backend); kept for the common case and
-        for the ``null_marker`` knob.
-        """
-        csv_source = CsvTableSource(self.schema, source, null_marker=null_marker)
-        try:
-            yield from self.audit_source(csv_source, chunk_size=chunk_size)
-        finally:
-            csv_source.close()
 
     def monitor(self, location, **options) -> "TableWatcher":
         """A continuous auditor tailing *location* with this session's model.

@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
+from repro.errors import InputError
 from repro.generator.bayes import BayesianNetwork
 from repro.generator.distributions import Distribution, Uniform
 from repro.logic.dnf import DnfExplosionError
@@ -225,7 +226,7 @@ class TestDataGenerator:
     def generate(self, n_records: int, rng: random.Random) -> Table:
         """A table of *n_records* rule-compliant records."""
         if n_records < 0:
-            raise ValueError("n_records must be non-negative")
+            raise InputError("n_records must be non-negative")
         table = Table(self.schema)
         names = self.schema.names
         for _ in range(n_records):

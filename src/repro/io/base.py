@@ -33,15 +33,23 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
 
+from repro.errors import InputError
 from repro.io.columnar import ColumnBatch
 from repro.schema.schema import Schema
 from repro.schema.table import Table
 from repro.schema.types import Value
 
-__all__ = ["DEFAULT_CHUNK_SIZE", "TableSource", "TableSink", "open_text"]
+__all__ = [
+    "DEFAULT_CHUNK_SIZE",
+    "TableSource",
+    "TableSink",
+    "open_text",
+    "undecodable",
+]
 
-#: Default rows per chunk for chunked reads — matches the historical
-#: ``read_csv_chunks`` / ``AuditSession.audit_csv_stream`` default.
+#: Default rows per chunk for chunked reads and for
+#: :meth:`AuditSession.audit_source
+#: <repro.core.session.AuditSession.audit_source>`.
 DEFAULT_CHUNK_SIZE = 8192
 
 
@@ -57,6 +65,16 @@ def open_text(
     if isinstance(target, (str, Path)):
         return open(target, mode, newline=newline, encoding="utf-8"), True
     return target, False
+
+
+def undecodable(lines_read: int, exc: UnicodeDecodeError) -> InputError:
+    """The :class:`~repro.errors.InputError` of text input that is not
+    UTF-8. Text is decoded a block at a time, so the error can say only
+    how many lines were read whole before the bad bytes."""
+    bad = f"{exc.reason} (byte {exc.object[exc.start]:#04x})"
+    if not lines_read:
+        return InputError(f"input is not valid UTF-8: {bad}")
+    return InputError(f"input is not valid UTF-8 after line {lines_read}: {bad}")
 
 
 class TableSource(ABC):

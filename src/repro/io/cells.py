@@ -15,7 +15,8 @@ non-finite floats are not admissible cell values (no
 :class:`~repro.schema.domain.NumericDomain` contains them), and
 ``float("nan")`` slipping through would only be caught much later, far
 from the offending row. Backends wrap the :class:`ValueError` with the
-row and attribute context (:func:`cell_context`).
+row and attribute context (:func:`cell_context`), as the
+:class:`~repro.errors.InputError` a bad cell leaves the reader with.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import datetime
 import math
 
+from repro.errors import InputError
 from repro.schema.types import AttributeKind, Value
 
 __all__ = [
@@ -103,9 +105,10 @@ def parse_cell(
     return parse_number(text, integer)
 
 
-def cell_context(row_label: str, attribute: str, exc: Exception) -> ValueError:
-    """A :class:`ValueError` naming the offending row and attribute."""
-    return ValueError(f"{row_label}, attribute {attribute!r}: {exc}")
+def cell_context(row_label: str, attribute: str, exc: Exception) -> InputError:
+    """The :class:`~repro.errors.InputError` of a bad cell, naming the
+    offending row and attribute."""
+    return InputError(f"{row_label}, attribute {attribute!r}: {exc}")
 
 
 def cell_converters(schema, convert) -> list:

@@ -17,7 +17,8 @@ import datetime
 from pathlib import Path
 from typing import TextIO, Union
 
-from repro.io.base import TableSink, TableSource, open_text
+from repro.errors import InputError
+from repro.io.base import TableSink, TableSource, open_text, undecodable
 from repro.io.cells import DEFAULT_NULL_MARKER, parse_cell, render_cell
 from repro.io.columnar import ColumnBatch, cells_in_order, columns_from_rows
 from repro.schema.schema import Schema
@@ -50,15 +51,17 @@ class CsvTableSource(TableSource):
             try:
                 header = next(self._reader)
             except StopIteration:
-                raise ValueError("CSV input is empty (missing header row)") from None
+                raise InputError("CSV input is empty (missing header row)") from None
+            except UnicodeDecodeError as exc:
+                raise undecodable(0, exc) from exc
             if set(header) != set(schema.names):
-                raise ValueError(
+                raise InputError(
                     f"CSV header {header!r} does not match schema attributes "
                     f"{list(schema.names)!r}"
                 )
             repeated = sorted({name for name in header if header.count(name) > 1})
             if repeated:
-                raise ValueError(f"CSV header {header!r} repeats {repeated!r}")
+                raise InputError(f"CSV header {header!r} repeats {repeated!r}")
             self._n_fields = len(header)
             self._order = [header.index(name) for name in schema.names]
         except Exception:
@@ -115,18 +118,23 @@ class CsvTableSource(TableSource):
             )
             return ColumnBatch(self.schema, dict(zip(names, cols)), len(buffered))
 
-        for line_no, fields in enumerate(self._reader, start=2):
-            if len(fields) != n_fields:
-                convert()  # a cell error in an earlier row wins
-                raise ValueError(
-                    f"line {line_no}: expected {n_fields} fields, "
-                    f"got {len(fields)}"
-                )
-            buffered.append(cells(fields))
-            if len(buffered) >= batch_size:
-                yield convert()
-                first_line = line_no + 1
-                buffered.clear()
+        line_no = 1
+        try:
+            for line_no, fields in enumerate(self._reader, start=2):
+                if len(fields) != n_fields:
+                    convert()  # a cell error in an earlier row wins
+                    raise InputError(
+                        f"line {line_no}: expected {n_fields} fields, "
+                        f"got {len(fields)}"
+                    )
+                buffered.append(cells(fields))
+                if len(buffered) >= batch_size:
+                    yield convert()
+                    first_line = line_no + 1
+                    buffered.clear()
+        except UnicodeDecodeError as exc:
+            convert()  # a cell error in an earlier row wins
+            raise undecodable(line_no, exc) from exc
         if buffered:
             yield convert()
 

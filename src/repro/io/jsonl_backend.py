@@ -21,7 +21,8 @@ import json
 from pathlib import Path
 from typing import TextIO, Union
 
-from repro.io.base import TableSink, TableSource, open_text
+from repro.errors import InputError
+from repro.io.base import TableSink, TableSource, open_text, undecodable
 from repro.io.cells import cell_converters, coerce_number
 from repro.io.columnar import (
     ColumnBatch,
@@ -80,9 +81,9 @@ class JsonlTableSource(TableSource):
             # not know
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"line {line_no}: not valid JSON: {exc}") from None
+            raise InputError(f"line {line_no}: not valid JSON: {exc}") from None
         if not isinstance(obj, dict):
-            raise ValueError(
+            raise InputError(
                 f"line {line_no}: expected one JSON object per line, "
                 f"got {type(obj).__name__}"
             )
@@ -90,7 +91,7 @@ class JsonlTableSource(TableSource):
         if set(obj) != expected:
             missing = sorted(expected - set(obj))
             extra = sorted(set(obj) - expected)
-            raise ValueError(
+            raise InputError(
                 f"line {line_no}: keys do not match the schema "
                 f"(missing {missing!r}, unexpected {extra!r})"
             )
@@ -119,23 +120,28 @@ class JsonlTableSource(TableSource):
             )
             return ColumnBatch(self.schema, dict(zip(names, cols)), len(buffered))
 
-        for line_no, line in enumerate(self._handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, end = scan(line, 0)
-            except (StopIteration, ValueError):
-                obj, end = None, -1
-            if end != len(line) or type(obj) is not dict or obj.keys() != expected:
-                convert()  # a cell error in an earlier row wins
-                obj = self._structural_check(line_no, line)
-            buffered.append(cells(obj))
-            line_nos.append(line_no)
-            if len(buffered) >= batch_size:
-                yield convert()
-                buffered.clear()
-                line_nos.clear()
+        line_no = 0
+        try:
+            for line_no, line in enumerate(self._handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj, end = scan(line, 0)
+                except (StopIteration, ValueError):
+                    obj, end = None, -1
+                if end != len(line) or type(obj) is not dict or obj.keys() != expected:
+                    convert()  # a cell error in an earlier row wins
+                    obj = self._structural_check(line_no, line)
+                buffered.append(cells(obj))
+                line_nos.append(line_no)
+                if len(buffered) >= batch_size:
+                    yield convert()
+                    buffered.clear()
+                    line_nos.clear()
+        except UnicodeDecodeError as exc:
+            convert()  # a cell error in an earlier row wins
+            raise undecodable(line_no, exc) from exc
         if buffered:
             yield convert()
 

@@ -41,6 +41,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
+from repro.errors import InputError
 from repro.io.base import TableSink, TableSource
 from repro.io.cells import cell_converters, coerce_number, convert_row
 from repro.io.columnar import ColumnBatch
@@ -274,12 +275,15 @@ class ParquetTableSource(TableSource):
 
     def __init__(self, schema: Schema, path: Union[str, Path]):
         super().__init__(schema)
-        _, pq = _require_pyarrow()
-        self._file = pq.ParquetFile(path)
+        pa, pq = _require_pyarrow()
+        try:
+            self._file = pq.ParquetFile(path)
+        except pa.ArrowInvalid as exc:
+            raise InputError(f"{path} is not a readable Parquet file: {exc}") from exc
         stored = set(self._file.schema_arrow.names)
         if stored != set(schema.names):
             self._file.close()
-            raise ValueError(
+            raise InputError(
                 f"parquet columns {sorted(stored)!r} do not match "
                 f"schema attributes {list(schema.names)!r}"
             )

@@ -13,7 +13,8 @@ Detection rules, in order:
 2. a path suffix registered by a backend (``.csv``, ``.jsonl`` /
    ``.ndjson``, ``.db`` / ``.sqlite`` / ``.sqlite3``, ``.parquet`` /
    ``.pq``) → that backend;
-3. otherwise a :class:`ValueError` listing the known extensions —
+3. otherwise an :class:`~repro.errors.InputError` listing the known
+   extensions —
    pass ``format=`` explicitly for unconventional names.
 
 Third-party backends register the same way the built-ins do:
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Union
 
+from repro.errors import InputError
 from repro.io.base import DEFAULT_CHUNK_SIZE, TableSink, TableSource
 from repro.io.csv_backend import CsvTableSink, CsvTableSource
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
@@ -81,12 +83,13 @@ def available_formats() -> tuple[FormatSpec, ...]:
 
 
 def format_spec(name: str) -> FormatSpec:
-    """Look a format up by name (``ValueError`` naming the options)."""
+    """Look a format up by name (an :class:`~repro.errors.InputError`
+    naming the options)."""
     try:
         return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown table format {name!r} (known: {known})") from None
+        raise InputError(f"unknown table format {name!r} (known: {known})") from None
 
 
 def detect_format(location: Location) -> str:
@@ -102,7 +105,7 @@ def detect_format(location: Location) -> str:
     known = ", ".join(
         ext for spec in _REGISTRY.values() for ext in spec.extensions
     )
-    raise ValueError(
+    raise InputError(
         f"cannot infer a table format from {location!r} "
         f"(known extensions: {known}; pass format= explicitly)"
     )
@@ -115,7 +118,7 @@ def _resolve(
     options: dict = {}
     if isinstance(location, str) and location.startswith("sqlite:"):
         if format not in (None, "sqlite"):
-            raise ValueError(
+            raise InputError(
                 f"{location!r} is a sqlite URI but format={format!r} was "
                 f"requested; drop the override or pass a plain path"
             )
@@ -137,7 +140,7 @@ def open_source(
     """Open a :class:`TableSource` for *location* (format auto-detected)."""
     spec, target, url_options = _resolve(location, format)
     if spec.source_factory is None:
-        raise ValueError(f"format {spec.name!r} does not support reading")
+        raise InputError(f"format {spec.name!r} does not support reading")
     return spec.source_factory(schema, target, **{**url_options, **options})
 
 
@@ -151,7 +154,7 @@ def open_sink(
     """Open a :class:`TableSink` for *location* (format auto-detected)."""
     spec, target, url_options = _resolve(location, format)
     if spec.sink_factory is None:
-        raise ValueError(f"format {spec.name!r} does not support writing")
+        raise InputError(f"format {spec.name!r} does not support writing")
     return spec.sink_factory(schema, target, **{**url_options, **options})
 
 

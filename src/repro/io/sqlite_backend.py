@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Optional, Union
 from urllib.parse import parse_qsl, urlsplit
 
+from repro.errors import InputError
 from repro.io.base import TableSink, TableSource
 from repro.io.cells import cell_converters, coerce_number, parse_number
 from repro.io.columnar import ColumnBatch, columns_from_rows, native_bulk
@@ -73,10 +74,10 @@ def parse_sqlite_url(url: str) -> tuple[str, dict[str, str]]:
     """
     parts = urlsplit(url)
     if parts.scheme != "sqlite":
-        raise ValueError(f"not a sqlite URL: {url!r}")
+        raise InputError(f"not a sqlite URL: {url!r}")
     path = parts.path
     if parts.netloc:  # sqlite://host/… has no meaning for a file database
-        raise ValueError(
+        raise InputError(
             f"sqlite URL {url!r} names a network location; "
             f"use sqlite:///relative.db or sqlite:////absolute.db"
         )
@@ -87,9 +88,9 @@ def parse_sqlite_url(url: str) -> tuple[str, dict[str, str]]:
     options = dict(parse_qsl(parts.query))
     unknown = set(options) - {"table"}
     if unknown:
-        raise ValueError(f"unknown sqlite URL option(s): {sorted(unknown)!r}")
+        raise InputError(f"unknown sqlite URL option(s): {sorted(unknown)!r}")
     if not path:
-        raise ValueError(f"sqlite URL {url!r} names no database file")
+        raise InputError(f"sqlite URL {url!r} names no database file")
     return path, options
 
 
@@ -113,9 +114,17 @@ def _column_names(connection: sqlite3.Connection, table: str) -> list[str]:
 
 def rowid_alias(connection: sqlite3.Connection, table: str) -> Optional[str]:
     """The first of SQLite's row-id names that no column of *table*
-    shadows, or ``None`` when its columns take all three."""
+    shadows, or ``None`` when the table has no row id to select: its
+    columns take all three names, or it is a ``WITHOUT ROWID`` table."""
     shadowed = {name.lower() for name in _column_names(connection, table)}
-    return next((name for name in _ROWID_ALIASES if name not in shadowed), None)
+    rowid = next((name for name in _ROWID_ALIASES if name not in shadowed), None)
+    if rowid is None:
+        return None
+    try:
+        connection.execute(f"SELECT {rowid} FROM {_quote(table)} LIMIT 0")
+    except sqlite3.OperationalError:  # WITHOUT ROWID
+        return None
+    return rowid
 
 
 def resolve_table(
@@ -128,22 +137,27 @@ def resolve_table(
 
     *table* names it; without one the database must hold exactly one
     user table. Its columns must be the schema's attributes. The one
-    rule behind the source, the tail reader and the SQL pushdown.
+    rule behind the source, the tail reader and the SQL pushdown. A
+    file that is not a SQLite database raises
+    :class:`~repro.errors.InputError` too.
     """
-    if table is None:
-        tables = _user_tables(connection)
-        if len(tables) != 1:
-            raise ValueError(
-                f"{database} holds {len(tables)} tables "
-                f"({tables!r}); select one with "
-                f"'sqlite:///{database}?table=NAME'"
-            )
-        table = tables[0]
-    columns = _column_names(connection, table)
+    try:
+        if table is None:
+            tables = _user_tables(connection)
+            if len(tables) != 1:
+                raise InputError(
+                    f"{database} holds {len(tables)} tables "
+                    f"({tables!r}); select one with "
+                    f"'sqlite:///{database}?table=NAME'"
+                )
+            table = tables[0]
+        columns = _column_names(connection, table)
+    except sqlite3.DatabaseError as exc:
+        raise InputError(f"cannot read SQLite database {database}: {exc}") from exc
     if not columns:
-        raise ValueError(f"{database} has no table named {table!r}")
+        raise InputError(f"{database} has no table named {table!r}")
     if set(columns) != set(schema.names):
-        raise ValueError(
+        raise InputError(
             f"columns of table {table!r} {columns!r} do not match "
             f"schema attributes {list(schema.names)!r}"
         )
@@ -183,9 +197,9 @@ class SqliteTableSource(TableSource):
     CSV export visits records in exactly the export's order — the
     bit-identity bridge between ``--input warehouse.db`` and
     ``--input export.csv``. The order uses the first row-id name no
-    attribute shadows (:func:`rowid_alias`); a table whose attributes
-    shadow all three, like a ``WITHOUT ROWID`` table, is read in scan
-    order.
+    attribute shadows (:func:`rowid_alias`); a table without a row id to
+    select — a ``WITHOUT ROWID`` table, or one whose attributes shadow
+    all three names — is read in scan order.
 
     Each ``fetchmany`` batch converts column-at-a-time straight off the
     driver's row tuples, which the SELECT already puts in schema order;
@@ -219,12 +233,9 @@ class SqliteTableSource(TableSource):
             _quote(self.table),
         )
         rowid = rowid_alias(self.connection, self.table)
-        if rowid is not None:
-            try:
-                return self.connection.execute(f"{select} ORDER BY {rowid}")
-            except sqlite3.OperationalError:  # WITHOUT ROWID tables
-                pass
-        return self.connection.execute(select)
+        if rowid is None:
+            return self.connection.execute(select)
+        return self.connection.execute(f"{select} ORDER BY {rowid}")
 
     def _iter_column_batches(self, batch_size: int):
         names = self.schema.names
@@ -278,7 +289,10 @@ class SqliteTableSink(TableSink):
         # every chunk ride one transaction, so a failed write rolls back
         # whole — Python's sqlite3 would otherwise autocommit DDL and a
         # dying replace-write would destroy the pre-existing table
-        self._connection = sqlite3.connect(database, isolation_level=None)
+        try:
+            self._connection = sqlite3.connect(database, isolation_level=None)
+        except sqlite3.OperationalError as exc:  # e.g. a missing directory
+            raise OSError(f"cannot open SQLite database {database}: {exc}") from exc
         self._insert = "INSERT INTO {} ({}) VALUES ({})".format(
             _quote(self.table),
             ", ".join(_quote(name) for name in schema.names),

@@ -37,6 +37,7 @@ import datetime
 import re
 from typing import Optional
 
+from repro.errors import InputError
 from repro.logic.atoms import (
     Atom,
     Eq,
@@ -59,8 +60,10 @@ from repro.schema.types import Value
 __all__ = ["ParseError", "parse_formula", "parse_rule", "parse_rules"]
 
 
-class ParseError(ValueError):
-    """Raised on malformed formula/rule text."""
+class ParseError(InputError):
+    """Raised on malformed formula/rule text (an
+    :class:`~repro.errors.InputError`: rule files come from outside the
+    program)."""
 
 
 _TOKEN_PATTERN = re.compile(

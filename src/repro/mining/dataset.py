@@ -181,7 +181,6 @@ class ClassEncoder:
         self.discretizer: Optional[EqualFrequencyDiscretizer] = None
         if attribute.kind is AttributeKind.NOMINAL:
             domain: NominalDomain = attribute.domain  # type: ignore[assignment]
-            value_labels = list(domain.values)
             self._value_to_label = {value: value for value in domain.values}
         else:
             if numeric_view is None:
@@ -190,14 +189,8 @@ class ClassEncoder:
             if len(numeric_view):
                 bins = max(2, min(n_bins, _distinct_count(numeric_view)))
                 self.discretizer = EqualFrequencyDiscretizer(bins).fit(numeric_view)
-                value_labels = [
-                    self.discretizer.bin_label(i)
-                    for i in range(self.discretizer.n_bins)
-                ]
-            else:
-                value_labels = []
             self._value_to_label = {}
-        self.labels: tuple[str, ...] = tuple(value_labels) + (NULL_LABEL, UNKNOWN_LABEL)
+        self.labels = _vocabulary(attribute, self.discretizer)
         self._label_codes = {label: i for i, label in enumerate(self.labels)}
         self._value_codes = {
             value: self._label_codes[label]
@@ -282,7 +275,10 @@ class ClassEncoder:
     @classmethod
     def from_state(cls, attribute: Attribute, state: dict) -> "ClassEncoder":
         """Rebuild an encoder from :meth:`to_state` output (the attribute
-        comes from the separately persisted schema)."""
+        comes from the separately persisted schema); ``ValueError``
+        unless the stored labels are exactly the vocabulary the attribute
+        and discretizer define, so every class code the encoder produces
+        names a label."""
         instance = cls.__new__(cls)
         instance.attribute = attribute
         discretizer_state = state.get("discretizer")
@@ -291,7 +287,14 @@ class ClassEncoder:
             if discretizer_state
             else None
         )
-        instance.labels = tuple(state["labels"])
+        if instance.discretizer is not None and attribute.kind is AttributeKind.NOMINAL:
+            raise ValueError(f"nominal class attribute {attribute.name!r} has a discretizer")
+        instance.labels = _vocabulary(attribute, instance.discretizer)
+        if list(state["labels"]) != list(instance.labels):
+            raise ValueError(
+                f"class labels {state['labels']!r} of {attribute.name!r} are not "
+                f"its vocabulary {list(instance.labels)!r}"
+            )
         instance._label_codes = {label: i for i, label in enumerate(instance.labels)}
         if attribute.kind is AttributeKind.NOMINAL:
             instance._value_to_label = {
@@ -318,6 +321,20 @@ class ClassEncoder:
         assert self.discretizer is not None
         bin_index = self.labels.index(label)
         return self.attribute.domain.from_number(self.discretizer.representative(bin_index))
+
+
+def _vocabulary(
+    attribute: Attribute, discretizer: Optional[EqualFrequencyDiscretizer]
+) -> tuple[str, ...]:
+    """The class labels of *attribute*: its nominal values or the
+    discretizer's bins, then the null and unknown labels."""
+    if attribute.kind is AttributeKind.NOMINAL:
+        values = list(attribute.domain.values)  # type: ignore[attr-defined]
+    elif discretizer is not None:
+        values = [discretizer.bin_label(i) for i in range(discretizer.n_bins)]
+    else:
+        values = []
+    return tuple(values) + (NULL_LABEL, UNKNOWN_LABEL)
 
 
 def _orderable(attribute: Attribute, value: Value) -> bool:

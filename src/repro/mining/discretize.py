@@ -133,10 +133,24 @@ class EqualFrequencyDiscretizer:
 
     @classmethod
     def from_state(cls, state: dict) -> "EqualFrequencyDiscretizer":
-        """Inverse of :meth:`to_state`."""
+        """Inverse of :meth:`to_state`; ``ValueError`` unless the cuts
+        increase strictly and every bin has a representative, all
+        finite."""
         instance = cls(state["requested_bins"])
-        instance._cuts = np.asarray(state["cuts"], dtype=float)
-        instance._representatives = np.asarray(state["representatives"], dtype=float)
+        cuts = np.asarray(state["cuts"], dtype=float)
+        representatives = np.asarray(state["representatives"], dtype=float)
+        if (
+            cuts.ndim != 1
+            or representatives.shape != (cuts.size + 1,)
+            or not (np.isfinite(cuts).all() and np.isfinite(representatives).all())
+            or (np.diff(cuts) <= 0).any()
+        ):
+            raise ValueError(
+                "discretizer state needs strictly increasing finite cuts and "
+                "one finite representative per bin"
+            )
+        instance._cuts = cuts
+        instance._representatives = representatives
         return instance
 
     def __repr__(self) -> str:

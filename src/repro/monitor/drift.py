@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
+from repro.errors import InputError
 from repro.mining.intervals import wilson_lower, wilson_upper
 
 __all__ = ["DriftConfig", "DriftEvent", "DriftTracker"]
@@ -57,17 +58,17 @@ class DriftConfig:
 
     def __post_init__(self) -> None:
         if not 0.5 <= self.confidence < 1.0:
-            raise ValueError(
+            raise InputError(
                 f"drift confidence must be in [0.5, 1), got {self.confidence}"
             )
         if self.threshold < 0:
-            raise ValueError(f"drift threshold must be >= 0, got {self.threshold}")
+            raise InputError(f"drift threshold must be >= 0, got {self.threshold}")
         if self.baseline_windows < 1:
-            raise ValueError(
+            raise InputError(
                 f"baseline_windows must be >= 1, got {self.baseline_windows}"
             )
         if self.sustain_windows < 1:
-            raise ValueError(
+            raise InputError(
                 f"sustain_windows must be >= 1, got {self.sustain_windows}"
             )
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.core.auditor import DataAuditor
+from repro.errors import InputError
 from repro.registry.store import ModelRegistry, ModelVersion, Provenance
 from repro.schema.table import Table
 
@@ -52,16 +53,16 @@ class RefitPolicy:
         refit_rows: int = 4096,
     ):
         if mode not in _MODES:
-            raise ValueError(f"refit mode must be one of {_MODES}, got {mode!r}")
+            raise InputError(f"refit mode must be one of {_MODES}, got {mode!r}")
         if mode == "auto":
             if registry is None:
-                raise ValueError("refit mode 'auto' needs a model registry")
+                raise InputError("refit mode 'auto' needs a model registry")
             if not model_name:
-                raise ValueError(
+                raise InputError(
                     "refit mode 'auto' needs the registry model name to refit under"
                 )
         if refit_rows < 1:
-            raise ValueError(f"refit_rows must be >= 1, got {refit_rows}")
+            raise InputError(f"refit_rows must be >= 1, got {refit_rows}")
         self.mode = mode
         self.registry = registry
         self.model_name = model_name

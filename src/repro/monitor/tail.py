@@ -35,7 +35,9 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from repro.io.cells import cell_converters
+from repro.errors import InputError
+from repro.io.base import undecodable
+from repro.io.cells import cell_context, cell_converters
 from repro.io.csv_backend import CsvTableSource
 from repro.io.jsonl_backend import JsonlTableSource
 from repro.io.registry import detect_format
@@ -133,7 +135,7 @@ class TextTailReader(TailReader):
     ):
         super().__init__(schema, path)
         if format not in ("csv", "jsonl"):
-            raise ValueError(f"cannot tail format {format!r} (only csv and jsonl)")
+            raise InputError(f"cannot tail format {format!r} (only csv and jsonl)")
         self.format = format
         self.null_marker = null_marker
         self._header_text = ""
@@ -143,11 +145,14 @@ class TextTailReader(TailReader):
                 head = handle.read()
             records, consumed = split_records(head, quoted=True)
             if not records:
-                raise ValueError(
+                raise InputError(
                     f"{path} holds no complete CSV header line yet "
                     f"(the monitor needs the header before it can tail data rows)"
                 )
-            self._header_text = records[0].decode("utf-8")
+            try:
+                self._header_text = records[0].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}: {undecodable(0, exc)}") from exc
             self._data_start = len(records[0])
             # validate the header once, eagerly — a wrong header must
             # surface at construction, not at the first data row
@@ -169,23 +174,27 @@ class TextTailReader(TailReader):
         records, _ = split_records(data, quoted=self.format == "csv")
         if not records:
             return []
-        text = b"".join(records).decode("utf-8")
-        if self.format == "csv":
-            source = CsvTableSource(
-                self.schema,
-                io.StringIO(self._header_text + text),
-                null_marker=self.null_marker,
-            )
-        else:
-            source = JsonlTableSource(self.schema, io.StringIO(text))
         try:
-            rows = source.read().rows
-        except ValueError as exc:
-            raise ValueError(
+            text = b"".join(records).decode("utf-8")
+            if self.format == "csv":
+                source = CsvTableSource(
+                    self.schema,
+                    io.StringIO(self._header_text + text),
+                    null_marker=self.null_marker,
+                )
+            else:
+                source = JsonlTableSource(self.schema, io.StringIO(text))
+            with source:
+                rows = source.read().rows
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"while tailing {self.location} from byte {offset}: "
+                f"{undecodable(0, exc)}"
+            ) from exc
+        except InputError as exc:
+            raise InputError(
                 f"while tailing {self.location} from byte {offset}: {exc}"
-            ) from None
-        finally:
-            source.close()
+            ) from exc
         # pair each parsed row with the offset past its record; blank
         # JSONL lines parse to no row, so their bytes commit with the
         # following row (or stay unconsumed as the current tail)
@@ -204,8 +213,10 @@ class SqliteTailReader(TailReader):
     """Rowid tailing of one SQLite table: ``WHERE rowid > ?`` is resume.
 
     The row id is read through the first of its names (``rowid``,
-    ``_rowid_``, ``oid``) that no attribute shadows; a table whose
-    attributes shadow all three cannot be tailed and is refused here.
+    ``_rowid_``, ``oid``) that no attribute shadows. A table without a
+    row id to select (:func:`~repro.io.sqlite_backend.rowid_alias`) — a
+    ``WITHOUT ROWID`` table, or one whose attributes shadow all three
+    names — cannot be tailed and is refused here.
     """
 
     offset_kind = "rowid"
@@ -226,9 +237,10 @@ class SqliteTailReader(TailReader):
             self.table = resolve_table(self._connection, schema, table, database)
             self._rowid = rowid_alias(self._connection, self.table)
             if self._rowid is None:
-                raise ValueError(
-                    f"cannot tail table {self.table!r}: its columns shadow "
-                    f"every SQLite row-id name (rowid, _rowid_, oid)"
+                raise InputError(
+                    f"cannot tail table {self.table!r}: it has no row id to "
+                    f"select (a WITHOUT ROWID table, or columns that shadow "
+                    f"every SQLite row-id name: rowid, _rowid_, oid)"
                 )
         except Exception:
             self.close()
@@ -254,9 +266,7 @@ class SqliteTailReader(TailReader):
                 try:
                     cells.append(converter(value))
                 except ValueError as exc:
-                    raise ValueError(
-                        f"rowid {rowid}, attribute {name!r}: {exc}"
-                    ) from None
+                    raise cell_context(f"rowid {rowid}", name, exc) from None
             tailed.append((cells, rowid))
         return tailed
 
@@ -281,7 +291,7 @@ def open_tail(
     text = str(location)
     if text.startswith("sqlite:"):
         if format not in (None, "sqlite"):
-            raise ValueError(
+            raise InputError(
                 f"{location!r} is a sqlite URI but format={format!r} was requested"
             )
         path, options = parse_sqlite_url(text)
@@ -293,6 +303,6 @@ def open_tail(
         return TextTailReader(
             schema, location, format=fmt, null_marker=null_marker
         )
-    raise ValueError(
+    raise InputError(
         f"format {fmt!r} cannot be tailed (supported: csv, jsonl, sqlite)"
     )

@@ -52,6 +52,7 @@ from repro.core.findings import (
     findings_schema,
     findings_to_table,
 )
+from repro.errors import InputError
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
 from repro.schema.table import Table
 from repro.schema.types import Value
@@ -121,9 +122,9 @@ class TableWatcher:
         if not session.is_fitted:
             raise ValueError("monitor needs a fitted session (fit or load a model)")
         if window_rows < 1:
-            raise ValueError(f"window_rows must be >= 1, got {window_rows}")
+            raise InputError(f"window_rows must be >= 1, got {window_rows}")
         if poll_interval <= 0:
-            raise ValueError(f"poll_interval must be > 0, got {poll_interval}")
+            raise InputError(f"poll_interval must be > 0, got {poll_interval}")
         self.session = session
         self.location = location
         self.source_format = format
@@ -174,7 +175,7 @@ class TableWatcher:
         except FileNotFoundError:
             size = -1
         if size < watermark.findings_bytes:
-            raise ValueError(
+            raise InputError(
                 f"cannot resume: {self.findings_path} holds {max(size, 0)} bytes "
                 f"but the watermark covers {watermark.findings_bytes} "
                 f"(the findings file was deleted or rewritten under the monitor)"
@@ -187,7 +188,7 @@ class TableWatcher:
         self._findings.seek(watermark.findings_bytes)
         findings = _load_findings_file(self.findings_path)
         if len(findings) != watermark.findings_rows:
-            raise ValueError(
+            raise InputError(
                 f"cannot resume: {self.findings_path} holds {len(findings)} findings "
                 f"but the watermark records {watermark.findings_rows}"
             )

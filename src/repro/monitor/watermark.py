@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.core.serialize import write_atomic
+from repro.errors import decoding
 
 __all__ = ["Watermark", "load_watermark"]
 
@@ -87,15 +88,14 @@ class Watermark:
 def load_watermark(path: Union[str, Path]) -> Optional[Watermark]:
     """Read a persisted watermark; ``None`` when no state file exists.
 
-    A corrupt or foreign file raises ``ValueError`` naming the path —
-    resuming against a state file that is not a monitor watermark must
-    be loud, not silently treated as a fresh start.
+    A corrupt or foreign file raises :class:`~repro.errors.InputError`
+    naming the path — resuming against a state file that is not a
+    monitor watermark must be loud, not silently treated as a fresh
+    start.
     """
     try:
-        text = Path(path).read_text("utf-8")
+        data = Path(path).read_bytes()
     except FileNotFoundError:
         return None
-    try:
-        return Watermark.from_dict(json.loads(text))
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path} is not a valid monitor state file: {exc}") from None
+    with decoding(f"{path} is not a valid monitor state file"):
+        return Watermark.from_dict(json.loads(data.decode("utf-8")))

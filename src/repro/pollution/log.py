@@ -18,6 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.errors import decoding
 from repro.schema.types import Value
 
 __all__ = ["CellChange", "RowEvent", "RowEventKind", "PollutionLog"]
@@ -222,31 +223,33 @@ class PollutionLog:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PollutionLog":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; a document it cannot decode raises
+        :class:`~repro.errors.InputError` (``"invalid pollution log: …"``)."""
         from repro.schema.values import value_from_json
 
         log = cls()
-        log.cell_changes = [
-            CellChange(
-                entry["row"],
-                entry["attribute"],
-                value_from_json(entry["before"]),
-                value_from_json(entry["after"]),
-                entry["polluter"],
-            )
-            for entry in payload.get("cell_changes", [])
-        ]
-        log.row_events = [
-            RowEvent(
-                RowEventKind(entry["kind"]),
-                entry["row"],
-                entry["polluter"],
-                entry.get("source_row"),
-            )
-            for entry in payload.get("row_events", [])
-        ]
-        origins = payload.get("row_origins")
-        log.row_origins = list(origins) if origins is not None else None
+        with decoding("invalid pollution log"):
+            log.cell_changes = [
+                CellChange(
+                    entry["row"],
+                    entry["attribute"],
+                    value_from_json(entry["before"]),
+                    value_from_json(entry["after"]),
+                    entry["polluter"],
+                )
+                for entry in payload.get("cell_changes", [])
+            ]
+            log.row_events = [
+                RowEvent(
+                    RowEventKind(entry["kind"]),
+                    entry["row"],
+                    entry["polluter"],
+                    entry.get("source_row"),
+                )
+                for entry in payload.get("row_events", [])
+            ]
+            origins = payload.get("row_origins")
+            log.row_origins = list(origins) if origins is not None else None
         return log
 
     def __repr__(self) -> str:

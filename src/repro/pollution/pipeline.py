@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
+from repro.errors import InputError
 from repro.pollution.log import PollutionLog
 from repro.pollution.polluters import (
     Duplicator,
@@ -69,7 +70,7 @@ class PollutionPipeline:
 
     def __init__(self, polluters: Sequence[Polluter], *, factor: float = 1.0):
         if factor < 0:
-            raise ValueError("pollution factor must be non-negative")
+            raise InputError("pollution factor must be non-negative")
         self.factor = factor
         structural = [p for p in polluters if isinstance(p, Duplicator)]
         value_level = [p for p in polluters if not isinstance(p, Duplicator)]

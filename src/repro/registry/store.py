@@ -55,6 +55,7 @@ from typing import Any, Mapping, Optional, Union
 
 from repro.core.auditor import AuditorConfig, DataAuditor
 from repro.core.serialize import auditor_from_dict, auditor_to_dict, write_atomic
+from repro.errors import InputError
 from repro.schema.schema import Schema
 from repro.schema.serialize import schema_to_dict
 
@@ -461,7 +462,7 @@ class ModelRegistry:
             raise RegistryError(f"cannot read registry object {path}: {exc}")
         try:
             return auditor_from_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
+        except InputError as exc:
             raise RegistryError(
                 f"registry object for {version.ref} is not a valid model: {exc}"
             )

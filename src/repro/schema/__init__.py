@@ -1,19 +1,11 @@
-"""Relational substrate: attribute kinds, domains, schemas, tables, CSV I/O.
+"""Relational substrate: attribute kinds, domains, schemas, tables.
 
-(The CSV helpers re-exported here are back-compat wrappers; the full
-pluggable storage layer — CSV, JSONL, SQLite, Parquet — lives in
-:mod:`repro.io`.)
+(Reading and writing tables — CSV, JSONL, SQLite, Parquet — is the
+storage layer's job, :mod:`repro.io`.)
 """
 
 from repro.schema.attribute import Attribute, date, nominal, numeric, text
 from repro.schema.domain import DateDomain, Domain, NominalDomain, NumericDomain, TextDomain
-from repro.schema.io import (
-    read_csv,
-    read_csv_chunks,
-    table_from_csv_text,
-    table_to_csv_text,
-    write_csv,
-)
 from repro.schema.schema import Schema
 from repro.schema.table import Row, Table
 from repro.schema.types import NULL, AttributeKind, Value, is_null
@@ -36,9 +28,4 @@ __all__ = [
     "Schema",
     "Table",
     "Row",
-    "write_csv",
-    "read_csv",
-    "read_csv_chunks",
-    "table_to_csv_text",
-    "table_from_csv_text",
 ]

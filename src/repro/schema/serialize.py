@@ -3,6 +3,7 @@
 Needed for the asynchronous-auditing workflow (paper sec. 2.2): the
 structure model induced offline is persisted together with the schema it
 was induced for, and the online deviation-detection step reloads both.
+A document that is not a schema raises :class:`~repro.errors.InputError`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import datetime
 from typing import Any, Mapping
 
+from repro.errors import decoding
 from repro.schema.attribute import Attribute
 from repro.schema.domain import DateDomain, Domain, NominalDomain, NumericDomain, TextDomain
 from repro.schema.schema import Schema
@@ -73,14 +75,16 @@ def schema_to_dict(schema: Schema) -> dict[str, Any]:
 
 
 def schema_from_dict(payload: Mapping[str, Any]) -> Schema:
-    """Inverse of :func:`schema_to_dict`."""
-    return Schema(
-        [
-            Attribute(
-                entry["name"],
-                domain_from_dict(entry["domain"]),
-                nullable=bool(entry.get("nullable", True)),
-            )
-            for entry in payload["attributes"]
-        ]
-    )
+    """Inverse of :func:`schema_to_dict`; a document it cannot decode
+    raises :class:`~repro.errors.InputError` (``"invalid schema: …"``)."""
+    with decoding("invalid schema"):
+        return Schema(
+            [
+                Attribute(
+                    entry["name"],
+                    domain_from_dict(entry["domain"]),
+                    nullable=bool(entry.get("nullable", True)),
+                )
+                for entry in payload["attributes"]
+            ]
+        )

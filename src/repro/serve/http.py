@@ -20,9 +20,13 @@ POST     ``/monitors``         start a continuous monitor on a growing source
 Audit responses stream with ``Transfer-Encoding: chunked`` (findings
 leave the socket while later chunks are still being checked — the
 summary travels ahead in ``X-Audit-*`` headers); everything else is a
-fixed-length JSON document. Request logging goes through the
-``repro.serve`` logger — one line per request with method, path,
-status, and wall time. :func:`serve` runs until SIGTERM/SIGINT, then
+fixed-length JSON document. Errors are JSON ``{"error": …}`` documents:
+400 for an :class:`~repro.errors.InputError` (the request is unusable),
+the :class:`~repro.serve.service.ServiceError` status the service
+decided (404, 409, 413, 500), and 500 for any other exception, which is
+a fault of the program and is logged with its traceback. Request
+logging goes through the ``repro.serve`` logger — one line per request
+with method, path, status, and wall time. :func:`serve` runs until SIGTERM/SIGINT, then
 shuts down gracefully: the listening socket closes, in-flight requests
 finish, and the process exits 0 (130 for SIGINT, the CLI convention).
 """
@@ -39,6 +43,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 from urllib.parse import unquote, urlsplit
 
+from repro.errors import InputError
 from repro.registry import ModelRegistry
 from repro.serve.service import AuditService, ServiceError
 
@@ -83,18 +88,18 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
         except ValueError:
             # the body's extent is unknown, so the connection cannot be reused
             self.close_connection = True
-            raise ServiceError(400, "Content-Length must be an integer")
+            raise InputError("Content-Length must be an integer") from None
         if length <= 0:
-            raise ServiceError(400, "request body required (JSON object)")
+            raise InputError("request body required (JSON object)")
         if length > _MAX_BODY_BYTES:
             raise ServiceError(413, f"request body exceeds {_MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ServiceError(400, f"request body is not valid JSON: {exc}")
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"request body is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
-            raise ServiceError(400, "request body must be a JSON object")
+            raise InputError("request body must be a JSON object")
         return payload
 
     def _dispatch(self, method: str) -> None:
@@ -103,6 +108,9 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
         status = 500
         try:
             status = self._route(method, path)
+        except InputError as exc:
+            status = 400
+            self._send_error_json(400, str(exc))
         except ServiceError as exc:
             status = exc.status
             self._send_error_json(exc.status, str(exc))

@@ -1,12 +1,19 @@
 """The audit service's request handlers, independent of the transport.
 
 :class:`AuditService` is the daemon's brain: it owns the
-:class:`~repro.registry.ModelRegistry`, a digest-keyed cache of loaded
-models, and the request semantics of every endpoint — the HTTP layer
-(:mod:`repro.serve.http`) only moves bytes. Keeping the two apart means
-the endpoint contracts are unit-testable without sockets, and an
+:class:`~repro.registry.ModelRegistry`, a bounded digest-keyed cache of
+loaded models, and the request semantics of every endpoint — the HTTP
+layer (:mod:`repro.serve.http`) only moves bytes. Keeping the two apart
+means the endpoint contracts are unit-testable without sockets, and an
 embedding application (a loader process, a scheduler) can call the
 handlers directly.
+
+A request the service cannot use — a malformed body, an unknown field,
+a source that cannot be opened or read — raises
+:class:`~repro.errors.InputError`, which the transport answers with 400.
+:class:`ServiceError` carries only the statuses the service decides
+itself: 404 (no such model), 409 (a monitor of that name is running),
+413 (the body is too large) and 500 (the registry failed).
 
 The one invariant worth stating twice: **the findings a** ``POST
 /audit`` **streams are byte-identical to** ``repro audit --format
@@ -25,11 +32,14 @@ import io
 import json
 import threading
 import time
+from collections import OrderedDict
+from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.core.auditor import AuditorConfig, DataAuditor
 from repro.core.findings import Finding, StreamReport, findings_to_table
 from repro.core.session import AuditRun, AuditSession
+from repro.errors import InputError
 from repro.io.base import DEFAULT_CHUNK_SIZE
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
 from repro.io.registry import detect_format, open_source
@@ -43,9 +53,15 @@ __all__ = ["ServiceError", "AuditService"]
 #: large enough to amortize the write syscalls
 _STREAM_BATCH = 512
 
+#: loaded models the service keeps; the least recently used is evicted
+#: first, so a daemon whose hosted monitor refits stays bounded
+_MODEL_CACHE_SIZE = 8
+
 
 class ServiceError(Exception):
-    """A request failed; carries the HTTP status the transport should send."""
+    """A request failed for a reason the service decides — 404, 409, 413
+    or 500; carries the HTTP status the transport should send. Unusable
+    request input is an :class:`~repro.errors.InputError` instead."""
 
     def __init__(self, status: int, message: str):
         super().__init__(message)
@@ -56,7 +72,16 @@ def _require(payload: Mapping[str, Any], key: str) -> Any:
     try:
         return payload[key]
     except KeyError:
-        raise ServiceError(400, f"request body is missing the {key!r} field")
+        raise InputError(f"request body is missing the {key!r} field") from None
+
+
+def _require_location(payload: Mapping[str, Any]) -> str:
+    """The body's ``source``, which must be a location string (an integer
+    would open as a file descriptor)."""
+    location = _require(payload, "source")
+    if not isinstance(location, str):
+        raise InputError(f"'source' must be a location string, got {location!r}")
+    return location
 
 
 #: the top-level fields each POST body may carry
@@ -71,10 +96,9 @@ def _reject_unknown(payload: Mapping[str, Any], allowed, what: str) -> None:
     knob fails loudly instead of being ignored."""
     unknown = sorted(set(payload) - set(allowed))
     if unknown:
-        raise ServiceError(
-            400,
+        raise InputError(
             f"unknown {what} fields {unknown!r} "
-            f"(allowed: {', '.join(sorted(allowed))})",
+            f"(allowed: {', '.join(sorted(allowed))})"
         )
 
 
@@ -96,8 +120,8 @@ def _parse_config(payload: Optional[Mapping[str, Any]]) -> AuditorConfig:
     )
     try:
         return AuditorConfig(**dict(payload))
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(400, f"invalid auditor config: {exc}")
+    except (TypeError, ValueError) as exc:  # a request value enters a constructor
+        raise InputError(f"invalid auditor config: {exc}") from exc
 
 
 class AuditService:
@@ -114,9 +138,10 @@ class AuditService:
         self.started_at = time.time()
         self.requests_served = 0
         self._cache_lock = threading.Lock()
-        #: digest → loaded auditor; content addressing makes entries
-        #: permanently valid (an object never changes under its digest)
-        self._model_cache: dict[str, DataAuditor] = {}
+        #: digest → loaded auditor, least recently used first; content
+        #: addressing makes entries permanently valid (an object never
+        #: changes under its digest), so eviction only costs a reload
+        self._model_cache: OrderedDict[str, DataAuditor] = OrderedDict()
         self._monitors_lock = threading.Lock()
         #: name → {"watcher", "thread", "stop"} for hosted monitors
         self._monitors: dict[str, dict[str, Any]] = {}
@@ -167,22 +192,15 @@ class AuditService:
         """
         _reject_unknown(payload, _FIT_FIELDS, "request")
         name = _require(payload, "name")
-        source_uri = _require(payload, "source")
-        try:
-            schema = schema_from_dict(_require(payload, "schema"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(400, f"invalid schema: {exc}")
-        config = _parse_config(payload.get("config"))
-        try:
-            auditor = DataAuditor(schema, config)
-        except ValueError as exc:
-            raise ServiceError(400, str(exc))
+        source_uri = _require_location(payload)
+        schema = schema_from_dict(_require(payload, "schema"))
+        auditor = DataAuditor(schema, _parse_config(payload.get("config")))
         try:
             fmt = payload.get("format") or detect_format(source_uri)
             with open_source(schema, source_uri, format=fmt) as source:
                 table = source.read_columns()
-        except (OSError, ValueError) as exc:
-            raise ServiceError(400, f"cannot read source {source_uri!r}: {exc}")
+        except (OSError, InputError) as exc:
+            raise InputError(f"cannot read source {source_uri!r}: {exc}") from exc
         auditor.fit(table)
         try:
             version = self.registry.put(
@@ -197,8 +215,7 @@ class AuditService:
             )
         except RegistryError as exc:
             raise ServiceError(500, str(exc))
-        with self._cache_lock:
-            self._model_cache[version.digest] = auditor
+        self._cache_model(version.digest, auditor)
         return version.to_record()
 
     # -- POST /audit ---------------------------------------------------------
@@ -208,8 +225,8 @@ class AuditService:
         Callers name that version, never a second resolve, because a
         hosted monitor's auto-refit can move ``@latest`` at any time."""
         if not isinstance(ref, str):
-            raise ServiceError(
-                400, f"'model' must be a string reference (name[@ref]), got {ref!r}"
+            raise InputError(
+                f"'model' must be a string reference (name[@ref]), got {ref!r}"
             )
         try:
             version = self.registry.resolve(ref)
@@ -217,33 +234,39 @@ class AuditService:
             raise ServiceError(404, str(exc))
         with self._cache_lock:
             cached = self._model_cache.get(version.digest)
-        if cached is not None:
-            return cached, version
+            if cached is not None:
+                self._model_cache.move_to_end(version.digest)
+                return cached, version
         try:
             auditor = self.registry.get_version(version)
         except RegistryError as exc:
             raise ServiceError(500, str(exc))
-        with self._cache_lock:
-            self._model_cache[version.digest] = auditor
+        self._cache_model(version.digest, auditor)
         return auditor, version
+
+    def _cache_model(self, digest: str, auditor: DataAuditor) -> None:
+        """Keep *auditor* as the most recently used model, evicting the
+        least recently used beyond :data:`_MODEL_CACHE_SIZE`."""
+        with self._cache_lock:
+            self._model_cache[digest] = auditor
+            self._model_cache.move_to_end(digest)
+            while len(self._model_cache) > _MODEL_CACHE_SIZE:
+                self._model_cache.popitem(last=False)
 
     def _table_from_rows(self, auditor: DataAuditor, rows: list) -> Table:
         """Parse an inline ``rows`` payload through the JSONL backend, so
         inline audits get the same strict schema-driven coercion (and
         the same error messages) as stored tables."""
         if not isinstance(rows, list):
-            raise ServiceError(400, "'rows' must be a list of JSON objects")
+            raise InputError("'rows' must be a list of JSON objects")
+        # NaN/Infinity cells render as JSON's NaN/Infinity constants, which
+        # the reader refuses with the line and attribute named
+        text = "".join(json.dumps(row) + "\n" for row in rows)
         try:
-            text = "".join(json.dumps(row, allow_nan=False) + "\n" for row in rows)
-        except ValueError as exc:  # NaN/Infinity cells: not JSON values
-            raise ServiceError(400, f"invalid rows payload: {exc}")
-        source = JsonlTableSource(auditor.schema, io.StringIO(text))
-        try:
-            return source.read()
-        except ValueError as exc:
-            raise ServiceError(400, f"invalid rows payload: {exc}")
-        finally:
-            source.close()
+            with JsonlTableSource(auditor.schema, io.StringIO(text)) as source:
+                return source.read()
+        except InputError as exc:
+            raise InputError(f"invalid rows payload: {exc}") from exc
 
     def audit(self, payload: Mapping[str, Any]) -> tuple[dict[str, Any], Iterator[str]]:
         """Audit a stored table or an inline row payload.
@@ -269,16 +292,16 @@ class AuditService:
         session = AuditSession(auditor=auditor)
         chunk_size = payload.get("chunk_size", DEFAULT_CHUNK_SIZE)
         if type(chunk_size) is not int or chunk_size < 1:  # bool is not a size
-            raise ServiceError(400, "'chunk_size' must be a positive integer")
+            raise InputError("'chunk_size' must be a positive integer")
         has_source = "source" in payload
         has_rows = "rows" in payload
         if has_source == has_rows:
-            raise ServiceError(
-                400, "pass exactly one of 'source' (a location) or 'rows' (inline)"
+            raise InputError(
+                "pass exactly one of 'source' (a location) or 'rows' (inline)"
             )
         engine = payload.get("engine") or "memory"
         if engine not in ("memory", "sql"):
-            raise ServiceError(400, f"'engine' must be 'memory' or 'sql', got {engine!r}")
+            raise InputError(f"'engine' must be 'memory' or 'sql', got {engine!r}")
         if has_rows:
             table = self._table_from_rows(auditor, payload["rows"])
             report = session.audit(table)
@@ -287,7 +310,7 @@ class AuditService:
             notice = AuditRun.NOT_SQLITE if engine == "sql" else None
             engine = "memory"
         else:
-            location = payload["source"]
+            location = _require_location(payload)
             report = StreamReport(auditor.config.min_error_confidence)
             try:
                 with open_source(
@@ -298,8 +321,8 @@ class AuditService:
                     )
                     for chunk_report in run:
                         report.extend(chunk_report)
-            except (OSError, ValueError) as exc:
-                raise ServiceError(400, f"cannot audit source {location!r}: {exc}")
+            except (OSError, InputError) as exc:
+                raise InputError(f"cannot audit source {location!r}: {exc}") from exc
             engine, notice = run.engine, run.notice
             findings = report.ranked_findings()
         summary = {
@@ -338,15 +361,16 @@ class AuditService:
 
         name = _require(payload, "name")
         if not isinstance(name, str) or not name or "/" in name:
-            raise ServiceError(400, "'name' must be a non-empty string without '/'")
+            raise InputError("'name' must be a non-empty string without '/'")
         ref = _require(payload, "model")
-        source = _require(payload, "source")
+        source = _require_location(payload)
         with self._monitors_lock:
             entry = self._monitors.get(name)
             if entry is not None and entry["thread"].is_alive():
                 raise ServiceError(409, f"monitor {name!r} is already running")
         auditor, version = self._load_model(ref)
-        try:
+        state_dir = self.registry.root / "monitors"
+        try:  # request values enter the monitor's constructors
             drift = DriftConfig(**dict(payload.get("drift") or {}))
             refit_mode = payload.get("refit", "off")
             refit = RefitPolicy(
@@ -355,25 +379,31 @@ class AuditService:
                 model_name=payload.get("refit_name") or version.name,
                 refit_rows=int(payload.get("refit_rows", 4096)),
             )
-            state_dir = self.registry.root / "monitors"
-            state_dir.mkdir(parents=True, exist_ok=True)
+            window_rows = int(payload.get("window_rows", 256))
+            poll_interval = float(payload.get("poll_interval", 1.0))
+            state_path = Path(payload.get("state") or state_dir / f"{name}.state.json")
+            findings_path = Path(
+                payload.get("findings") or state_dir / f"{name}.findings.jsonl"
+            )
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"cannot start monitor {name!r}: {exc}") from exc
+        state_dir.mkdir(parents=True, exist_ok=True)
+        try:
             watcher = TableWatcher(
                 AuditSession(auditor=auditor),
                 source,
-                state_path=payload.get("state") or state_dir / f"{name}.state.json",
-                findings_path=(
-                    payload.get("findings") or state_dir / f"{name}.findings.jsonl"
-                ),
+                state_path=state_path,
+                findings_path=findings_path,
                 format=payload.get("format"),
                 null_marker=payload.get("null_marker", ""),
-                window_rows=int(payload.get("window_rows", 256)),
-                poll_interval=float(payload.get("poll_interval", 1.0)),
+                window_rows=window_rows,
+                poll_interval=poll_interval,
                 drift=drift,
                 refit=refit,
                 model_ref=version.ref,
             )
-        except (OSError, TypeError, ValueError) as exc:
-            raise ServiceError(400, f"cannot start monitor {name!r}: {exc}")
+        except (OSError, InputError) as exc:
+            raise InputError(f"cannot start monitor {name!r}: {exc}") from exc
         stop = threading.Event()
 
         def _run() -> None:

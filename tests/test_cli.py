@@ -210,9 +210,9 @@ class TestPipeline:
 
         schema = schema_from_dict(json.loads(workspace["schema"].read_text()))
         rules = parse_rules(rules_file.read_text(), schema)
-        from repro.schema import read_csv
+        from repro.io import read_table
 
-        table = read_csv(schema, workspace["clean"])
+        table = read_table(schema, workspace["clean"])
         for record in table.records():
             assert all(rule.satisfied_by(record) for rule in rules)
 
@@ -392,9 +392,9 @@ class TestCliPolish:
 
 
 class TestBadInput:
-    """`pollute`, `fit`, `audit` and `evaluate` end in one `error:` line
-    on input they cannot read: a missing file, or a cell its column
-    cannot hold."""
+    """Every subcommand ends in one `error:` line, exit 1, on input it
+    cannot use: a missing or unwritable file, a damaged schema or model,
+    a cell its column cannot hold, bytes that are not UTF-8."""
 
     BAD_CELL = (
         "error: line 6, attribute 'HUBRAUM': "
@@ -439,6 +439,10 @@ class TestBadInput:
                          "--log": log, "--model": model},
             "bad": bad,
             "missing": tmp_path / "absent.csv",
+            "schema": schema,
+            "good": good,
+            "model": model,
+            "dir": tmp_path,
         }
 
     @staticmethod
@@ -509,6 +513,140 @@ class TestBadInput:
         )
         assert proc.returncode == 1
         assert proc.stderr == self.BAD_CELL + "\n"
+
+    @staticmethod
+    def _error_line(argv, capsys) -> str:
+        """The one `error:` line *argv* ends in (nothing else on stderr)."""
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(part) for part in argv])
+        message = excinfo.value.code
+        assert isinstance(message, str) and message.startswith("error: ")
+        assert "\n" not in message
+        assert capsys.readouterr().err == ""
+        return message
+
+    def test_missing_schema_is_one_line(self, stand, capsys):
+        message = self._error_line(
+            ["fit", "--schema", stand["missing"], "--input", stand["good"],
+             "--model-out", stand["dir"] / "refit.json"],
+            capsys,
+        )
+        assert "absent.csv" in message
+
+    def test_malformed_schema_is_one_line(self, stand, capsys):
+        schema = stand["dir"] / "no-domain.json"
+        schema.write_text('{"attributes": [{"name": "A"}]}', encoding="utf-8")
+        message = self._error_line(
+            ["fit", "--schema", schema, "--input", stand["good"],
+             "--model-out", stand["dir"] / "refit.json"],
+            capsys,
+        )
+        assert message == (
+            f"error: {schema}: invalid schema: missing field 'domain'"
+        )
+
+    @pytest.mark.parametrize("command", ["generate", "generate-sqlite", "pollute", "fit"])
+    def test_unwritable_output_is_one_line(self, stand, command, capsys):
+        """`--out`, `--output` and `--model-out` in a directory that does
+        not exist."""
+        target = stand["dir"] / "no-such-dir" / "out"
+        argv = {
+            "generate": ["generate", "--records", "20", "--rules", "5",
+                         "--out", f"{target}.csv"],
+            "generate-sqlite": ["generate", "--records", "20", "--rules", "5",
+                                "--out", f"{target}.db"],
+            "pollute": self._argv(stand, "pollute", "--output", f"{target}.csv"),
+            "fit": ["fit", "--schema", stand["schema"], "--input", stand["good"],
+                    "--model-out", f"{target}.json"],
+        }[command]
+        message = self._error_line(argv, capsys)
+        assert "no-such-dir" in message
+
+    def test_file_that_is_not_a_database_is_one_line(self, stand, capsys):
+        impostor = stand["dir"] / "load.db"
+        impostor.write_bytes(stand["good"].read_bytes())
+        message = self._error_line(stand["audit"] + ["--input", impostor], capsys)
+        assert message == f"error: cannot read SQLite database {impostor}: file is not a database"
+
+    def test_invalid_utf8_is_one_line(self, stand, capsys):
+        undecodable = stand["dir"] / "latin1.csv"
+        undecodable.write_bytes(stand["good"].read_bytes() + b"\xff\xfe,x\n")
+        message = self._error_line(
+            stand["audit"] + ["--input", undecodable], capsys
+        )
+        assert message.startswith("error: input is not valid UTF-8")
+
+    def test_truncated_leaf_model_is_refused_at_load(self, stand, capsys):
+        """A model whose leaf lost a count fails at load, naming the
+        file and the attribute, instead of failing mid-audit with a
+        numpy shape error."""
+        document = json.loads(stand["model"].read_text(encoding="utf-8"))
+        attribute = sorted(document["classifiers"])[0]
+        node = document["classifiers"][attribute]["tree"]
+        while node["type"] != "leaf":
+            node = node["low"] if node["type"] == "numeric" else next(
+                iter(node["branches"].values())
+            )
+        node["counts"] = node["counts"][:-1]
+        damaged = stand["dir"] / "damaged.json"
+        damaged.write_text(json.dumps(document), encoding="utf-8")
+        message = self._error_line(
+            ["audit", "--model", damaged, "--input", stand["good"]], capsys
+        )
+        assert str(damaged) in message
+        assert f"classifier {attribute!r}" in message
+        assert "counts has" in message
+
+    def test_monitor_bad_cell_is_one_line(self, stand, capsys):
+        message = self._error_line(
+            ["monitor", stand["bad"], "--model", stand["model"],
+             "--findings-out", stand["dir"] / "f.jsonl"],
+            capsys,
+        )
+        assert message.startswith(f"error: while tailing {stand['bad']} from byte ")
+        assert message.endswith(self.BAD_CELL[len("error: "):])
+
+    def test_monitor_process_exits_1_with_one_stderr_line(self, stand):
+        import os
+        import subprocess
+        import sys
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "monitor", str(stand["bad"]),
+             "--model", str(stand["model"]),
+             "--findings-out", str(stand["dir"] / "f.jsonl")],
+            cwd=repo,
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: while tailing")
+
+
+class TestBugsStayVisible:
+    """Only unusable input becomes an `error:` line: a fault of the
+    program keeps its traceback instead of being blamed on the input."""
+
+    def test_internal_value_error_propagates(self, workspace, monkeypatch):
+        from repro.mining.tree_classifier import TreeClassifier
+
+        _fitted_workspace(workspace)
+
+        def broken(self, columns, *, n_rows=None):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(TreeClassifier, "predict_batch", broken)
+        with pytest.raises(ValueError, match="boom") as excinfo:
+            main(
+                ["audit", "--model", str(workspace["model"]),
+                 "--input", str(workspace["dirty"])]
+            )
+        assert type(excinfo.value) is ValueError
 
 
 class TestStorageBackends:

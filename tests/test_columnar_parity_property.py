@@ -40,6 +40,7 @@ from hypothesis import strategies as st
 
 from repro.core import AuditorConfig, AuditReport, AuditSession
 from repro.core.serialize import auditor_to_dict
+from repro.errors import InputError
 from repro.io import open_source, parquet_backend, write_table
 from repro.schema import Schema, Table, date, nominal, numeric
 from tests import reference_lanes as ref
@@ -293,6 +294,9 @@ def test_mistyped_cell_error_identity(data, fmt, position, chunk_size):
         _write_mistyped(schema, table, fmt, location, row, name)
         reference = ref.read_outcome(lambda: ref.read_rows(schema, location, fmt))
         assert ref.read_outcome(lane_read) == reference
+        if reference[0] == "error":  # the failure contract, on every backend
+            with pytest.raises(InputError):
+                lane_read()
         reference_chunks = ref.read_outcome(
             lambda: ref.read_chunks(schema, location, fmt, chunk_size)
         )

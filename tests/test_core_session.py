@@ -22,7 +22,8 @@ from repro.core import (
 )
 from repro.mining.base import AttributeClassifier
 from repro.mining.tree_classifier import TreeClassifier
-from repro.schema import Schema, Table, nominal, numeric, write_csv
+from repro.io import CsvTableSource, write_table
+from repro.schema import Schema, Table, nominal, numeric
 
 
 def _structured_table(n=1200, seed=21, error_rate=0.02):
@@ -124,10 +125,10 @@ class TestStreamingParity:
     def test_csv_stream_equals_whole_table(self, session, table):
         whole = session.audit(table)
         buffer = io.StringIO()
-        write_csv(table, buffer)
+        write_table(table, buffer, format="csv")
         buffer.seek(0)
         merged = AuditReport.merge(
-            session.audit_csv_stream(buffer, chunk_size=256)
+            session.audit_source(CsvTableSource(table.schema, buffer), chunk_size=256)
         )
         _assert_reports_equal(merged, whole)
 

@@ -14,7 +14,8 @@ from repro.core import (
     load_auditor,
 )
 from repro.pollution import PollutionLog
-from repro.schema import Schema, Table, nominal, numeric, read_csv
+from repro.io import read_table
+from repro.schema import Schema, Table, nominal, numeric
 from repro.schema.serialize import domain_from_dict, schema_from_dict
 from repro.schema.values import value_from_json, value_to_json
 
@@ -126,7 +127,7 @@ class TestCsvFailures:
     def test_missing_file(self, fitted):
         _, table = fitted
         with pytest.raises(FileNotFoundError):
-            read_csv(table.schema, "/nonexistent/file.csv")
+            read_table(table.schema, "/nonexistent/file.csv")
 
     def test_audit_with_extra_schema_column_fails(self, fitted):
         auditor, table = fitted

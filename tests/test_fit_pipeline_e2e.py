@@ -27,7 +27,8 @@ from repro.cli import main
 from repro.core import AuditSession, DataAuditor
 from repro.registry import ModelRegistry, model_digest
 from repro.core.serialize import auditor_to_dict
-from repro.schema import Schema, Table, nominal, numeric, read_csv, write_csv
+from repro.io import read_table, write_table
+from repro.schema import Schema, Table, nominal, numeric
 from repro.schema.serialize import schema_from_dict, schema_to_dict
 from repro.serve import AuditService
 from tests import reference_lanes as ref
@@ -59,7 +60,7 @@ def stand(tmp_path):
     schema_path = tmp_path / "schema.json"
     schema_path.write_text(json.dumps(schema_to_dict(train.schema)))
     train_csv = tmp_path / "train.csv"
-    write_csv(train, train_csv)
+    write_table(train, train_csv)
     # a stream whose error rate steps up mid-way: the drift scenario
     drifting = Table(
         train.schema,
@@ -124,7 +125,7 @@ def test_parallel_fit_register_refit_serve_round_trip(stand, capsys):
     assert parallel_model.read_bytes() == serial_model.read_bytes()
     schema = schema_from_dict(json.loads(stand["schema"].read_text()))
     reference = ref.reference_fit(
-        DataAuditor(schema), read_csv(schema, stand["train_csv"])
+        DataAuditor(schema), read_table(schema, stand["train_csv"])
     )
     assert model_digest(auditor_to_dict(reference)) == model_digest(
         json.loads(serial_model.read_text())

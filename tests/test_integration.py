@@ -18,7 +18,7 @@ from repro import (
     evaluate_audit,
     run_experiment,
 )
-from repro.schema import read_csv, table_from_csv_text, table_to_csv_text
+from tests.csv_text import from_csv_text, to_csv_text
 
 
 @pytest.fixture(scope="module")
@@ -75,15 +75,15 @@ class TestFullCycle:
 class TestCsvRoundTripOfGeneratedData:
     def test_clean_table_roundtrip(self, small_world):
         profile, clean, *_ = small_world
-        text = table_to_csv_text(clean)
-        back = table_from_csv_text(profile.schema, text, validate=True)
+        text = to_csv_text(clean)
+        back = from_csv_text(profile.schema, text, validate=True)
         assert back == clean
 
     def test_dirty_table_roundtrip(self, small_world):
         profile, clean, dirty, *_ = small_world
         # dirty tables contain nulls and swapped (still in-kind) values
-        text = table_to_csv_text(dirty)
-        back = table_from_csv_text(profile.schema, text)
+        text = to_csv_text(dirty)
+        back = from_csv_text(profile.schema, text)
         assert back == dirty
 
 

@@ -490,15 +490,16 @@ class TestSessionSourceWiring:
         probe = dirty.head(200)
         assert from_source.audit(probe).findings == in_memory.audit(probe).findings
 
-    def test_audit_csv_stream_still_works(self, fitted_quis):
+    def test_csv_text_stream_audits_through_audit_source(self, fitted_quis):
         session, dirty = fitted_quis
-        from repro.schema import table_to_csv_text
+        from tests.csv_text import to_csv_text
 
         expected = session.audit(dirty)
         merged = AuditReport.merge(
             list(
-                session.audit_csv_stream(
-                    io.StringIO(table_to_csv_text(dirty)), chunk_size=640
+                session.audit_source(
+                    CsvTableSource(dirty.schema, io.StringIO(to_csv_text(dirty))),
+                    chunk_size=640,
                 )
             )
         )

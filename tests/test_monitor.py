@@ -26,8 +26,9 @@ import pytest
 
 from repro.core import AuditorConfig, AuditReport, AuditSession, StreamReport
 from repro.core.findings import findings_schema, findings_to_table
+from repro.errors import InputError
 from repro.io.jsonl_backend import JsonlTableSink
-from repro.io.registry import open_sink
+from repro.io.registry import open_sink, write_table
 from repro.monitor import (
     DriftConfig,
     DriftTracker,
@@ -40,7 +41,7 @@ from repro.monitor import (
 )
 from repro.monitor.tail import SqliteTailReader, TextTailReader
 from repro.registry import ModelRegistry
-from repro.schema import Schema, Table, nominal, numeric, text, write_csv
+from repro.schema import Schema, Table, nominal, numeric, text
 from repro.testenv import quis_regime_stream
 
 
@@ -398,6 +399,19 @@ class TestSqliteTail:
         with pytest.raises(ValueError, match="cannot tail table 'loads'"):
             open_tail(schema, tmp_path / "t.db")
 
+    def test_without_rowid_table_is_refused(self, tmp_path):
+        """A WITHOUT ROWID table has no row id to resume from: refused
+        when the reader opens, not with a raw sqlite3 error at the first
+        poll."""
+        schema = Schema([nominal("A", ["a", "b"]), numeric("N", 0, 9, integer=True)])
+        with sqlite3.connect(tmp_path / "t.db") as conn:
+            conn.execute(
+                "CREATE TABLE loads (A TEXT PRIMARY KEY, N INTEGER) WITHOUT ROWID"
+            )
+            conn.execute("INSERT INTO loads VALUES ('a', 1)")
+        with pytest.raises(InputError, match="cannot tail table 'loads'"):
+            open_tail(schema, tmp_path / "t.db")
+
 
 class TestOpenTail:
     def test_parquet_cannot_be_tailed(self, tail_schema, tmp_path):
@@ -562,7 +576,7 @@ class TestWatcherCatchUp:
 
     def test_csv_and_sqlite_backends_agree(self, session, stream, tmp_path):
         _write_jsonl(stream, tmp_path / "s.jsonl")
-        write_csv(stream, tmp_path / "s.csv")
+        write_table(stream, tmp_path / "s.csv")
         with open_sink(stream.schema, f"sqlite:///{tmp_path}/s.db?table=loads") as sink:
             sink.write(stream)
         outputs = {}

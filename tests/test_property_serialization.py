@@ -7,17 +7,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schema import (
-    Schema,
-    Table,
-    date,
-    nominal,
-    numeric,
-    table_from_csv_text,
-    table_to_csv_text,
-)
+from repro.schema import Schema, Table, date, nominal, numeric
 from repro.schema.serialize import schema_from_dict, schema_to_dict
 from repro.schema.values import value_from_json, value_to_json
+from tests.csv_text import from_csv_text, to_csv_text
 
 SCHEMA = Schema(
     [
@@ -52,16 +45,16 @@ class TestCsvRoundTrip:
     @given(rows())
     def test_arbitrary_tables_roundtrip(self, table_rows):
         table = Table(SCHEMA, table_rows)
-        text = table_to_csv_text(table)
-        back = table_from_csv_text(SCHEMA, text, validate=True)
+        text = to_csv_text(table)
+        back = from_csv_text(SCHEMA, text, validate=True)
         assert back == table
 
     @settings(max_examples=50, deadline=None)
     @given(rows(), st.sampled_from(["\\N", "NULL", "~"]))
     def test_roundtrip_with_custom_null_marker(self, table_rows, marker):
         table = Table(SCHEMA, table_rows)
-        text = table_to_csv_text(table, null_marker=marker)
-        back = table_from_csv_text(SCHEMA, text, null_marker=marker)
+        text = to_csv_text(table, null_marker=marker)
+        back = from_csv_text(SCHEMA, text, null_marker=marker)
         assert back == table
 
 

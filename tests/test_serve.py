@@ -27,8 +27,10 @@ from repro.cli import main
 from repro.core import AuditorConfig, AuditSession
 from repro.registry import ModelRegistry, model_digest
 from repro.core.serialize import auditor_to_dict, save_auditor
-from repro.schema import Schema, Table, nominal, numeric, write_csv
+from repro.io import write_table
+from repro.schema import Schema, Table, nominal, numeric
 from repro.schema.serialize import schema_to_dict
+from repro.errors import InputError
 from repro.serve import AuditService, ServiceError, make_server
 
 
@@ -58,8 +60,8 @@ def corpus(tmp_path_factory):
     load = _structured_table(n=150, seed=99, error_rate=0.2)
     train_csv = root / "train.csv"
     load_csv = root / "load.csv"
-    write_csv(train, train_csv)
-    write_csv(load, load_csv)
+    write_table(train, train_csv)
+    write_table(load, load_csv)
     session = AuditSession(
         train.schema, AuditorConfig(min_error_confidence=0.8)
     ).fit(train)
@@ -166,9 +168,9 @@ class TestServiceEndpoints:
             "source": str(corpus["train_csv"]),
         }
         mutate(payload)
-        with pytest.raises(ServiceError) as excinfo:
+        assert status == 400
+        with pytest.raises(InputError) as excinfo:
             service.fit(payload)
-        assert excinfo.value.status == status
         assert fragment in str(excinfo.value)
 
     def test_audit_source_summary(self, service, corpus):
@@ -204,9 +206,10 @@ class TestServiceEndpoints:
         ],
     )
     def test_audit_rejections(self, service, payload, status, fragment):
-        with pytest.raises(ServiceError) as excinfo:
+        with pytest.raises(InputError if status == 400 else ServiceError) as excinfo:
             service.audit(payload)
-        assert excinfo.value.status == status
+        if status != 400:
+            assert excinfo.value.status == status
         assert fragment in str(excinfo.value)
 
     def test_audit_engine_sql_matches_memory(self, service, corpus):
@@ -293,7 +296,7 @@ class TestServiceEndpoints:
         ``"format": "csv"`` exactly as the ``.csv`` file does."""
         renamed = corpus["root"] / "load.txt"
         renamed.write_bytes(corpus["load_csv"].read_bytes())
-        with pytest.raises(ServiceError, match="cannot infer a table format"):
+        with pytest.raises(InputError, match="cannot infer a table format"):
             service.audit({"model": "svc", "source": str(renamed)})
         summary, lines = service.audit(
             {"model": "svc", "source": str(renamed), "format": "csv"}
@@ -486,6 +489,18 @@ class TestHttpTransport:
                 "unknown request fields ['io_path'] (allowed: config, format, "
                 "name, schema, source)",
             ),
+            (
+                "/audit",
+                b'{"model": "svc", "source": 5, "format": "csv"}',
+                {},
+                "'source' must be a location string, got 5",
+            ),
+            (
+                "/monitors",
+                b'{"name": "m", "model": "svc", "source": "x.jsonl", "state": 5}',
+                {},
+                "cannot start monitor 'm'",
+            ),
         ],
         ids=[
             "numeric-model",
@@ -497,6 +512,8 @@ class TestHttpTransport:
             "stale-io-path",
             "stale-jobs",
             "stale-fit-io-path",
+            "numeric-source",
+            "numeric-monitor-state",
         ],
     )
     def test_malformed_bodies_are_400(self, http_server, path, body, headers, fragment):
@@ -546,6 +563,68 @@ def _wait_for(predicate, timeout=15.0):
             return True
         time.sleep(0.05)
     return False
+
+
+class TestFailureContract:
+    """The service answers 400 only for an InputError — unusable request
+    input, including a client-named location it cannot open; a fault of
+    the program is a 500."""
+
+    def test_internal_value_error_is_500(self, http_server, corpus, monkeypatch):
+        from repro.mining.tree_classifier import TreeClassifier
+
+        def broken(self, columns, *, n_rows=None):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(TreeClassifier, "predict_batch", broken)
+        status, payload = _raw_post(
+            http_server,
+            "/audit",
+            json.dumps({"model": "svc", "source": str(corpus["load_csv"])}).encode(),
+            {},
+        )
+        assert status == 500
+        assert payload["error"] == "internal error: boom"
+
+    @pytest.mark.parametrize("path", ["/fit", "/audit", "/monitors"])
+    def test_unopenable_client_location_is_400(self, http_server, corpus, tmp_path, path):
+        absent = str(tmp_path / "absent.jsonl")
+        body = {
+            "/fit": {"name": "n", "schema": schema_to_dict(corpus["schema"]),
+                     "source": absent},
+            "/audit": {"model": "svc", "source": absent},
+            "/monitors": {"name": "m", "model": "svc", "source": absent},
+        }[path]
+        status, payload = _raw_post(http_server, path, json.dumps(body).encode(), {})
+        assert status == 400
+        assert "absent.jsonl" in payload["error"]
+
+
+class TestModelCache:
+    def test_cache_stays_bounded_and_evicted_versions_reload(self, corpus, tmp_path):
+        """An auto-refitting monitor registers version after version; the
+        service keeps only the most recently used models, and a version
+        it evicted audits to the same bytes when it is asked for again."""
+        from repro.core.serialize import auditor_from_dict
+        from repro.serve import service as service_module
+
+        registry = ModelRegistry(tmp_path / "registry")
+        service = AuditService(registry)
+        document = auditor_to_dict(corpus["session"].auditor)
+        bound = service_module._MODEL_CACHE_SIZE
+        body = {"model": "svc@latest", "source": str(corpus["load_csv"])}
+        for step in range(bound + 2):
+            document["config"]["min_error_confidence"] = 0.5 + step / 100
+            registry.put(auditor_from_dict(document), "svc")
+            _, lines = service.audit(body)
+            if step == 0:
+                first = "".join(lines)
+            assert len(service._model_cache) <= bound
+        assert len(service._model_cache) == bound
+        assert registry.resolve("svc@v1").digest not in service._model_cache
+        summary, lines = service.audit({**body, "model": "svc@v1"})
+        assert summary["model"] == "svc@v1"
+        assert "".join(lines) == first
 
 
 class TestHostedMonitors:
@@ -616,9 +695,8 @@ class TestHostedMonitors:
             },
         ]
         for payload in cases:
-            with pytest.raises(ServiceError) as excinfo:
+            with pytest.raises(InputError):
                 service.start_monitor(payload)
-            assert excinfo.value.status == 400, payload
         assert service.list_monitors() == {"monitors": []}
 
     def test_unknown_model_is_404(self, service, tmp_path):

@@ -295,8 +295,9 @@ def write_atomic(path: Union[str, Path], data: bytes) -> None:
     fsync, then an atomic rename onto *path*. The file either keeps its old
     content or holds all of the new one, never a prefix, and the temp
     file is removed on any exception, ``KeyboardInterrupt`` included.
-    Model files, registry objects and indexes, and monitor watermarks
-    are all written through it."""
+    An ``OSError`` names *path*, the file the caller asked for, not the
+    temp file. Model files, registry objects and indexes, and monitor
+    watermarks are all written through it."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
@@ -305,11 +306,14 @@ def write_atomic(path: Union[str, Path], data: bytes) -> None:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             tmp.unlink()
         except OSError:
             pass
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # OSError picks the errno's subclass (FileNotFoundError, …)
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

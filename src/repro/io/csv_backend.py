@@ -34,6 +34,11 @@ class CsvTableSource(TableSource):
     column-at-a-time (:func:`~repro.io.columnar.columns_from_rows`):
     nominal, integer and date columns in one comprehension each, float
     columns cell by cell.
+
+    Errors name a record by its line: ``first_line`` is the line of the
+    first record after the header (a quoted newline does not start a
+    new line). A reader of a slice of a larger file passes the slice's
+    line in that file.
     """
 
     def __init__(
@@ -42,9 +47,11 @@ class CsvTableSource(TableSource):
         source: Union[str, Path, TextIO],
         *,
         null_marker: str = DEFAULT_NULL_MARKER,
+        first_line: int = 2,
     ):
         super().__init__(schema)
         self.null_marker = null_marker
+        self.first_line = first_line
         self._handle, self._owns_handle = open_text(source, "r", newline="")
         try:
             self._reader = csv.reader(self._handle)
@@ -105,7 +112,7 @@ class CsvTableSource(TableSource):
         cells = cells_in_order(self._order)
         n_fields = self._n_fields
         buffered: list[tuple] = []
-        first_line = 2  # the line number of buffered[0]
+        first_line = self.first_line  # the line number of buffered[0]
 
         def convert() -> ColumnBatch:
             cols = columns_from_rows(
@@ -118,9 +125,9 @@ class CsvTableSource(TableSource):
             )
             return ColumnBatch(self.schema, dict(zip(names, cols)), len(buffered))
 
-        line_no = 1
+        line_no = first_line - 1
         try:
-            for line_no, fields in enumerate(self._reader, start=2):
+            for line_no, fields in enumerate(self._reader, start=first_line):
                 if len(fields) != n_fields:
                     convert()  # a cell error in an earlier row wins
                     raise InputError(

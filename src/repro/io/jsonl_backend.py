@@ -65,10 +65,21 @@ class JsonlTableSource(TableSource):
     values in schema order, and converts each batch column-at-a-time
     (:func:`~repro.io.columnar.columns_from_rows`): string and integer
     columns are taken as parsed, the others coerce cell by cell.
+
+    Errors name a record by its physical line, blank lines included:
+    ``first_line`` is the line the text starts at. A reader of a slice
+    of a larger file passes the slice's line in that file.
     """
 
-    def __init__(self, schema: Schema, source: Union[str, Path, TextIO]):
+    def __init__(
+        self,
+        schema: Schema,
+        source: Union[str, Path, TextIO],
+        *,
+        first_line: int = 1,
+    ):
         super().__init__(schema)
+        self.first_line = first_line
         self._handle, self._owns_handle = open_text(source, "r")
 
     def _structural_check(self, line_no: int, line: str) -> dict:
@@ -120,9 +131,9 @@ class JsonlTableSource(TableSource):
             )
             return ColumnBatch(self.schema, dict(zip(names, cols)), len(buffered))
 
-        line_no = 0
+        line_no = self.first_line - 1
         try:
-            for line_no, line in enumerate(self._handle, start=1):
+            for line_no, line in enumerate(self._handle, start=self.first_line):
                 line = line.strip()
                 if not line:
                     continue

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import sqlite3
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import InputError
@@ -51,6 +51,7 @@ __all__ = [
     "SqliteTableSource",
     "SqliteTableSink",
     "parse_sqlite_url",
+    "fetched_batch",
     "DEFAULT_TABLE",
 ]
 
@@ -190,6 +191,26 @@ def _from_sql(raw: object, kind: AttributeKind, integer: bool) -> Value:
     raise ValueError(f"expected a number for a numeric cell, got {raw!r}")
 
 
+def fetched_batch(
+    schema: Schema, rows: list, numbers: Sequence[int], *, label: str
+) -> ColumnBatch:
+    """Convert fetched rows, each holding the schema's cells first, into
+    one :class:`~repro.io.columnar.ColumnBatch`: text and integer columns
+    are taken as fetched, and a bad cell names its ``f"{label} {n}"``
+    with *n* from *numbers*. The lane of :class:`SqliteTableSource` and
+    of the monitor's SQLite tail."""
+    names = schema.names
+    columns = columns_from_rows(
+        rows,
+        numbers,
+        label=label,
+        names=names,
+        converters=cell_converters(schema, _from_sql),
+        bulk=native_bulk(schema),
+    )
+    return ColumnBatch(schema, dict(zip(names, columns)), len(rows))
+
+
 class SqliteTableSource(TableSource):
     """Chunked ``fetchmany`` reader over one SQLite table.
 
@@ -238,25 +259,12 @@ class SqliteTableSource(TableSource):
         return self.connection.execute(f"{select} ORDER BY {rowid}")
 
     def _iter_column_batches(self, batch_size: int):
-        names = self.schema.names
-        converters = cell_converters(self.schema, _from_sql)
-        bulk = native_bulk(self.schema)
         cursor = self._execute_select()
         row_no = 0
-        while True:
-            batch = cursor.fetchmany(batch_size)
-            if not batch:
-                return
-            cols = columns_from_rows(
-                batch,
-                range(row_no + 1, row_no + 1 + len(batch)),
-                label="row",
-                names=names,
-                converters=converters,
-                bulk=bulk,
-            )
+        while batch := cursor.fetchmany(batch_size):
+            numbers = range(row_no + 1, row_no + 1 + len(batch))
+            yield fetched_batch(self.schema, batch, numbers, label="row")
             row_no += len(batch)
-            yield ColumnBatch(self.schema, dict(zip(names, cols)), len(batch))
 
     def close(self) -> None:
         self.connection.close()

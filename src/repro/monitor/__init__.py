@@ -5,8 +5,8 @@ The paper embeds auditing inside warehouse *loading* — an ongoing
 activity, not a batch job. This package makes that a first-class online
 scenario on top of the batch engine:
 
-* :mod:`repro.monitor.tail` — resumable readers of growing CSV/JSONL
-  files (byte offsets, torn-tail safe) and SQLite tables (rowids);
+* :mod:`repro.monitor.tail` — bounded, resumable readers of growing
+  CSV/JSONL files (byte offsets, torn-tail safe) and SQLite tables (rowids);
 * :mod:`repro.monitor.watermark` — durable exactly-once progress
   (atomic state file + findings-file truncation on resume);
 * :mod:`repro.monitor.watcher` — the :class:`TableWatcher` engine, whose

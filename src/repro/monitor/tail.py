@@ -2,57 +2,53 @@
 
 The :mod:`repro.io` sources are single-pass — right for auditing a
 finished load, wrong for a table that is still growing. A
-:class:`TailReader` instead reads *from an offset*: every call to
-:meth:`TailReader.read_new` returns the rows that became complete since
-the given position, each paired with the offset just past it, so the
-caller can persist exactly how far it has consumed (the watermark) and
-resume there after a restart.
+:class:`TailReader` instead reads *from an offset*:
+:meth:`TailReader.read_new` returns at most *limit* rows that became
+complete after it, as one :class:`~repro.io.columnar.ColumnBatch`, and
+the offset just past them, so the caller can persist exactly how far it
+has consumed (the watermark) and resume there after a restart. A read
+holds *limit* rows and one :data:`READ_BLOCK`, whatever the backlog.
 
 Offsets are **byte positions** for CSV/JSONL files and **rowids** for
 SQLite tables. Text files are read in binary and split into records by
 :func:`split_records`, which only ever cuts at a newline that really
 ends a record — it tracks CSV quote parity, so a quoted field
 containing ``\\n`` never tears a row. Everything after the last record
-boundary (a half-written trailing line, a line still missing its
-newline, an unclosed quote) is simply **not consumed yet**: the next
-poll re-reads it, by which time the producer has finished the write.
-That is the whole torn-write story — a monitor polling a file mid-append
-never errors on the partial tail and never emits a row twice.
-
-Parsing reuses the :mod:`repro.io` backends verbatim (the complete
-records are fed through :class:`~repro.io.csv_backend.CsvTableSource` /
-:class:`~repro.io.jsonl_backend.JsonlTableSource`), so a tailed read
-applies exactly the schema-driven coercion and strictness of a batch
-read. SQLite needs none of the byte games: committed rows appear
-atomically, and ``WHERE rowid > ?`` is the resume position.
+boundary (a half-written trailing line, an unclosed quote) is simply
+**not consumed yet**: a later read returns it whole, so a monitor
+polling a file mid-append never errors on the partial tail and never
+emits a row twice. The complete records are parsed by the
+:mod:`repro.io` CSV/JSONL sources from the line they start at in the
+file, so a tailed read coerces exactly as a batch read does and a bad
+cell names the line ``repro audit`` names. SQLite rows are fetched
+``WHERE rowid > ? ORDER BY rowid LIMIT ?`` and converted as the SQLite
+source converts them.
 """
 
 from __future__ import annotations
 
 import io
-import sqlite3
 from abc import ABC, abstractmethod
+from itertools import accumulate, takewhile
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro.errors import InputError
 from repro.io.base import undecodable
-from repro.io.cells import cell_context, cell_converters
+from repro.io.columnar import ColumnBatch
 from repro.io.csv_backend import CsvTableSource
 from repro.io.jsonl_backend import JsonlTableSource
 from repro.io.registry import detect_format
 from repro.io.sqlite_backend import (
-    _from_sql,
+    SqliteTableSource,
     _quote,
+    fetched_batch,
     parse_sqlite_url,
-    resolve_table,
     rowid_alias,
 )
 from repro.schema.schema import Schema
-from repro.schema.types import Value
 
 __all__ = [
-    "TailedRow",
     "TailReader",
     "TextTailReader",
     "SqliteTailReader",
@@ -60,8 +56,8 @@ __all__ = [
     "open_tail",
 ]
 
-#: one newly-complete stored row: (schema-ordered cells, offset just past it)
-TailedRow = tuple[list[Value], int]
+#: bytes a text tail reads from its file at a time
+READ_BLOCK = 1 << 14
 
 
 def split_records(data: bytes, *, quoted: bool = False) -> tuple[list[bytes], int]:
@@ -76,19 +72,23 @@ def split_records(data: bytes, *, quoted: bool = False) -> tuple[list[bytes], in
     """
     records: list[bytes] = []
     start = 0
-    in_quote = False
-    for position, byte in enumerate(data):
-        if quoted and byte == 0x22:  # '"'
-            in_quote = not in_quote
-        elif byte == 0x0A and not in_quote:  # '\n'
-            records.append(data[start : position + 1])
-            start = position + 1
-    return records, start
+    quoted = quoted and b'"' in data
+    while True:
+        end = data.find(b"\n", start)
+        if quoted:
+            while end >= 0 and data.count(b'"', start, end) % 2:
+                end = data.find(b"\n", end + 1)
+        if end < 0:
+            return records, start
+        records.append(data[start : end + 1])
+        start = end + 1
 
 
 class TailReader(ABC):
     """A positioned, restartable reader of one growing table."""
 
+    #: the registry format name of the tailed table ("csv", "jsonl" or "sqlite")
+    format: str
     #: what the offsets mean, for status displays ("bytes" or "rowid")
     offset_kind: str = "bytes"
 
@@ -96,17 +96,18 @@ class TailReader(ABC):
         self.schema = schema
         self.location = location
 
-    @abstractmethod
     def start_offset(self) -> int:
         """The offset a fresh monitor starts at (0, or past a CSV header)."""
+        return 0
 
     @abstractmethod
-    def read_new(self, offset: int) -> list[TailedRow]:
-        """All rows that became complete after *offset*, in stream order.
+    def read_new(self, offset: int, limit: int) -> tuple[ColumnBatch, int]:
+        """At most *limit* rows that became complete after *offset*, in
+        stream order, as one batch, and the offset just past them.
 
-        Each row carries the offset just past it; persisting that offset
-        and calling ``read_new`` with it again later continues exactly
-        where this batch ended, with no row duplicated or skipped.
+        Calling ``read_new`` with that offset later continues exactly
+        where this batch ended, with no row duplicated or skipped; fewer
+        than *limit* rows means every complete row is read.
         """
 
     def close(self) -> None:
@@ -139,41 +140,63 @@ class TextTailReader(TailReader):
         self.format = format
         self.null_marker = null_marker
         self._header_text = ""
-        self._data_start = 0
+        # the first record; opening a missing file raises, naming it
+        header = next(self._records_from(0), None)
         if format == "csv":
-            with open(path, "rb") as handle:
-                head = handle.read()
-            records, consumed = split_records(head, quoted=True)
-            if not records:
+            if header is None:
                 raise InputError(
                     f"{path} holds no complete CSV header line yet "
                     f"(the monitor needs the header before it can tail data rows)"
                 )
             try:
-                self._header_text = records[0].decode("utf-8")
+                self._header_text = header.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise InputError(f"{path}: {undecodable(0, exc)}") from exc
-            self._data_start = len(records[0])
             # validate the header once, eagerly — a wrong header must
             # surface at construction, not at the first data row
             CsvTableSource(
                 schema, io.StringIO(self._header_text), null_marker=null_marker
             ).close()
-        else:
-            # existence check with the open error naming the location
-            with open(path, "rb"):
-                pass
+        #: (offset, file line) of the record after the last read
+        self._next = (self.start_offset(), 2 if format == "csv" else 1)
 
     def start_offset(self) -> int:
-        return self._data_start
+        return len(self._header_text.encode("utf-8"))
 
-    def read_new(self, offset: int) -> list[TailedRow]:
+    def _records_from(self, offset: int) -> Iterator[bytes]:
+        """The complete records from *offset* on, read in bounded blocks."""
+        carry = b""
         with open(self.location, "rb") as handle:
             handle.seek(offset)
-            data = handle.read()
-        records, _ = split_records(data, quoted=self.format == "csv")
-        if not records:
-            return []
+            while block := handle.read(READ_BLOCK):
+                data = carry + block
+                records, consumed = split_records(data, quoted=self.format == "csv")
+                yield from records
+                carry = data[consumed:]
+
+    def _line_at(self, offset: int) -> int:
+        """The file line of the record at *offset*: carried from the last
+        read, or on a resume one line per record before it."""
+        if offset == self._next[0]:
+            return self._next[1]
+        ends = accumulate(map(len, self._records_from(0)))
+        return 1 + sum(1 for _ in takewhile(offset.__ge__, ends))
+
+    def read_new(self, offset: int, limit: int) -> tuple[ColumnBatch, int]:
+        line = self._line_at(offset)
+        records: list[bytes] = []
+        kept = rows = 0
+        for record in self._records_from(offset):
+            if rows == limit:
+                break
+            records.append(record)
+            # a JSONL line whose text strips to nothing holds no row
+            if self.format == "csv" or record[:1] == b"{" or (
+                record.decode("utf-8", "replace").strip()
+            ):
+                rows += 1
+                kept = len(records)
+        del records[kept:]
         try:
             text = b"".join(records).decode("utf-8")
             if self.format == "csv":
@@ -181,32 +204,22 @@ class TextTailReader(TailReader):
                     self.schema,
                     io.StringIO(self._header_text + text),
                     null_marker=self.null_marker,
+                    first_line=line,
                 )
             else:
-                source = JsonlTableSource(self.schema, io.StringIO(text))
+                source = JsonlTableSource(
+                    self.schema, io.StringIO(text), first_line=line
+                )
             with source:
-                rows = source.read().rows
-        except UnicodeDecodeError as exc:
+                batch = source.read_columns()
+        except (UnicodeDecodeError, InputError) as exc:
+            reason = undecodable(0, exc) if isinstance(exc, UnicodeDecodeError) else exc
             raise InputError(
-                f"while tailing {self.location} from byte {offset}: "
-                f"{undecodable(0, exc)}"
+                f"while tailing {self.location} from byte {offset}: {reason}"
             ) from exc
-        except InputError as exc:
-            raise InputError(
-                f"while tailing {self.location} from byte {offset}: {exc}"
-            ) from exc
-        # pair each parsed row with the offset past its record; blank
-        # JSONL lines parse to no row, so their bytes commit with the
-        # following row (or stay unconsumed as the current tail)
-        tailed: list[TailedRow] = []
-        position = offset
-        row_iter = iter(rows)
-        for record in records:
-            position += len(record)
-            if self.format == "jsonl" and not record.strip():
-                continue
-            tailed.append((next(row_iter), position))
-        return tailed
+        end = offset + sum(map(len, records))
+        self._next = (end, line + len(records))
+        return batch, end
 
 
 class SqliteTailReader(TailReader):
@@ -219,6 +232,7 @@ class SqliteTailReader(TailReader):
     names — cannot be tailed and is refused here.
     """
 
+    format = "sqlite"
     offset_kind = "rowid"
 
     def __init__(
@@ -229,49 +243,32 @@ class SqliteTailReader(TailReader):
         table: Optional[str] = None,
     ):
         super().__init__(schema, database)
-        path = Path(database)
-        if not path.exists():
-            raise FileNotFoundError(f"no such SQLite database: {database}")
-        self._connection = sqlite3.connect(path)
-        try:
-            self.table = resolve_table(self._connection, schema, table, database)
-            self._rowid = rowid_alias(self._connection, self.table)
-            if self._rowid is None:
-                raise InputError(
-                    f"cannot tail table {self.table!r}: it has no row id to "
-                    f"select (a WITHOUT ROWID table, or columns that shadow "
-                    f"every SQLite row-id name: rowid, _rowid_, oid)"
-                )
-        except Exception:
+        self._source = SqliteTableSource(schema, database, table=table)
+        self.table = self._source.table
+        rowid = rowid_alias(self._source.connection, self.table)
+        if rowid is None:
             self.close()
-            raise
-
-    def start_offset(self) -> int:
-        return 0
-
-    def read_new(self, offset: int) -> list[TailedRow]:
-        names = self.schema.names
-        converters = cell_converters(self.schema, _from_sql)
-        rowid = self._rowid
-        columns = ", ".join(_quote(name) for name in names)
-        select = (
-            f"SELECT {rowid}, {columns} FROM {_quote(self.table)} "
-            f"WHERE {rowid} > ? ORDER BY {rowid}"
+            raise InputError(
+                f"cannot tail table {self.table!r}: it has no row id to "
+                f"select (a WITHOUT ROWID table, or columns that shadow "
+                f"every SQLite row-id name: rowid, _rowid_, oid)"
+            )
+        # the row id rides last, past the cells the conversion reads
+        columns = ", ".join(_quote(name) for name in schema.names)
+        self._select = (
+            f"SELECT {columns}, {rowid} FROM {_quote(self.table)} "
+            f"WHERE {rowid} > ? ORDER BY {rowid} LIMIT ?"
         )
-        tailed: list[TailedRow] = []
-        for raw in self._connection.execute(select, (offset,)):
-            rowid, raw_cells = raw[0], raw[1:]
-            cells = []
-            for name, converter, value in zip(names, converters, raw_cells):
-                try:
-                    cells.append(converter(value))
-                except ValueError as exc:
-                    raise cell_context(f"rowid {rowid}", name, exc) from None
-            tailed.append((cells, rowid))
-        return tailed
+
+    def read_new(self, offset: int, limit: int) -> tuple[ColumnBatch, int]:
+        cursor = self._source.connection.execute(self._select, (offset, limit))
+        fetched = cursor.fetchall()
+        rowids = [row[-1] for row in fetched]
+        batch = fetched_batch(self.schema, fetched, rowids, label="rowid")
+        return batch, rowids[-1] if rowids else offset
 
     def close(self) -> None:
-        self._connection.close()
+        self._source.close()
 
 
 def open_tail(

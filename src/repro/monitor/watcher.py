@@ -12,6 +12,10 @@ after each window durably commits, in this order:
 2. the watermark (rows, source offset, findings length, drift state,
    model ref) is atomically replaced.
 
+Each tail read asks for the rows the current window still needs, so a
+window ends at a read's offset and memory is bounded by one window and
+the findings, not by the backlog.
+
 A crash between the two steps leaves findings the watermark does not
 cover; resume truncates the findings file back to the watermark's
 length and re-audits from the watermark's source offset — the resumed
@@ -53,9 +57,9 @@ from repro.core.findings import (
     findings_to_table,
 )
 from repro.errors import InputError
+from repro.io.columnar import ColumnBatch
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
 from repro.schema.table import Table
-from repro.schema.types import Value
 
 from .drift import DriftConfig, DriftEvent, DriftTracker
 from .refit import RefitPolicy, perform_refit, refit_event_record
@@ -127,7 +131,6 @@ class TableWatcher:
             raise InputError(f"poll_interval must be > 0, got {poll_interval}")
         self.session = session
         self.location = location
-        self.source_format = format
         self.state_path = Path(state_path)
         self.findings_path = Path(findings_path)
         self.window_rows = window_rows
@@ -137,8 +140,7 @@ class TableWatcher:
         self.emit = emit
         self.error: Optional[str] = None
         self._lock = threading.Lock()
-        self._pending: list[list[Value]] = []
-        self._pending_offsets: list[int] = []
+        self._pending: list[ColumnBatch] = []
         self._buffer: Optional[deque] = (
             deque(maxlen=self.refit.refit_rows) if self.refit.wants_buffer else None
         )
@@ -216,26 +218,27 @@ class TableWatcher:
     # -- polling -----------------------------------------------------------
 
     def poll(self) -> int:
-        """Read newly-complete rows and commit every full window.
+        """Read until a read comes back short, committing every full window.
 
         Returns the number of rows read this poll (committed or still
         pending). Partial trailing records in the source are simply not
         returned by the tail reader yet — the next poll re-reads them.
         """
-        rows = self._tail.read_new(self._read_offset)
-        for cells, end_offset in rows:
-            self._pending.append(cells)
-            self._pending_offsets.append(end_offset)
-        if rows:
-            self._read_offset = rows[-1][1]
-        while len(self._pending) >= self.window_rows:
-            self._commit_window(self.window_rows)
-        return len(rows)
+        total = 0
+        while True:
+            wanted = self.window_rows - sum(b.n_rows for b in self._pending)
+            batch, self._read_offset = self._tail.read_new(self._read_offset, wanted)
+            total += batch.n_rows
+            if batch.n_rows:
+                self._pending.append(batch)
+            if batch.n_rows < wanted:
+                return total
+            self._commit_window()
 
     def flush(self) -> None:
         """Commit the pending partial window (catch-up mode only)."""
         if self._pending:
-            self._commit_window(len(self._pending))
+            self._commit_window()
 
     def run(
         self,
@@ -257,21 +260,18 @@ class TableWatcher:
                 self.poll()
                 stop.wait(self.poll_interval)
         else:
-            while self.poll():
-                pass
+            self.poll()
             self.flush()
         return self.report
 
     # -- the durable commit ------------------------------------------------
 
-    def _commit_window(self, n_rows: int) -> None:
+    def _commit_window(self) -> None:
         with self._lock:
-            cells = self._pending[:n_rows]
-            end_offset = self._pending_offsets[n_rows - 1]
-            table = Table(self.session.schema, cells)
-            report = self.session.audit(table).with_row_offset(self.watermark.rows)
+            window = ColumnBatch.concat(self.session.schema, self._pending)
+            report = self.session.audit(window).with_row_offset(self.watermark.rows)
             if self._buffer is not None:
-                self._buffer.extend(cells)
+                self._buffer.extend(window.rows())
 
             # 1. findings become durable
             text = _render_findings_jsonl(report.findings)
@@ -284,7 +284,7 @@ class TableWatcher:
                 self.emit(text)
 
             # 2. drift + refit decide the model the *next* window uses
-            events = self.tracker.observe(n_rows, self._window_counts(report))
+            events = self.tracker.observe(window.n_rows, self._window_counts(report))
             for event in events:
                 logger.warning(
                     "drift detected: attribute=%s window=%d direction=%s "
@@ -300,17 +300,16 @@ class TableWatcher:
                 self._respond_to_drift(events)
 
             # 3. the watermark commits it all atomically
-            self.watermark.rows += n_rows
+            self.watermark.rows += window.n_rows
             self.watermark.windows += 1
-            self.watermark.source_offset = end_offset
+            self.watermark.source_offset = self._read_offset
             self.watermark.findings_bytes += len(data)
             self.watermark.findings_rows += len(report.findings)
             self.watermark.drift = self.tracker.to_dict()
             self.watermark.model_ref = self.model_ref
             self.watermark.save(self.state_path)
 
-            del self._pending[:n_rows]
-            del self._pending_offsets[:n_rows]
+            self._pending.clear()
             self.report.extend(report)
 
     def _window_counts(self, report: AuditReport) -> dict[str, int]:
@@ -351,7 +350,7 @@ class TableWatcher:
             buffer,
             event,
             source=str(self.location),
-            source_format=self.source_format or getattr(self._tail, "format", None),
+            source_format=self._tail.format,
             stream_rows=self.watermark.rows,
         )
         self.session = new_session
@@ -382,12 +381,12 @@ class TableWatcher:
         with self._lock:
             return {
                 "source": str(self.location),
-                "format": self.source_format or getattr(self._tail, "format", "sqlite"),
+                "format": self._tail.format,
                 "model": self.model_ref,
                 "rows": self.watermark.rows,
                 "windows": self.watermark.windows,
                 "window_rows": self.window_rows,
-                "pending_rows": len(self._pending),
+                "pending_rows": sum(b.n_rows for b in self._pending),
                 "findings": self.watermark.findings_rows,
                 "suspicious": self.report.n_suspicious,
                 "source_offset": self.watermark.source_offset,

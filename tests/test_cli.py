@@ -563,6 +563,20 @@ class TestBadInput:
         message = self._error_line(argv, capsys)
         assert "no-such-dir" in message
 
+    def test_unwritable_model_names_the_given_path(self, stand, capsys):
+        """The error names the `--model-out` path, not the temp file the
+        atomic write goes through."""
+        target = stand["dir"] / "no-such-dir" / "m.json"
+        message = self._error_line(
+            ["fit", "--schema", stand["schema"], "--input", stand["good"],
+             "--model-out", target],
+            capsys,
+        )
+        assert message == (
+            f"error: cannot write model file {target}: "
+            f"[Errno 2] No such file or directory: '{target}'"
+        )
+
     def test_file_that_is_not_a_database_is_one_line(self, stand, capsys):
         impostor = stand["dir"] / "load.db"
         impostor.write_bytes(stand["good"].read_bytes())

@@ -19,16 +19,21 @@ The load-bearing contracts, in the order the classes below cover them:
 import io
 import json
 import random
+import re
 import sqlite3
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import AuditorConfig, AuditReport, AuditSession, StreamReport
 from repro.core.findings import findings_schema, findings_to_table
 from repro.errors import InputError
 from repro.io.jsonl_backend import JsonlTableSink
-from repro.io.registry import open_sink, write_table
+from repro.io.registry import open_sink, open_source, write_table
 from repro.monitor import (
     DriftConfig,
     DriftTracker,
@@ -39,7 +44,7 @@ from repro.monitor import (
     open_tail,
     split_records,
 )
-from repro.monitor.tail import SqliteTailReader, TextTailReader
+from repro.monitor.tail import READ_BLOCK, SqliteTailReader, TextTailReader
 from repro.registry import ModelRegistry
 from repro.schema import Schema, Table, nominal, numeric, text
 from repro.testenv import quis_regime_stream
@@ -214,6 +219,13 @@ class TestWatermark:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.state"]
 
+    def test_unwritable_path_is_named(self, tmp_path):
+        path = tmp_path / "no-such-dir" / "m.state"
+        with pytest.raises(FileNotFoundError) as excinfo:
+            Watermark(rows=1).save(path)
+        assert excinfo.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == []
+
 
 # -- tail readers -----------------------------------------------------------
 
@@ -234,20 +246,21 @@ class TestTextTail:
         path.write_text("A,N\na,1\nb,2\n")
         reader = open_tail(tail_schema, path)
         assert isinstance(reader, TextTailReader)
+        assert reader.format == "csv"
         assert reader.start_offset() == len("A,N\n")
-        rows = reader.read_new(reader.start_offset())
-        assert [cells for cells, _ in rows] == [["a", 1], ["b", 2]]
-        assert rows[-1][1] == path.stat().st_size
+        batch, end = reader.read_new(reader.start_offset(), 10)
+        assert batch.rows() == [["a", 1], ["b", 2]]
+        assert end == path.stat().st_size
 
     def test_append_resumes_from_offset(self, tail_schema, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("A,N\na,1\n")
         reader = open_tail(tail_schema, path)
-        first = reader.read_new(reader.start_offset())
+        _, end = reader.read_new(reader.start_offset(), 10)
         with open(path, "a") as handle:
             handle.write("c,3\n")
-        again = reader.read_new(first[-1][1])
-        assert [cells for cells, _ in again] == [["c", 3]]
+        again, _ = reader.read_new(end, 10)
+        assert again.rows() == [["c", 3]]
 
     def test_partial_trailing_line_reread_next_poll(self, tail_schema, tmp_path):
         """The torn-write contract: a half-written row is invisible until
@@ -255,31 +268,37 @@ class TestTextTail:
         path = tmp_path / "t.jsonl"
         path.write_text('{"A": "a", "N": 1}\n{"A": "b", "N"')
         reader = open_tail(tail_schema, path)
-        rows = reader.read_new(0)
-        assert [cells for cells, _ in rows] == [["a", 1]]
-        offset = rows[-1][1]
-        assert reader.read_new(offset) == []  # still torn: still invisible
+        assert reader.format == "jsonl"
+        batch, offset = reader.read_new(0, 10)
+        assert batch.rows() == [["a", 1]]
+        still_torn, same = reader.read_new(offset, 10)
+        assert (still_torn.n_rows, same) == (0, offset)  # still invisible
         with open(path, "a") as handle:
             handle.write(": 2}\n")
-        rows = reader.read_new(offset)
-        assert [cells for cells, _ in rows] == [["b", 2]]
+        batch, _ = reader.read_new(offset, 10)
+        assert batch.rows() == [["b", 2]]
 
     def test_csv_quoted_newline_not_torn(self, tmp_path):
         schema = Schema([text("T", nullable=False), numeric("N", 0, 9, integer=True)])
         path = tmp_path / "t.csv"
         path.write_text('T,N\n"two\nlines",1\nplain,2\n')
         reader = open_tail(schema, path)
-        rows = reader.read_new(reader.start_offset())
-        assert [cells for cells, _ in rows] == [["two\nlines", 1], ["plain", 2]]
+        batch, _ = reader.read_new(reader.start_offset(), 10)
+        assert batch.rows() == [["two\nlines", 1], ["plain", 2]]
 
     def test_jsonl_blank_lines_fold_into_next_offset(self, tail_schema, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"A": "a", "N": 1}\n\n{"A": "b", "N": 2}\n')
         reader = open_tail(tail_schema, path)
-        rows = reader.read_new(0)
-        assert [cells for cells, _ in rows] == [["a", 1], ["b", 2]]
-        # resuming from any returned offset skips the blank line cleanly
-        assert reader.read_new(rows[0][1]) == [rows[1]]
+        batch, end = reader.read_new(0, 10)
+        assert batch.rows() == [["a", 1], ["b", 2]]
+        first, first_end = reader.read_new(0, 1)
+        assert first.rows() == [["a", 1]]
+        assert first_end == len('{"A": "a", "N": 1}\n')  # the blank line waits
+        # resuming from the returned offset skips the blank line cleanly
+        second, second_end = reader.read_new(first_end, 10)
+        assert second.rows() == [["b", 2]]
+        assert second_end == end
 
     def test_csv_without_complete_header_rejected(self, tail_schema, tmp_path):
         path = tmp_path / "t.csv"
@@ -304,11 +323,42 @@ class TestTextTail:
         path.write_text('{"A": "a", "N": "not-a-number"}\n')
         reader = open_tail(tail_schema, path)
         with pytest.raises(ValueError, match="t.jsonl"):
-            reader.read_new(0)
+            reader.read_new(0, 10)
 
     def test_missing_file_rejected(self, tail_schema, tmp_path):
         with pytest.raises(OSError):
             open_tail(tail_schema, tmp_path / "absent.jsonl")
+
+    def test_reads_are_bounded_not_the_whole_backlog(
+        self, tail_schema, tmp_path, monkeypatch
+    ):
+        """Opening a CSV tail and one bounded read each read a bounded
+        number of bytes from a multi-MiB backlog, not the whole file."""
+        import repro.monitor.tail as tail_module
+
+        path = tmp_path / "big.csv"
+        path.write_bytes(b"A,N\n" + b"a,1\n" * 1_000_000)  # 4 MiB of rows
+        read_bytes = []
+
+        class CountingFile(io.BufferedReader):
+            def read(self, size=-1):
+                data = super().read(size)
+                read_bytes.append(len(data))
+                return data
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            assert mode == "rb"
+            return CountingFile(io.FileIO(file, "r"))
+
+        monkeypatch.setattr(tail_module, "open", counting_open, raising=False)
+        reader = open_tail(tail_schema, path)
+        opened = sum(read_bytes)
+        batch, end = reader.read_new(reader.start_offset(), 100)
+        read = sum(read_bytes) - opened
+        assert batch.n_rows == 100
+        assert end == len(b"A,N\n") + 100 * len(b"a,1\n")
+        assert 0 < opened <= 1 << 16
+        assert 0 < read <= 1 << 16
 
 
 class TestSqliteTail:
@@ -322,19 +372,35 @@ class TestSqliteTail:
         db = self._make_db(tmp_path / "t.db", [("a", 1), ("b", 2)])
         reader = open_tail(tail_schema, db)
         assert isinstance(reader, SqliteTailReader)
+        assert reader.format == "sqlite"
         assert reader.start_offset() == 0
-        rows = reader.read_new(0)
-        assert [cells for cells, _ in rows] == [["a", 1], ["b", 2]]
-        assert [offset for _, offset in rows] == [1, 2]
+        batch, end = reader.read_new(0, 10)
+        assert batch.rows() == [["a", 1], ["b", 2]]
+        assert end == 2
+        first, one = reader.read_new(0, 1)
+        second, two = reader.read_new(one, 1)
+        assert (first.rows(), one) == ([["a", 1]], 1)
+        assert (second.rows(), two) == ([["b", 2]], 2)
         reader.close()
 
     def test_growing_table(self, tail_schema, tmp_path):
         db = self._make_db(tmp_path / "t.db", [("a", 1)])
         reader = open_tail(tail_schema, db)
-        first = reader.read_new(0)
+        _, end = reader.read_new(0, 10)
         with sqlite3.connect(db) as conn:
             conn.execute("INSERT INTO loads VALUES ('c', 3)")
-        assert [cells for cells, _ in reader.read_new(first[-1][1])] == [["c", 3]]
+        batch, _ = reader.read_new(end, 10)
+        assert batch.rows() == [["c", 3]]
+        reader.close()
+
+    def test_bad_cell_names_its_rowid(self, tail_schema, tmp_path):
+        db = self._make_db(tmp_path / "t.db", [("a", 1), ("b", "x")])
+        reader = open_tail(tail_schema, db)
+        with pytest.raises(InputError) as excinfo:
+            reader.read_new(0, 10)
+        assert str(excinfo.value) == (
+            "rowid 2, attribute 'N': invalid literal for int() with base 10: 'x'"
+        )
         reader.close()
 
     def test_uri_with_table_option(self, tail_schema, tmp_path):
@@ -369,21 +435,25 @@ class TestSqliteTail:
     def test_rowid_attribute_offsets_are_rowids(self, tmp_path):
         schema = self._rowid_column_db(tmp_path / "t.db", "RowId")
         reader = open_tail(schema, tmp_path / "t.db")
-        rows = reader.read_new(0)
-        assert [cells for cells, _ in rows] == [["a", 500], ["b", 900]]
-        assert [offset for _, offset in rows] == [1, 2]
+        batch, end = reader.read_new(0, 10)
+        assert batch.rows() == [["a", 500], ["b", 900]]
+        assert end == 2
+        first, one = reader.read_new(0, 1)
+        assert (first.rows(), one) == ([["a", 500]], 1)
         reader.close()
 
     def test_rowid_attribute_resume_returns_appended_rows(self, tmp_path):
         schema = self._rowid_column_db(tmp_path / "t.db", "RowId")
         reader = open_tail(schema, tmp_path / "t.db")
-        first = reader.read_new(0)
+        _, end = reader.read_new(0, 10)
         # appended rows whose attribute value is below the rows already read
         with sqlite3.connect(tmp_path / "t.db") as conn:
             conn.executemany("INSERT INTO loads VALUES (?, ?)", [("c", 100), ("d", 200)])
-        rows = reader.read_new(first[-1][1])
-        assert [cells for cells, _ in rows] == [["c", 100], ["d", 200]]
-        assert [offset for _, offset in rows] == [3, 4]
+        batch, last = reader.read_new(end, 10)
+        assert batch.rows() == [["c", 100], ["d", 200]]
+        assert last == 4
+        first, three = reader.read_new(end, 1)
+        assert (first.rows(), three) == ([["c", 100]], 3)
         reader.close()
 
     def test_every_rowid_name_shadowed_is_refused(self, tmp_path):
@@ -421,6 +491,118 @@ class TestOpenTail:
     def test_format_override_conflict_rejected(self, tail_schema, tmp_path):
         with pytest.raises(ValueError, match="sqlite URI"):
             open_tail(tail_schema, "sqlite:///x.db", format="csv")
+
+
+#: the schema the property reads; it writes through _TAIL_WRITE, whose
+#: text ``N`` column lets one cell hold a value ``N`` cannot
+_TAIL_READ = Schema([text("T"), numeric("N", 0, 100, integer=True)])
+_TAIL_WRITE = Schema([text("T"), text("N")])
+
+
+@st.composite
+def _tail_files(draw):
+    """``(format, file bytes, end of the last row, append sizes)``: a
+    CSV or JSONL table whose text cells hold quotes, commas and
+    newlines, one of them longer than a read block; JSONL files get
+    blank lines; some files get one bad ``N`` cell. The appends after
+    the CSV header tear records anywhere."""
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.text(alphabet='ab ,"\n', max_size=6),
+                st.one_of(st.none(), st.integers(0, 100)),
+            ),
+            max_size=12,
+        )
+    )
+    rows.insert(draw(st.integers(0, len(rows))), ('"' + "x" * READ_BLOCK + '\n""', 7))
+    if draw(st.booleans()):
+        bad = draw(st.integers(0, len(rows) - 1))
+        rows[bad] = (rows[bad][0], "x")
+    buffer = io.StringIO()
+    with open_sink(_TAIL_WRITE, buffer, format=fmt) as sink:
+        sink.write(Table(_TAIL_WRITE, rows))
+    data = buffer.getvalue().encode("utf-8")
+    if fmt == "csv":
+        return fmt, data, len(data), _appends(draw, data, data.index(b"\n") + 1)
+    lines = data.splitlines(keepends=True)
+    blanks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(lines)), st.sampled_from([b"\n", b"  \n", b"\t\r\n"])
+            ),
+            max_size=4,
+        )
+    )
+    for at, blank in sorted(blanks, reverse=True):
+        lines.insert(at, blank)
+    data = b"".join(lines)
+    return fmt, data, len(data.rstrip(b" \t\r\n")) + 1, _appends(draw, data, 0)
+
+
+def _appends(draw, data, start):
+    """The sizes of the writes that grow *data* from its first *start*
+    bytes: a header, then up to 12 torn pieces."""
+    cuts = draw(st.lists(st.integers(start, len(data)), max_size=11))
+    bounds = [start, *sorted(cuts), len(data)]
+    return [high - low for low, high in zip(bounds, bounds[1:])]
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(case=_tail_files(), rng=st.randoms(use_true_random=False))
+def test_torn_appends_read_exactly_the_whole_file(case, rng):
+    """Appended in random torn increments and read with random limits
+    (and the odd fresh reader, as on a resume), a growing file yields
+    exactly the rows of a whole-file read and ends at its last complete
+    record; a bad cell raises the error `repro audit` raises, behind the
+    tail's location prefix."""
+    fmt, data, last_row_end, appends = case
+    with tempfile.TemporaryDirectory() as tmp:
+        whole = Path(tmp) / f"whole.{fmt}"
+        whole.write_bytes(data)
+        try:
+            with open_source(_TAIL_READ, whole) as source:
+                expected, audit_error = source.read().rows, None
+        except InputError as exc:
+            expected, audit_error = None, exc
+
+        path = Path(tmp) / f"t.{fmt}"
+        written = len(data) - sum(appends)  # the CSV header
+        path.write_bytes(data[:written])
+        reader = open_tail(_TAIL_READ, path)
+        offset = reader.start_offset()
+        rows = []
+        try:
+            while True:
+                limit = rng.randint(1, 4)
+                if rng.random() < 0.2:
+                    reader.close()
+                    reader = open_tail(_TAIL_READ, path)
+                batch, offset = reader.read_new(offset, limit)
+                rows.extend(batch.rows())
+                if batch.n_rows == limit:
+                    continue
+                if not appends:
+                    break
+                step = appends.pop(0)
+                with open(path, "ab") as handle:
+                    handle.write(data[written : written + step])
+                written += step
+        except InputError as exc:
+            assert audit_error is not None, exc
+            prefix = f"while tailing {re.escape(str(path))} from byte \\d+: "
+            assert re.fullmatch(prefix + re.escape(str(audit_error)), str(exc))
+        else:
+            assert audit_error is None
+            assert rows == expected
+            assert offset == last_row_end
+        finally:
+            reader.close()
 
 
 # -- drift ------------------------------------------------------------------
@@ -631,8 +813,27 @@ class TestWatcherCatchUp:
         stop.set()  # already-stopped follow run: returns without flushing
         watcher.run(follow=True, stop=stop)
         assert watcher.watermark.rows == 256  # 2 windows; 44 rows stay pending
-        assert len(watcher._pending) == 44
+        assert watcher.status()["pending_rows"] == 44
         watcher.close()
+
+    def test_catchup_holds_at_most_one_window_unread(
+        self, session, stream, tmp_path, monkeypatch
+    ):
+        """Catch-up over a backlog many windows long never holds more
+        than ``window_rows`` rows read but uncommitted."""
+        write_table(stream, tmp_path / "s.csv")
+        pending_at_commit = []
+        commit = TableWatcher._commit_window
+
+        def recording(self, *args):
+            pending_at_commit.append(self.status()["pending_rows"])
+            return commit(self, *args)
+
+        monkeypatch.setattr(TableWatcher, "_commit_window", recording)
+        with _watcher(session, tmp_path / "s.csv", tmp_path, window_rows=100) as watcher:
+            watcher.run()
+        assert len(pending_at_commit) == 21  # 20 whole windows and the rest
+        assert pending_at_commit == [100] * 20 + [stream.n_rows - 2000]
 
     def test_unfitted_session_rejected(self, tmp_path, session):
         blank = AuditSession(session.schema)
@@ -677,7 +878,7 @@ class TestWatcherResume:
         while first.poll():
             pass
         assert 0 < first.watermark.rows < stream.n_rows
-        assert first._pending  # died holding uncommitted pending rows
+        assert first.status()["pending_rows"]  # died holding uncommitted rows
         first.close()
 
         source.write_bytes(full)
@@ -744,6 +945,54 @@ class TestWatcherResume:
         (tmp_path / "m.state").write_text("garbage")
         with pytest.raises(ValueError, match="monitor state"):
             _watcher(session, tmp_path / "s.jsonl", tmp_path)
+
+    @pytest.fixture
+    def tail_session(self, tail_schema):
+        rng = random.Random(3)
+        table = Table(
+            tail_schema, [[rng.choice("abc"), rng.randint(0, 100)] for _ in range(200)]
+        )
+        return AuditSession(tail_schema).fit(table)
+
+    @staticmethod
+    def _resumed_error(session, path, tmp_path):
+        """The message a fresh watcher resuming over *path* ends with,
+        and the one `repro audit` (`audit_source`) ends with."""
+        with pytest.raises(InputError) as whole:
+            list(session.audit_source(path))
+        with _watcher(session, path, tmp_path) as watcher:
+            offset = watcher.watermark.source_offset
+            with pytest.raises(InputError) as tailed:
+                watcher.run()
+        return str(tailed.value), f"while tailing {path} from byte {offset}: {whole.value}"
+
+    def test_csv_cell_error_names_its_file_line(self, tail_session, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(
+            Table(tail_session.schema, [["a", n % 100] for n in range(200)]), path
+        )
+        with _watcher(tail_session, path, tmp_path) as watcher:
+            watcher.run()
+        assert watcher.watermark.rows == 200
+        with open(path, "a", newline="") as handle:
+            handle.write("b,1\r\n" * 4 + "c,x\r\n")  # the bad cell is line 206
+        tailed, audited = self._resumed_error(tail_session, path, tmp_path)
+        assert "line 206, attribute 'N'" in audited
+        assert tailed == audited
+
+    def test_jsonl_cell_error_counts_blank_lines(self, tail_session, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_jsonl(Table(tail_session.schema, [["a", n] for n in range(11)]), path)
+        with open(path, "a") as handle:
+            handle.write("\n")  # line 12 is blank
+        with _watcher(tail_session, path, tmp_path) as watcher:
+            watcher.run()
+        assert watcher.watermark.rows == 11
+        with open(path, "a") as handle:
+            handle.write('{"A": "b", "N": "x"}\n')  # line 13
+        tailed, audited = self._resumed_error(tail_session, path, tmp_path)
+        assert "line 13, attribute 'N'" in audited
+        assert tailed == audited
 
 
 # -- drift + refit end to end ----------------------------------------------
@@ -827,6 +1076,26 @@ class TestDriftAndRefit:
         # the new baseline was re-established after the reset — against
         # the post-step regime the refreshed model audits, no re-alarm storm
         assert status["drift"]["windows"] < 16
+
+    def test_sqlite_auto_refit_records_the_sqlite_format(
+        self, session, stream, tmp_path
+    ):
+        registry = ModelRegistry(tmp_path / "registry")
+        session.save_to_registry(registry, "loads")
+        location = f"sqlite:///{tmp_path}/s.db?table=loads"
+        with open_sink(stream.schema, location) as sink:
+            sink.write(stream)
+        policy = RefitPolicy(
+            "auto", registry=registry, model_name="loads", refit_rows=1024
+        )
+        with _watcher(
+            session, location, tmp_path, drift=self.DRIFT, refit=policy
+        ) as watcher:
+            watcher.run()
+            status = watcher.status()
+        assert status["format"] == "sqlite"
+        assert status["model"] == "loads@v2"
+        assert registry.resolve("loads@v2").provenance.source_format == "sqlite"
 
     def test_quis_pollution_step_end_to_end(self, tmp_path):
         """The paper-shaped scenario: a QUIS load stream whose pollution

@@ -96,7 +96,6 @@ from repro.mining import (
     KnnClassifier,
     NaiveBayesClassifier,
     OneRClassifier,
-    Prediction,
     PrismClassifier,
     PruningStrategy,
     TreeClassifier,
@@ -221,7 +220,6 @@ __all__ = [
     "ConfidenceBounds",
     "IntervalMethod",
     "AttributeClassifier",
-    "Prediction",
     "BatchPrediction",
     "TreeClassifier",
     "TreeConfig",

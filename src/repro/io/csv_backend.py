@@ -38,7 +38,9 @@ class CsvTableSource(TableSource):
     Errors name a record by its line: ``first_line`` is the line of the
     first record after the header (a quoted newline does not start a
     new line). A reader of a slice of a larger file passes the slice's
-    line in that file.
+    line in that file. A record the ``csv`` module cannot parse (a field
+    over its size limit, say) is an :class:`~repro.errors.InputError`
+    naming that line too.
     """
 
     def __init__(
@@ -61,6 +63,8 @@ class CsvTableSource(TableSource):
                 raise InputError("CSV input is empty (missing header row)") from None
             except UnicodeDecodeError as exc:
                 raise undecodable(0, exc) from exc
+            except csv.Error as exc:
+                raise InputError(f"line {first_line - 1}: {exc}") from exc
             if set(header) != set(schema.names):
                 raise InputError(
                     f"CSV header {header!r} does not match schema attributes "
@@ -142,6 +146,9 @@ class CsvTableSource(TableSource):
         except UnicodeDecodeError as exc:
             convert()  # a cell error in an earlier row wins
             raise undecodable(line_no, exc) from exc
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            convert()  # a cell error in an earlier row wins
+            raise InputError(f"line {line_no + 1}: {exc}") from exc
         if buffered:
             yield convert()
 

@@ -3,12 +3,7 @@ equal-frequency discretization, dataset encoding, the auditing-adjusted
 C4.5 decision tree, and the alternative classifiers evaluated for the
 QUIS domain."""
 
-from repro.mining.base import (
-    ArrayRowView,
-    AttributeClassifier,
-    BatchPrediction,
-    Prediction,
-)
+from repro.mining.base import AttributeClassifier, BatchPrediction
 from repro.mining.confidence import (
     error_confidence,
     error_confidence_batch,
@@ -46,7 +41,6 @@ from repro.mining.tree import (
     TreeRule,
     extract_rules,
     grow_tree,
-    predict_distribution,
     prune_pessimistic,
 )
 from repro.mining.tree_classifier import TreeClassifier
@@ -71,9 +65,7 @@ __all__ = [
     "NULL_LABEL",
     "UNKNOWN_LABEL",
     "AttributeClassifier",
-    "Prediction",
     "BatchPrediction",
-    "ArrayRowView",
     "TreeClassifier",
     "TreeConfig",
     "PruningStrategy",
@@ -84,7 +76,6 @@ __all__ = [
     "NumericSplit",
     "grow_tree",
     "extract_rules",
-    "predict_distribution",
     "prune_pessimistic",
     "NaiveBayesClassifier",
     "KnnClassifier",

@@ -7,15 +7,16 @@ other attributes."* And sec. 5.2: *"the error confidence measure can be
 used with each classifier that both outputs a predicted class distribution
 and the number of training instances this prediction is based on."*
 
-:class:`Prediction` is exactly that pair (distribution, support);
-:class:`AttributeClassifier` is the pluggable strategy the auditor
-composes — the tree-based production classifier and the alternatives the
-paper evaluated (instance-based, naive Bayes, rule inducers) all implement
-it.
+A classifier returns exactly that pair (distribution, support) for a
+whole batch of records; :class:`AttributeClassifier` is the pluggable
+strategy the auditor composes — the tree-based production classifier
+and the alternatives the paper evaluated (instance-based, naive Bayes,
+rule inducers) all implement it.
 
-The protocol is **batch-first**: the auditor's hot path hands each
-classifier whole encoded column arrays at once and receives a
-:class:`BatchPrediction` back. The batch contract, precisely:
+The protocol is **batch-only**: a classifier implements :meth:`fit` and
+:meth:`predict_batch`; the auditor's hot path hands it whole encoded
+column arrays at once and receives a :class:`BatchPrediction` back. The
+batch contract, precisely:
 
 * **distribution matrix** — ``probabilities`` has shape
   ``(n_rows, n_labels)`` where ``n_labels`` is the fitted dataset's
@@ -32,13 +33,10 @@ classifier whole encoded column arrays at once and receives a
   Bayes, ``k`` for kNN. It feeds Def. 7's error confidence, which
   shrinks toward zero as support does — a prediction backed by few
   instances can never yield a confident deviation.
-* **fallback behavior** — classifiers that only implement the
-  per-record :meth:`AttributeClassifier.predict_encoded` inherit
-  :meth:`AttributeClassifier.predict_batch` as a row loop over a
-  reusable :class:`ArrayRowView`; the built-in classifiers override it
-  with vectorized paths that must produce bit-identical distributions
-  and supports. Batch and row paths are therefore interchangeable in
-  semantics, never in speed.
+
+Each built-in family's per-record predictor lives in
+``tests/reference_lanes.py`` as the oracle its ``predict_batch`` is
+pinned to, bit for bit.
 
 For the per-attribute fit fan-out (:mod:`repro.core.parallel`),
 :meth:`AttributeClassifier.prediction_payload` names the object a fit
@@ -51,52 +49,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from repro.mining.dataset import Dataset
-from repro.schema.types import Value
 
-__all__ = [
-    "Prediction",
-    "BatchPrediction",
-    "ArrayRowView",
-    "AttributeClassifier",
-    "batch_length",
-]
-
-
-@dataclass
-class Prediction:
-    """A predicted class distribution plus its training support.
-
-    ``probabilities[c]`` is the predicted probability of class-label code
-    ``c`` (codes index :attr:`labels`); ``n`` is the (possibly weighted)
-    number of training instances the prediction is based on.
-    """
-
-    probabilities: np.ndarray
-    n: float
-    labels: tuple[str, ...]
-
-    @property
-    def predicted_code(self) -> int:
-        """Code of the most probable class (``ĉ``)."""
-        return int(np.argmax(self.probabilities))
-
-    @property
-    def predicted_label(self) -> str:
-        return self.labels[self.predicted_code]
-
-    def probability_of(self, code: int) -> float:
-        return float(self.probabilities[code])
-
-    def __repr__(self) -> str:
-        return (
-            f"Prediction({self.predicted_label!r}, "
-            f"p={self.probability_of(self.predicted_code):.3f}, n={self.n:g})"
-        )
+__all__ = ["BatchPrediction", "AttributeClassifier", "batch_length"]
 
 
 @dataclass
@@ -116,41 +75,8 @@ class BatchPrediction:
     def n_rows(self) -> int:
         return int(self.probabilities.shape[0])
 
-    @property
-    def predicted_codes(self) -> np.ndarray:
-        """Per-record code of the most probable class (``ĉ``)."""
-        return np.argmax(self.probabilities, axis=1)
-
-    def prediction_at(self, row: int) -> Prediction:
-        """The single-record :class:`Prediction` view of one batch row."""
-        return Prediction(self.probabilities[row], float(self.support[row]), self.labels)
-
     def __repr__(self) -> str:
         return f"BatchPrediction(rows={self.n_rows}, labels={len(self.labels)})"
-
-
-class ArrayRowView(Mapping):
-    """A zero-copy record view over pre-encoded column arrays.
-
-    Prediction only touches the attributes along a tree path, so building
-    a dict per row per classifier would dominate a row-at-a-time audit;
-    the batch fallback loop reuses one view and just moves :attr:`index`.
-    """
-
-    __slots__ = ("columns", "index")
-
-    def __init__(self, columns: Mapping[str, np.ndarray], index: int = 0):
-        self.columns = columns
-        self.index = index
-
-    def __getitem__(self, name: str):
-        return self.columns[name][self.index]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns)
 
 
 def batch_length(columns: Mapping[str, np.ndarray], n_rows: Optional[int]) -> int:
@@ -173,16 +99,6 @@ class AttributeClassifier(ABC):
         """Induce the dependency model from an encoded dataset."""
 
     @abstractmethod
-    def predict_encoded(self, encoded: Mapping[str, float]) -> Prediction:
-        """Predict from an already-encoded record (see
-        :meth:`Dataset.encode_record`)."""
-
-    def predict(self, record: Mapping[str, Value]) -> Prediction:
-        """Predict the class distribution for a raw record."""
-        if self.dataset is None:
-            raise RuntimeError(f"{type(self).__name__} is not fitted")
-        return self.predict_encoded(self.dataset.encode_record(record))
-
     def predict_batch(
         self,
         columns: Mapping[str, np.ndarray],
@@ -194,25 +110,9 @@ class AttributeClassifier(ABC):
         *columns* maps base-attribute names to encoded column arrays (see
         :meth:`~repro.mining.dataset.BaseEncoder.encode_column`); all
         arrays share one length, which *n_rows* may state explicitly when
-        the classifier uses no base attributes.
-
-        This base implementation is the compatibility fallback: it loops
-        :meth:`predict_encoded` over a reusable :class:`ArrayRowView`.
-        The built-in classifiers override it with vectorized paths that
-        produce the same distributions and supports.
+        the classifier uses no base attributes. An unfitted classifier
+        raises ``RuntimeError``.
         """
-        dataset = self._require_fitted()
-        length = batch_length(columns, n_rows)
-        n_labels = dataset.class_encoder.n_labels
-        probabilities = np.empty((length, n_labels), dtype=float)
-        support = np.empty(length, dtype=float)
-        view = ArrayRowView(columns)
-        for row in range(length):
-            view.index = row
-            prediction = self.predict_encoded(view)
-            probabilities[row] = prediction.probabilities
-            support[row] = prediction.n
-        return BatchPrediction(probabilities, support, dataset.class_encoder.labels)
 
     def fit_state(self) -> dict:
         """The complete fitted state as plain JSON types.
@@ -235,9 +135,8 @@ class AttributeClassifier(ABC):
         """The object a parallel fit worker returns to the parent process.
 
         The fitted model is only ever serialized or used through
-        :meth:`predict_batch` / :meth:`predict_encoded`, so a classifier
-        whose predictions never consult the training columns may return
-        a clone holding a
+        :meth:`predict_batch`, so a classifier whose predictions never
+        consult the training columns may return a clone holding a
         column-less :meth:`Dataset.prediction_view
         <repro.mining.dataset.Dataset.prediction_view>` (the tree does).
         This base implementation returns ``self`` — the full fitted

@@ -396,13 +396,6 @@ class Dataset:
     def n_labels(self) -> int:
         return self.class_encoder.n_labels
 
-    def encode_record(self, record: Mapping[str, Value]) -> dict[str, float]:
-        """Encode one record's base attributes for prediction."""
-        return {
-            name: self.encoders[name].encode(record.get(name))
-            for name in self.base_attrs
-        }
-
     def prediction_view(self) -> "Dataset":
         """A column-less view of this dataset sharing its encoders.
 

@@ -15,18 +15,12 @@ on large tables.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.mining.base import (
-    AttributeClassifier,
-    BatchPrediction,
-    Prediction,
-    batch_length,
-)
+from repro.mining.base import AttributeClassifier, BatchPrediction, batch_length
 from repro.mining.dataset import Dataset
 
 __all__ = ["KnnClassifier"]
@@ -93,37 +87,6 @@ class KnnClassifier(AttributeClassifier):
             "spans": dict(self._spans),
             "y": self._y.tolist(),
         }
-
-    def predict_encoded(self, encoded: Mapping[str, float]) -> Prediction:
-        dataset = self._require_fitted()
-        assert self._y is not None
-        n_train = self._y.size
-        if n_train == 0:
-            uniform = np.full(dataset.n_labels, 1.0 / dataset.n_labels)
-            return Prediction(uniform, 0.0, dataset.class_encoder.labels)
-        distance = np.zeros(n_train, dtype=float)
-        for name, column in self._columns.items():
-            raw = encoded[name]
-            if dataset.encoders[name].categorical:
-                code = int(raw)
-                if code < 0:
-                    distance += 1.0
-                else:
-                    missing = column < 0
-                    distance += np.where(missing | (column != code), 1.0, 0.0)
-            else:
-                if math.isnan(raw):
-                    distance += 1.0
-                else:
-                    missing = np.isnan(column)
-                    diff = np.abs(column - raw) / self._spans[name]
-                    distance += np.where(missing, 1.0, np.minimum(diff, 1.0))
-        k = min(self.k, n_train)
-        neighbour_idx = np.argpartition(distance, k - 1)[:k]
-        counts = np.bincount(self._y[neighbour_idx], minlength=dataset.n_labels).astype(
-            float
-        )
-        return Prediction(counts / k, float(k), dataset.class_encoder.labels)
 
     #: batch rows per distance-matrix block (bounds peak memory at
     #: ``_CHUNK × max_training`` floats regardless of batch size)

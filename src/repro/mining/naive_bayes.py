@@ -14,17 +14,11 @@ calibrated for auditing (one of the reasons the paper selected C4.5).
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.mining.base import (
-    AttributeClassifier,
-    BatchPrediction,
-    Prediction,
-    batch_length,
-)
+from repro.mining.base import AttributeClassifier, BatchPrediction, batch_length
 from repro.mining.dataset import Dataset
 from repro.mining.discretize import EqualFrequencyDiscretizer
 
@@ -126,28 +120,6 @@ class NaiveBayesClassifier(AttributeClassifier):
         attribute *name*, or ``None`` for categorical attributes (an
         ordered attribute with a likelihood table always has one)."""
         return self._discretizers.get(name)
-
-    def predict_encoded(self, encoded: Mapping[str, float]) -> Prediction:
-        dataset = self._require_fitted()
-        assert self._priors is not None
-        log_posterior = np.log(self._priors)
-        for name, likelihood in self._tables.items():
-            raw = encoded[name]
-            encoder = dataset.encoders[name]
-            if encoder.categorical:
-                code = int(raw)
-                if code < 0:
-                    continue  # missing value: skip the factor
-                code = min(code, likelihood.shape[1] - 1)
-            else:
-                if math.isnan(raw):
-                    continue
-                code = self._discretizers[name].transform_value(raw)
-            log_posterior = log_posterior + np.log(likelihood[:, code])
-        log_posterior -= log_posterior.max()
-        posterior = np.exp(log_posterior)
-        posterior /= posterior.sum()
-        return Prediction(posterior, self._n_training, dataset.class_encoder.labels)
 
     def predict_batch(
         self,

@@ -27,12 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.mining.base import (
-    AttributeClassifier,
-    BatchPrediction,
-    Prediction,
-    batch_length,
-)
+from repro.mining.base import AttributeClassifier, BatchPrediction, batch_length
 from repro.mining.dataset import Dataset
 from repro.mining.discretize import EqualFrequencyDiscretizer
 
@@ -80,20 +75,8 @@ class _Bucketizer:
             },
         }
 
-    def bucket_of(self, name: str, raw: float) -> int:
-        encoder = self.dataset.encoders[name]
-        if encoder.categorical:
-            code = int(raw)
-            return 0 if code < 0 else code + 1
-        if math.isnan(raw):
-            return 0
-        discretizer = self.discretizers.get(name)
-        if discretizer is None:
-            return 0
-        return discretizer.transform_value(raw) + 1
-
     def buckets_of_column(self, name: str, raw: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`bucket_of` over an encoded column array."""
+        """The bucket of every value of an encoded column (0 = missing)."""
         encoder = self.dataset.encoders[name]
         if encoder.categorical:
             return np.where(raw < 0, 0, raw + 1).astype(np.int64)
@@ -180,23 +163,6 @@ class OneRClassifier(AttributeClassifier):
         assert self._bucketizer is not None
         return self._bucketizer.discretizers.get(name)
 
-    def predict_encoded(self, encoded: Mapping[str, float]) -> Prediction:
-        dataset = self._require_fitted()
-        assert self._bucketizer is not None and self._global_counts is not None
-        labels = dataset.class_encoder.labels
-        if self.attribute is None or self._bucket_counts is None:
-            counts = self._global_counts
-        else:
-            bucket = self._bucketizer.bucket_of(self.attribute, encoded[self.attribute])
-            bucket = min(bucket, self._bucket_counts.shape[0] - 1)
-            counts = self._bucket_counts[bucket]
-            if counts.sum() <= 0:
-                counts = self._global_counts
-        n = float(counts.sum())
-        if n <= 0:
-            return Prediction(np.full(len(labels), 1.0 / len(labels)), 0.0, labels)
-        return Prediction(counts / n, n, labels)
-
     def predict_batch(
         self,
         columns: Mapping[str, np.ndarray],
@@ -243,9 +209,6 @@ class PrismRule:
     target_code: int
     conditions: tuple[tuple[str, int], ...]
     counts: np.ndarray
-
-    def matches(self, buckets: Mapping[str, int]) -> bool:
-        return all(buckets[name] == bucket for name, bucket in self.conditions)
 
     @property
     def n(self) -> float:
@@ -420,31 +383,6 @@ class PrismClassifier(AttributeClassifier):
             ),
         )
 
-    def predict_encoded(self, encoded: Mapping[str, float]) -> Prediction:
-        dataset = self._require_fitted()
-        assert self._bucketizer is not None and self._global_counts is not None
-        labels = dataset.class_encoder.labels
-        buckets = {
-            name: self._bucketizer.bucket_of(name, encoded[name])
-            for name in dataset.base_attrs
-        }
-        matching = [rule for rule in self.rules if rule.matches(buckets)]
-        if matching:
-            best = max(
-                matching,
-                key=lambda rule: (
-                    float(rule.counts[rule.target_code]) / max(rule.n, 1.0),
-                    rule.n,
-                ),
-            )
-            counts = best.counts
-        else:
-            counts = self._global_counts
-        n = float(counts.sum())
-        if n <= 0:
-            return Prediction(np.full(len(labels), 1.0 / len(labels)), 0.0, labels)
-        return Prediction(counts / n, n, labels)
-
     def predict_batch(
         self,
         columns: Mapping[str, np.ndarray],
@@ -460,9 +398,9 @@ class PrismClassifier(AttributeClassifier):
             for name in dataset.base_attrs
         }
         counts = np.tile(self._global_counts, (length, 1))
-        # assign each row the best matching rule, mirroring the row path's
-        # max() over (precision, support): rules visited best-first, ties
-        # broken by original rule order, first match per row wins
+        # assign each row its best matching rule by (precision, support):
+        # rules visited best-first, ties broken by original rule order,
+        # first match per row wins
         order = self.batch_rule_order()
         unassigned = np.ones(length, dtype=bool)
         for index in order:

@@ -1,6 +1,5 @@
 """C4.5-style decision trees with the paper's data-auditing adjustments."""
 
-from repro.mining.tree.classify import predict_counts, predict_distribution
 from repro.mining.tree.grow import PruningStrategy, TreeConfig, TreeGrower, grow_tree
 from repro.mining.tree.node import Leaf, Node, NominalSplit, NumericSplit
 from repro.mining.tree.prune import (
@@ -23,8 +22,6 @@ __all__ = [
     "TreeConfig",
     "TreeGrower",
     "grow_tree",
-    "predict_counts",
-    "predict_distribution",
     "pessimistic_error",
     "prune_pessimistic",
     "leaf_detection_useful",

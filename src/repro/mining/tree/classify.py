@@ -13,6 +13,11 @@ weighted by the branches' training fractions (so blending over a
 complete split reproduces the node's own class distribution). The support
 ``n`` backing Def. 7's error confidence is combined the same way —
 the expected support of the leaf the record would have reached.
+
+:func:`predict_distribution_batch` walks the tree once per batch; the
+few records that must blend take a scalar walk from the node where they
+blend. The recursive per-record walk in ``tests/reference_lanes.py`` is
+the oracle both are pinned to.
 """
 
 from __future__ import annotations
@@ -22,16 +27,15 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.mining.base import ArrayRowView
 from repro.mining.tree.node import Leaf, Node, NominalSplit, NumericSplit
 
-__all__ = ["predict_distribution", "predict_distribution_batch", "predict_counts"]
+__all__ = ["predict_distribution_batch"]
 
 
-def predict_distribution(
-    node: Node, encoded: Mapping[str, float]
+def _predict_row(
+    node: Node, columns: Mapping[str, np.ndarray], row: int
 ) -> tuple[np.ndarray, float]:
-    """``(probabilities, n)`` for one encoded record.
+    """``(probabilities, n)`` of encoded record *row*, walked from *node*.
 
     ``n`` is the (fraction-weighted) number of training instances the
     prediction is based on.
@@ -43,26 +47,26 @@ def predict_distribution(
             return np.full(len(node.counts), 1.0 / size), 0.0
         return node.counts / n, n
     if isinstance(node, NominalSplit):
-        code = int(encoded[node.attribute])
+        code = int(columns[node.attribute][row])
         if code >= 0:
             child = node.branches.get(code)
             if child is not None:
-                return predict_distribution(child, encoded)
+                return _predict_row(child, columns, row)
         pairs = [
-            (node.fractions[branch_code], predict_distribution(child, encoded))
+            (node.fractions[branch_code], _predict_row(child, columns, row))
             for branch_code, child in node.branches.items()
         ]
         return _blend(pairs, len(node.counts))
     if isinstance(node, NumericSplit):
-        value = float(encoded[node.attribute])
+        value = float(columns[node.attribute][row])
         if math.isnan(value):
             pairs = [
-                (node.low_fraction, predict_distribution(node.low, encoded)),
-                (1.0 - node.low_fraction, predict_distribution(node.high, encoded)),
+                (node.low_fraction, _predict_row(node.low, columns, row)),
+                (1.0 - node.low_fraction, _predict_row(node.high, columns, row)),
             ]
             return _blend(pairs, len(node.counts))
         branch = node.low if value <= node.threshold else node.high
-        return predict_distribution(branch, encoded)
+        return _predict_row(branch, columns, row)
     raise TypeError(f"unknown node type: {type(node).__name__}")
 
 
@@ -86,21 +90,24 @@ def _blend(
 def predict_distribution_batch(
     root: Node, columns: Mapping[str, np.ndarray], n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`predict_distribution` over whole column arrays.
+    """``(probabilities, support)`` of every record of encoded columns.
 
-    Returns ``(probabilities, support)`` with shapes ``(n_rows, n_labels)``
-    and ``(n_rows,)``. The tree is walked iteratively with a frontier of
-    ``(node, row_indices)`` work items, so each node's split column is
-    touched once per reachable row set instead of once per record. Records
-    that need C4.5 fractional-instance blending (missing split value, or a
-    category without a trained branch) are rare; they fall back to the
-    recursive single-record walk, which keeps the arithmetic — and hence
-    the resulting confidences — identical to the row-at-a-time path.
+    Returns shapes ``(n_rows, n_labels)`` and ``(n_rows,)``. The tree is
+    walked iteratively with a frontier of ``(node, row_indices)`` work
+    items, so each node's split column is touched once per reachable row
+    set instead of once per record. Records that need C4.5
+    fractional-instance blending (missing split value, or a category
+    without a trained branch) are rare; each takes :func:`_predict_row`
+    from the node where it blends, whose scalar arithmetic keeps the
+    confidences identical to a per-record walk from the root. Blending
+    inside the frontier instead costs more than it saves: blend groups
+    are small, and the frontier pays one mask per branch where the
+    scalar walk pays one dict lookup.
     """
     n_labels = len(root.counts)
     probabilities = np.empty((n_rows, n_labels), dtype=float)
     support = np.empty(n_rows, dtype=float)
-    blended: list[np.ndarray] = []
+    blended: list[tuple[Node, np.ndarray]] = []
     frontier: list[tuple[Node, np.ndarray]] = [(root, np.arange(n_rows, dtype=np.intp))]
     while frontier:
         node, rows = frontier.pop()
@@ -126,7 +133,7 @@ def predict_distribution_batch(
                     frontier.append((child, rows[mask]))
                     routed |= mask
             if not routed.all():
-                blended.append(rows[~routed])
+                blended.append((node, rows[~routed]))
         elif isinstance(node, NumericSplit):
             values = columns[node.attribute][rows]
             missing = np.isnan(values)
@@ -134,18 +141,10 @@ def predict_distribution_batch(
             frontier.append((node.low, rows[low & ~missing]))
             frontier.append((node.high, rows[~low & ~missing]))
             if missing.any():
-                blended.append(rows[missing])
+                blended.append((node, rows[missing]))
         else:
             raise TypeError(f"unknown node type: {type(node).__name__}")
-    if blended:
-        view = ArrayRowView(columns)
-        for row in np.concatenate(blended):
-            view.index = int(row)
-            probabilities[row], support[row] = predict_distribution(root, view)
+    for node, rows in blended:
+        for row in rows.tolist():
+            probabilities[row], support[row] = _predict_row(node, columns, row)
     return probabilities, support
-
-
-def predict_counts(node: Node, encoded: Mapping[str, float]) -> np.ndarray:
-    """The prediction as a pseudo-count vector (``distribution · n``)."""
-    distribution, n = predict_distribution(node, encoded)
-    return distribution * n

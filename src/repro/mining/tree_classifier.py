@@ -6,14 +6,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.mining.base import (
-    AttributeClassifier,
-    BatchPrediction,
-    Prediction,
-    batch_length,
-)
+from repro.mining.base import AttributeClassifier, BatchPrediction, batch_length
 from repro.mining.dataset import Dataset
-from repro.mining.tree.classify import predict_distribution, predict_distribution_batch
+from repro.mining.tree.classify import predict_distribution_batch
 from repro.mining.tree.grow import TreeConfig, grow_tree
 from repro.mining.tree.node import Node
 from repro.mining.tree.rules import TreeRule, extract_rules
@@ -37,12 +32,6 @@ class TreeClassifier(AttributeClassifier):
     def fit(self, dataset: Dataset) -> None:
         self.dataset = dataset
         self.root = grow_tree(dataset, self.config)
-
-    def predict_encoded(self, encoded: Mapping[str, float]) -> Prediction:
-        dataset = self._require_fitted()
-        assert self.root is not None
-        probabilities, n = predict_distribution(self.root, encoded)
-        return Prediction(probabilities, n, dataset.class_encoder.labels)
 
     def predict_batch(
         self,

@@ -11,16 +11,20 @@ holds *limit* rows and one :data:`READ_BLOCK`, whatever the backlog.
 
 Offsets are **byte positions** for CSV/JSONL files and **rowids** for
 SQLite tables. Text files are read in binary and split into records by
-:func:`split_records`, which only ever cuts at a newline that really
-ends a record — it tracks CSV quote parity, so a quoted field
-containing ``\\n`` never tears a row. Everything after the last record
-boundary (a half-written trailing line, an unclosed quote) is simply
-**not consumed yet**: a later read returns it whole, so a monitor
+:func:`split_records`, which only ever cuts at a line end that really
+ends a record — ``\\n``, ``\\r\\n`` or a lone ``\\r``, the ends
+``repro audit`` reads — and tracks CSV quote parity, so a quoted field
+containing a line end never tears a row. Everything after the last
+record boundary (a half-written trailing line, an unclosed quote) is
+simply **not consumed yet**: a later read returns it whole, so a monitor
 polling a file mid-append never errors on the partial tail and never
-emits a row twice. The complete records are parsed by the
-:mod:`repro.io` CSV/JSONL sources from the line they start at in the
-file, so a tailed read coerces exactly as a batch read does and a bad
-cell names the line ``repro audit`` names. SQLite rows are fetched
+emits a row twice. That includes a final unterminated line, which
+``repro audit`` reads as a record, and a final lone ``\\r``, which may
+be the first half of ``\\r\\n``: both wait for the next byte. The
+complete records are parsed by the :mod:`repro.io` CSV/JSONL sources
+from the line they start at in the file, so a tailed read coerces
+exactly as a batch read does and a bad cell names the line
+``repro audit`` names. SQLite rows are fetched
 ``WHERE rowid > ? ORDER BY rowid LIMIT ?`` and converted as the SQLite
 source converts them.
 """
@@ -61,27 +65,39 @@ READ_BLOCK = 1 << 14
 
 
 def split_records(data: bytes, *, quoted: bool = False) -> tuple[list[bytes], int]:
-    """Split appended bytes into complete newline-terminated records.
+    """Split appended bytes into complete records.
 
-    Returns ``(records, consumed)``: each record includes its
-    terminating newline, and ``consumed`` is the total byte length of
-    the complete records — everything past it is a partial tail the
-    caller must re-read later. With ``quoted=True`` a ``"`` toggles CSV
-    quote state, so newlines inside quoted fields never end a record
-    (doubled quotes toggle twice and cancel out).
+    A record ends where ``repro audit`` ends one: at ``\\n``, at
+    ``\\r\\n``, or at a ``\\r`` followed by any other byte. Returns
+    ``(records, consumed)``: each record includes its terminator, and
+    ``consumed`` is the total byte length of the complete records —
+    everything past it is a partial tail the caller must re-read later.
+    A ``\\r`` that is the last byte of *data* may be the first half of
+    ``\\r\\n``, so it ends nothing yet. With ``quoted=True`` a ``"``
+    toggles CSV quote state, so line ends inside quoted fields never
+    end a record (doubled quotes toggle twice and cancel out).
     """
     records: list[bytes] = []
-    start = 0
+    start = pos = 0
+    size = len(data)
     quoted = quoted and b'"' in data
+    # without a lone \r (every \r opening a \r\n) only \n ends records
+    lone_cr = data.count(b"\r") > data.count(b"\r\n")
     while True:
-        end = data.find(b"\n", start)
-        if quoted:
-            while end >= 0 and data.count(b'"', start, end) % 2:
-                end = data.find(b"\n", end + 1)
+        end = data.find(b"\n", pos)
+        if lone_cr:
+            # a \r before end - 1 is lone (the byte after it is no \n) and
+            # ends the record first; one that is the last byte read may
+            # still open a \r\n
+            cr = data.find(b"\r", pos, (size if end < 0 else end) - 1)
+            end = cr if cr >= 0 else end
         if end < 0:
             return records, start
+        if quoted and data.count(b'"', start, end) % 2:
+            pos = end + 1
+            continue
         records.append(data[start : end + 1])
-        start = end + 1
+        start = pos = end + 1
 
 
 class TailReader(ABC):
@@ -202,13 +218,13 @@ class TextTailReader(TailReader):
             if self.format == "csv":
                 source = CsvTableSource(
                     self.schema,
-                    io.StringIO(self._header_text + text),
+                    io.StringIO(self._header_text + text, newline=""),
                     null_marker=self.null_marker,
                     first_line=line,
                 )
             else:
                 source = JsonlTableSource(
-                    self.schema, io.StringIO(text), first_line=line
+                    self.schema, io.StringIO(text, newline=""), first_line=line
                 )
             with source:
                 batch = source.read_columns()

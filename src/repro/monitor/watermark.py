@@ -60,7 +60,9 @@ class Watermark:
     refits: list = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        payload = dataclasses.asdict(self)
+        # shallow: the drift state and refit list are shared, not deep
+        # copied, since the dict is serialized at once on every commit
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         payload["format"] = _STATE_FORMAT
         return payload
 

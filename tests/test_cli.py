@@ -591,6 +591,17 @@ class TestBadInput:
         )
         assert message.startswith("error: input is not valid UTF-8")
 
+    @pytest.mark.parametrize("command", ["fit", "audit"])
+    def test_oversized_field_is_one_line(self, stand, command, capsys):
+        """A field over the csv module's size limit is bad input, named
+        by its line, not a ``_csv.Error`` traceback."""
+        lines = stand["good"].read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "x" * 200_000 + lines[2]  # line 3 of the file
+        oversized = stand["dir"] / "oversized.csv"
+        oversized.write_text("".join(lines), encoding="utf-8")
+        message = self._error_line(stand[command] + ["--input", oversized], capsys)
+        assert message == "error: line 3: field larger than field limit (131072)"
+
     def test_truncated_leaf_model_is_refused_at_load(self, stand, capsys):
         """A model whose leaf lost a count fails at load, naming the
         file and the attribute, instead of failing mid-audit with a

@@ -326,6 +326,26 @@ class TestErrorParity:
         assert lane_msg == ref_msg
         assert "expected 4 fields" in ref_msg
 
+    def test_csv_oversized_field(self, tmp_path, schema):
+        location = tmp_path / "bad.csv"
+        location.write_text(
+            "A,N,F,D\nx,1,0.5,2000-03-01\n" + "y" * 200_000 + ",1,0.5,2000-03-01\n",
+            encoding="utf-8",
+        )
+        ref_msg, lane_msg = _read_errors(schema, str(location))
+        assert lane_msg == ref_msg
+        assert ref_msg == "line 3: field larger than field limit (131072)"
+
+    def test_csv_cell_error_before_oversized_field(self, tmp_path, schema):
+        location = tmp_path / "bad.csv"
+        location.write_text(
+            "A,N,F,D\nx,oops,0.5,2000-03-01\n" + "y" * 200_000 + ",1,0.5,2000-03-01\n",
+            encoding="utf-8",
+        )
+        ref_msg, lane_msg = _read_errors(schema, str(location))
+        assert lane_msg == ref_msg
+        assert ref_msg.startswith("line 2, attribute 'N'")
+
     def test_jsonl_mistyped_cell(self, tmp_path, schema):
         location = tmp_path / "bad.jsonl"
         location.write_text(

@@ -20,10 +20,11 @@ from repro.core import (
     DataAuditor,
     ModelPersistenceError,
 )
-from repro.mining.base import AttributeClassifier
+from repro.mining.base import BatchPrediction, batch_length
 from repro.mining.tree_classifier import TreeClassifier
 from repro.io import CsvTableSource, write_table
 from repro.schema import Schema, Table, nominal, numeric
+from tests.reference_lanes import reference_predict
 
 
 def _structured_table(n=1200, seed=21, error_rate=0.02):
@@ -277,11 +278,14 @@ class TestPersistence:
 
 
 class _RowLoopTree(TreeClassifier):
-    """A tree classifier with the vectorized batch path disabled — audits
-    through the ABC's predict_encoded row loop, i.e. the pre-redesign
-    audit semantics."""
+    """A tree classifier that predicts one record at a time through the
+    per-record reference walk instead of the vectorized batch path."""
 
-    predict_batch = AttributeClassifier.predict_batch
+    def predict_batch(self, columns, *, n_rows=None):
+        probabilities, support = reference_predict(
+            self, columns, batch_length(columns, n_rows)
+        )
+        return BatchPrediction(probabilities, support, self.dataset.class_encoder.labels)
 
 
 class TestBatchRowParity:

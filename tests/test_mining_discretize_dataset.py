@@ -181,16 +181,8 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(table, "A", ["A", "N"])
 
-    def test_encode_record_matches_columns(self, schema):
-        table = Table(schema, [["a", 5, datetime.date(2000, 2, 2)]])
-        dataset = Dataset(table, "A", ["N", "D"])
-        encoded = dataset.encode_record(table.record(0))
-        assert encoded["N"] == dataset.columns["N"][0]
-        assert encoded["D"] == dataset.columns["D"][0]
-
     def test_for_prediction_needs_no_table(self, schema):
         encoder = ClassEncoder(schema.attribute("A"), ["a", "b"])
         dataset = Dataset.for_prediction(schema, "A", ["N", "D"], encoder)
-        encoded = dataset.encode_record({"N": 5, "D": None})
-        assert encoded["N"] == 5.0
-        assert np.isnan(encoded["D"])
+        assert dataset.encoders["N"].encode_column([5])[0] == 5.0
+        assert np.isnan(dataset.encoders["D"].encode_column([None])[0])

@@ -13,7 +13,6 @@ from repro.mining import (
     TreeClassifier,
     TreeConfig,
     grow_tree,
-    predict_distribution,
     prune_pessimistic,
 )
 from repro.mining.tree.prune import (
@@ -23,6 +22,7 @@ from repro.mining.tree.prune import (
     subtree_expected_error_confidence,
 )
 from repro.schema import Schema, Table, nominal, numeric
+from tests.reference_lanes import predict_record
 
 BOUNDS = ConfidenceBounds(0.95)
 
@@ -48,6 +48,14 @@ def _make_table(n, rule, noise, seed, with_numeric=True):
 RULE = {"a": "x", "b": "y", "c": "z"}
 
 
+def _fitted_tree(dataset):
+    """A :class:`TreeClassifier` fitted as ``grow_tree(dataset,
+    TreeConfig(bounds=BOUNDS))`` grows its root."""
+    tree = TreeClassifier(TreeConfig(bounds=BOUNDS))
+    tree.fit(dataset)
+    return tree
+
+
 @pytest.fixture
 def table():
     return _make_table(1500, RULE, noise=0.02, seed=1)
@@ -60,12 +68,10 @@ def dataset(table):
 
 class TestGrowth:
     def test_learns_nominal_dependency(self, dataset):
-        root = grow_tree(dataset, TreeConfig(bounds=BOUNDS))
-        labels = dataset.class_encoder.labels
+        tree = _fitted_tree(dataset)
         for a, expected in RULE.items():
-            encoded = dataset.encode_record({"A": a, "N": 50})
-            probabilities, n = predict_distribution(root, encoded)
-            assert labels[int(np.argmax(probabilities))] == expected
+            label, _, n = predict_record(tree, {"A": a, "N": 50})
+            assert label == expected
             assert n > 100
 
     def test_learns_numeric_threshold(self):
@@ -77,14 +83,10 @@ class TestGrowth:
         for _ in range(1000):
             n = rng.randint(0, 100)
             rows.append(["low" if n < 50 else "high", n])
-        dataset = Dataset(Table(schema, rows), "B", ["N"])
-        root = grow_tree(dataset, TreeConfig(bounds=BOUNDS))
-        labels = dataset.class_encoder.labels
+        tree = _fitted_tree(Dataset(Table(schema, rows), "B", ["N"]))
         for value, expected in [(10, "low"), (49, "low"), (51, "high"), (90, "high")]:
-            probabilities, _ = predict_distribution(
-                root, dataset.encode_record({"N": value})
-            )
-            assert labels[int(np.argmax(probabilities))] == expected
+            label, _, _ = predict_record(tree, {"N": value})
+            assert label == expected
 
     def test_irrelevant_attribute_not_split_first(self, dataset):
         root = grow_tree(dataset, TreeConfig(bounds=BOUNDS))
@@ -124,17 +126,14 @@ class TestMissingValues:
             a = rng.choice(["a", "b", None])
             b = ("x" if a == "a" else "y") if a else rng.choice(["x", "y"])
             rows.append([a, b])
-        dataset = Dataset(Table(schema, rows), "B", ["A"])
-        root = grow_tree(dataset, TreeConfig(bounds=BOUNDS))
-        labels = dataset.class_encoder.labels
-        probabilities, _ = predict_distribution(root, dataset.encode_record({"A": "a"}))
-        assert labels[int(np.argmax(probabilities))] == "x"
+        tree = _fitted_tree(Dataset(Table(schema, rows), "B", ["A"]))
+        label, _, _ = predict_record(tree, {"A": "a"})
+        assert label == "x"
 
     def test_prediction_with_missing_value_blends(self, dataset, table):
-        root = grow_tree(dataset, TreeConfig(bounds=BOUNDS))
-        probabilities, n = predict_distribution(
-            root, dataset.encode_record({"A": None, "N": 50})
-        )
+        tree = _fitted_tree(dataset)
+        root = tree.root
+        _, probabilities, n = predict_record(tree, {"A": None, "N": 50})
         # the convex combination over a complete split reproduces the
         # node's own class distribution (C4.5 semantics) …
         marginal = root.counts / root.n
@@ -144,10 +143,12 @@ class TestMissingValues:
         assert 0.0 < n <= float(root.n)
 
     def test_prediction_with_unseen_category_blends(self, dataset):
-        root = grow_tree(dataset, TreeConfig(bounds=BOUNDS))
-        encoded = dict(dataset.encode_record({"A": "a", "N": 50}))
-        encoded["A"] = dataset.encoders["A"].unknown_code
-        probabilities, _ = predict_distribution(root, encoded)
+        tree = _fitted_tree(dataset)
+        unseen = "zzz"  # out of A's domain: encodes to the unknown code
+        assert dataset.encoders["A"].encode_column([unseen])[0] == (
+            dataset.encoders["A"].unknown_code
+        )
+        _, probabilities, _ = predict_record(tree, {"A": unseen, "N": 50})
         assert probabilities.max() < 0.9  # no single branch dominates
 
 

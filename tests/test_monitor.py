@@ -16,6 +16,7 @@ The load-bearing contracts, in the order the classes below cover them:
   ``latest``.
 """
 
+import csv
 import io
 import json
 import random
@@ -141,6 +142,12 @@ class TestSplitRecords:
         records, consumed = split_records(b'1,ok\n2,"half\n', quoted=True)
         assert records == [b"1,ok\n"]
         assert consumed == 5
+
+    def test_lone_cr_and_crlf_end_records(self):
+        data = b'a\rb\r\n"c\rd"\ne\r'
+        records, consumed = split_records(data, quoted=True)
+        assert records == [b"a\r", b"b\r\n", b'"c\rd"\n']
+        assert consumed == len(data) - 2  # a final \r may open a \r\n
 
     def test_doubled_quotes_cancel(self):
         data = b'1,"he said ""hi"""\n'
@@ -325,6 +332,56 @@ class TestTextTail:
         with pytest.raises(ValueError, match="t.jsonl"):
             reader.read_new(0, 10)
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("t.csv", b"T,N\na\rb,1\nc,2\n"),  # a lone \r ends a short record
+            ("t.csv", b"T,N\nx,1\ry,2\n"),
+            ("t.jsonl", b'{"T":"x","N":1}\r{"T":"y","N":2}\n'),
+        ],
+        ids=["csv-short-record", "csv-two-rows", "jsonl-two-rows"],
+    )
+    def test_lone_cr_ends_a_record_as_repro_audit_reads_it(self, tmp_path, name, data):
+        schema = Schema([text("T"), numeric("N", 0, 9, integer=True)])
+        path = tmp_path / name
+        path.write_bytes(data)
+        try:
+            with open_source(schema, path) as source:
+                expected, audit_error = source.read().rows, None
+        except InputError as exc:
+            expected, audit_error = None, str(exc)
+        reader = open_tail(schema, path)
+        start = reader.start_offset()
+        if audit_error is None:
+            batch, end = reader.read_new(start, 10)
+            assert (batch.rows(), end) == (expected, len(data))
+        else:
+            with pytest.raises(InputError) as excinfo:
+                reader.read_new(start, 10)
+            assert str(excinfo.value) == (
+                f"while tailing {path} from byte {start}: {audit_error}"
+            )
+
+    def test_trailing_lone_cr_waits_for_the_next_byte(self, tail_schema, tmp_path):
+        """A final \r may be the first half of \r\n: its record is held
+        back, then read exactly once after the next append."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"A,N\r\na,1\r\nb,2\r")
+        reader = open_tail(tail_schema, path)
+        batch, offset = reader.read_new(reader.start_offset(), 10)
+        assert batch.rows() == [["a", 1]]
+        held, same = reader.read_new(offset, 10)
+        assert (held.n_rows, same) == (0, offset)
+        with open(path, "ab") as handle:
+            handle.write(b"\nc,3\r")
+        batch, offset = reader.read_new(offset, 10)
+        assert batch.rows() == [["b", 2]]
+        with open(path, "ab") as handle:
+            handle.write(b"a,4\n")
+        batch, offset = reader.read_new(offset, 10)
+        assert batch.rows() == [["c", 3], ["a", 4]]
+        assert offset == path.stat().st_size
+
     def test_missing_file_rejected(self, tail_schema, tmp_path):
         with pytest.raises(OSError):
             open_tail(tail_schema, tmp_path / "absent.jsonl")
@@ -493,24 +550,28 @@ class TestOpenTail:
             open_tail(tail_schema, "sqlite:///x.db", format="csv")
 
 
-#: the schema the property reads; it writes through _TAIL_WRITE, whose
-#: text ``N`` column lets one cell hold a value ``N`` cannot
+#: the schema the property reads; its files are written by hand, so one
+#: ``N`` cell can hold a value ``N`` cannot
 _TAIL_READ = Schema([text("T"), numeric("N", 0, 100, integer=True)])
-_TAIL_WRITE = Schema([text("T"), text("N")])
+
+
+#: the record ends the property draws; a file ends in ``\n`` or ``\r\n``
+_TERMINATORS = ["\n", "\r\n", "\r"]
 
 
 @st.composite
 def _tail_files(draw):
     """``(format, file bytes, end of the last row, append sizes)``: a
-    CSV or JSONL table whose text cells hold quotes, commas and
-    newlines, one of them longer than a read block; JSONL files get
-    blank lines; some files get one bad ``N`` cell. The appends after
-    the CSV header tear records anywhere."""
+    CSV or JSONL table whose text cells hold quotes, commas, ``\\n``
+    and ``\\r``, one of them longer than a read block, and whose
+    records end in ``\\n``, ``\\r\\n`` or a lone ``\\r``; JSONL
+    files get blank lines; some files get one bad ``N`` cell. The
+    appends after the CSV header tear records anywhere."""
     fmt = draw(st.sampled_from(["csv", "jsonl"]))
     rows = draw(
         st.lists(
             st.tuples(
-                st.text(alphabet='ab ,"\n', max_size=6),
+                st.text(alphabet='ab ,"\n\r', max_size=6),
                 st.one_of(st.none(), st.integers(0, 100)),
             ),
             max_size=12,
@@ -520,25 +581,40 @@ def _tail_files(draw):
     if draw(st.booleans()):
         bad = draw(st.integers(0, len(rows) - 1))
         rows[bad] = (rows[bad][0], "x")
-    buffer = io.StringIO()
-    with open_sink(_TAIL_WRITE, buffer, format=fmt) as sink:
-        sink.write(Table(_TAIL_WRITE, rows))
-    data = buffer.getvalue().encode("utf-8")
     if fmt == "csv":
-        return fmt, data, len(data), _appends(draw, data, data.index(b"\n") + 1)
-    lines = data.splitlines(keepends=True)
-    blanks = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, len(lines)), st.sampled_from([b"\n", b"  \n", b"\t\r\n"])
-            ),
-            max_size=4,
+        lines = []
+        for cells in [("T", "N"), *rows]:
+            buffer = io.StringIO()
+            csv.writer(buffer).writerow(["" if v is None else str(v) for v in cells])
+            lines.append(buffer.getvalue().removesuffix("\r\n"))
+    else:
+        lines = [json.dumps({"T": t, "N": n}) for t, n in rows]
+    lines = [
+        (line + draw(st.sampled_from(_TERMINATORS))).encode("utf-8") for line in lines
+    ]
+    last_row = len(lines) - 1
+    if fmt == "jsonl":
+        blanks = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(lines)),
+                    st.sampled_from([b"\n", b"  \n", b"\t\r\n", b" \r"]),
+                ),
+                max_size=4,
+            )
         )
-    )
-    for at, blank in sorted(blanks, reverse=True):
-        lines.insert(at, blank)
+        for at, blank in sorted(blanks, reverse=True):
+            lines.insert(at, blank)
+            last_row += at <= last_row
     data = b"".join(lines)
-    return fmt, data, len(data.rstrip(b" \t\r\n")) + 1, _appends(draw, data, 0)
+    if data.endswith(b"\r"):
+        data += b"\n"
+    last_row_end = len(b"".join(lines[: last_row + 1]))
+    if data[last_row_end - 1 : last_row_end + 1] == b"\r\n":
+        last_row_end += 1  # a lone \r met the next record's \n
+    # a CSV tail starts once its header is complete: a \r needs one more byte
+    start = len(lines[0]) + lines[0].endswith(b"\r") if fmt == "csv" else 0
+    return fmt, data, last_row_end, _appends(draw, data, start)
 
 
 def _appends(draw, data, start):

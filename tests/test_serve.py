@@ -599,6 +599,21 @@ class TestFailureContract:
         assert status == 400
         assert "absent.jsonl" in payload["error"]
 
+    @pytest.mark.parametrize("path", ["/fit", "/audit"])
+    def test_oversized_csv_field_is_400(self, http_server, corpus, tmp_path, path):
+        lines = corpus["load_csv"].read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "x" * 200_000 + lines[2]  # line 3 of the file
+        oversized = tmp_path / "oversized.csv"
+        oversized.write_text("".join(lines), encoding="utf-8")
+        body = {
+            "/fit": {"name": "n", "schema": schema_to_dict(corpus["schema"]),
+                     "source": str(oversized)},
+            "/audit": {"model": "svc", "source": str(oversized)},
+        }[path]
+        status, payload = _raw_post(http_server, path, json.dumps(body).encode(), {})
+        assert status == 400
+        assert "line 3: field larger than field limit (131072)" in payload["error"]
+
 
 class TestModelCache:
     def test_cache_stays_bounded_and_evicted_versions_reload(self, corpus, tmp_path):

@@ -88,8 +88,10 @@ def split_records(data: bytes, *, quoted: bool = False) -> tuple[list[bytes], in
         if lone_cr:
             # a \r before end - 1 is lone (the byte after it is no \n) and
             # ends the record first; one that is the last byte read may
-            # still open a \r\n
-            cr = data.find(b"\r", pos, (size if end < 0 else end) - 1)
+            # still open a \r\n. A \n at byte 0 bounds the search at 0,
+            # not at -1, which find() would count from the end of data.
+            stop = max((size if end < 0 else end) - 1, 0)
+            cr = data.find(b"\r", pos, stop)
             end = cr if cr >= 0 else end
         if end < 0:
             return records, start

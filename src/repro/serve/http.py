@@ -26,9 +26,18 @@ the :class:`~repro.serve.service.ServiceError` status the service
 decided (404, 409, 413, 500), and 500 for any other exception, which is
 a fault of the program and is logged with its traceback. Request
 logging goes through the ``repro.serve`` logger — one line per request
-with method, path, status, and wall time. :func:`serve` runs until SIGTERM/SIGINT, then
-shuts down gracefully: the listening socket closes, in-flight requests
-finish, and the process exits 0 (130 for SIGINT, the CLI convention).
+with method, path, status, and wall time.
+
+Every accepted connection has Nagle's algorithm off (``TCP_NODELAY``)
+and a read timeout (:attr:`AuditRequestHandler.timeout`). A request
+body that stalls past the timeout is logged as 408; a socket error
+while reading the body or writing any response means the client is
+gone, and is logged as 499. Neither status is sent: the connection ends
+with no further response bytes and no traceback.
+
+:func:`serve` runs until SIGTERM/SIGINT, then shuts down gracefully:
+the listening socket closes, in-flight requests finish, and the process
+exits 0 (130 for SIGINT, the CLI convention).
 """
 
 from __future__ import annotations
@@ -38,9 +47,10 @@ import logging
 import signal
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 from urllib.parse import unquote, urlsplit
 
 from repro.errors import InputError
@@ -54,11 +64,30 @@ logger = logging.getLogger("repro.serve")
 _MAX_BODY_BYTES = 256 * 1024 * 1024  # refuse absurd payloads outright
 
 
+class _ClientGone(Exception):
+    """A read or write on the connection failed: the client went away or
+    stalled past the timeout, so no response can reach it. ``status`` is
+    what the request log records (408 or 499)."""
+
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
+
+
 class AuditRequestHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests to the server's :class:`AuditService`."""
 
     protocol_version = "HTTP/1.1"  # keep-alive + chunked responses
     server_version = "repro-serve"
+    # StreamRequestHandler.setup applies the next two to each accepted
+    # socket. Writes are unbuffered, and with Nagle's algorithm on, a
+    # write made while an earlier one is unacknowledged waits for the
+    # client's delayed ACK (about 40 ms on Linux)
+    disable_nagle_algorithm = True
+    # seconds one socket read or write may block. A body that stalls
+    # this long is logged 408 and a write 499; both end the connection,
+    # as the stdlib's handle_one_request ends an idle keep-alive one
+    timeout = 60
 
     # -- plumbing -----------------------------------------------------------
 
@@ -71,16 +100,25 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
         # through the logger so operators control verbosity and sinks
         logger.info("%s %s", self.address_string(), format % args)
 
+    @contextmanager
+    def _socket_io(self, timed_out: int = 499) -> Iterator[None]:
+        """Reads and writes on the connection: a socket error means the
+        client is gone, logged as 499, or as *timed_out* for a timeout."""
+        try:
+            yield
+        except TimeoutError:
+            raise _ClientGone(timed_out) from None
+        except OSError:
+            raise _ClientGone(499) from None
+
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
         body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
+        with self._socket_io():
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
 
     def _read_body(self) -> dict[str, Any]:
         try:
@@ -93,7 +131,8 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
             raise InputError("request body required (JSON object)")
         if length > _MAX_BODY_BYTES:
             raise ServiceError(413, f"request body exceeds {_MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
+        with self._socket_io(timed_out=408):
+            raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -107,23 +146,11 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
         path = unquote(urlsplit(self.path).path).rstrip("/") or "/"
         status = 500
         try:
-            status = self._route(method, path)
-        except InputError as exc:
-            status = 400
-            self._send_error_json(400, str(exc))
-        except ServiceError as exc:
+            status = self._respond(method, path)
+        except _ClientGone as exc:
+            # nothing more can reach the client: log why, end the connection
             status = exc.status
-            self._send_error_json(exc.status, str(exc))
-        except BrokenPipeError:
-            # the client went away mid-response; nothing to send
-            status = 499
             self.close_connection = True
-        except Exception as exc:  # last resort: never kill the worker thread
-            logger.exception("unhandled error for %s %s", method, path)
-            try:
-                self._send_error_json(500, f"internal error: {exc}")
-            except OSError:
-                self.close_connection = True
         finally:
             self.service.mark_request()
             logger.info(
@@ -133,6 +160,22 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
                 status,
                 (time.perf_counter() - started) * 1000,
             )
+
+    def _respond(self, method: str, path: str) -> int:
+        """Answer one request; returns the status sent."""
+        try:
+            return self._route(method, path)
+        except InputError as exc:
+            status, message = 400, str(exc)
+        except ServiceError as exc:
+            status, message = exc.status, str(exc)
+        except _ClientGone:
+            raise
+        except Exception as exc:  # last resort: never kill the worker thread
+            logger.exception("unhandled error for %s %s", method, path)
+            status, message = 500, f"internal error: {exc}"
+        self._send_json(status, {"error": message})
+        return status
 
     # -- routing ------------------------------------------------------------
 
@@ -168,21 +211,24 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
 
     def _stream_jsonl(self, summary: dict[str, Any], lines) -> None:
         """Chunked-encoding JSONL response; summary rides in headers so
-        the findings stream stays parseable line by line."""
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        for key, value in summary.items():
-            self.send_header(f"X-Audit-{key.replace('_', '-').title()}", str(value))
-        self.end_headers()
+        the findings stream stays parseable line by line. Each chunk —
+        size line, data, CRLF — leaves in one write, and so does the
+        terminating zero-size chunk."""
+        with self._socket_io():
+            self.send_response(200)
+            self.send_header("Content-Type", "application/x-ndjson")
+            self.send_header("Transfer-Encoding", "chunked")
+            for key, value in summary.items():
+                self.send_header(f"X-Audit-{key.replace('_', '-').title()}", str(value))
+            self.end_headers()
         for text in lines:
             data = text.encode("utf-8")
             if not data:
                 continue  # a zero-length chunk would terminate the stream
-            self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-            self.wfile.write(data)
-            self.wfile.write(b"\r\n")
-        self.wfile.write(b"0\r\n\r\n")
+            with self._socket_io():
+                self.wfile.write(b"%x\r\n" % len(data) + data + b"\r\n")
+        with self._socket_io():
+            self.wfile.write(b"0\r\n\r\n")
 
     # -- HTTP verbs ---------------------------------------------------------
 

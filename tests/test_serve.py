@@ -7,12 +7,16 @@ ephemeral-port server, and the ``repro serve`` process itself
 the JSONL findings the service streams are **byte-identical** to
 ``repro audit --format jsonl`` on the same model and table."""
 
+import datetime
 import http.client
 import json
+import logging
 import os
 import random
 import re
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -28,10 +32,10 @@ from repro.core import AuditorConfig, AuditSession
 from repro.registry import ModelRegistry, model_digest
 from repro.core.serialize import auditor_to_dict, save_auditor
 from repro.io import write_table
-from repro.schema import Schema, Table, nominal, numeric
+from repro.schema import Schema, Table, date, nominal, numeric
 from repro.schema.serialize import schema_to_dict
 from repro.errors import InputError
-from repro.serve import AuditService, ServiceError, make_server
+from repro.serve import AuditRequestHandler, AuditService, ServiceError, make_server
 
 
 def _structured_table(n=400, seed=7, error_rate=0.05):
@@ -337,6 +341,120 @@ class TestBitIdentity:
         assert "".join(lines) == baseline
 
 
+@pytest.fixture(scope="module")
+def typed_service(tmp_path_factory):
+    """A service over one model whose schema holds a nominal (``A``), an
+    integer (``N``) and a date (``D``) attribute."""
+    schema = Schema(
+        [
+            nominal("A", ["a", "b"]),
+            numeric("N", 0, 100, integer=True),
+            date("D", datetime.date(2000, 1, 1), datetime.date(2030, 1, 1)),
+        ]
+    )
+    rng = random.Random(1)
+    first = datetime.date(2020, 1, 1)
+    rows = [
+        [rng.choice("ab"), rng.randint(0, 100), first + datetime.timedelta(rng.randint(0, 300))]
+        for _ in range(200)
+    ]
+    registry = ModelRegistry(tmp_path_factory.mktemp("typed") / "registry")
+    AuditSession(schema).fit(Table(schema, rows)).save_to_registry(registry, "typed")
+    return AuditService(registry)
+
+
+_GOOD_ROW = {"A": "a", "N": 1, "D": "2020-01-01"}
+
+
+def _rows_with(faults):
+    """Good rows up to the last fault; *faults* maps 1-based row numbers
+    to the rows that replace them."""
+    rows = [_GOOD_ROW] * max(faults)
+    for number, row in faults.items():
+        rows[number - 1] = row
+    return rows
+
+
+_LIST_ROW = ["a", 1, "2020-01-01"]
+_FLOAT_N = dict(_GOOD_ROW, N=1.5)
+
+
+class TestInlineRowErrors:
+    """The full message of every way an inline row can be unusable. The
+    first error in row order wins, within a batch and past the first
+    8,192-row batch alike; a faster row parse must keep each string."""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (_rows_with({2: _LIST_ROW}), "line 2: expected one JSON object per line, got list"),
+            ([None], "line 1: expected one JSON object per line, got NoneType"),
+            (
+                [{"A": "a", "N": 1}],
+                "line 1: keys do not match the schema (missing ['D'], unexpected [])",
+            ),
+            (
+                [dict(_GOOD_ROW, Z=1)],
+                "line 1: keys do not match the schema (missing [], unexpected ['Z'])",
+            ),
+            (
+                [dict(_GOOD_ROW, A=5)],
+                "line 1, attribute 'A': expected a string for a nominal cell, got 5",
+            ),
+            (
+                [dict(_GOOD_ROW, N=True)],
+                "line 1, attribute 'N': expected a number for a numeric cell, got True",
+            ),
+            (
+                [dict(_GOOD_ROW, N=float("nan"))],
+                "line 1, attribute 'N': non-finite numeric value nan "
+                "(nan/inf are not admissible cell values)",
+            ),
+            (
+                [_FLOAT_N],
+                "line 1, attribute 'N': expected an integer for an integer-domain "
+                "cell, got 1.5",
+            ),
+            (
+                [dict(_GOOD_ROW, D="2020-13-01")],
+                "line 1, attribute 'D': month must be in 1..12",
+            ),
+            (
+                _rows_with({2: _FLOAT_N, 3: _LIST_ROW}),
+                "line 2, attribute 'N': expected an integer for an integer-domain "
+                "cell, got 1.5",
+            ),
+            (
+                _rows_with({2: _LIST_ROW, 3: _FLOAT_N}),
+                "line 2: expected one JSON object per line, got list",
+            ),
+            (
+                _rows_with({8_500: _FLOAT_N, 9_000: _LIST_ROW}),
+                "line 8500, attribute 'N': expected an integer for an "
+                "integer-domain cell, got 1.5",
+            ),
+        ],
+        ids=[
+            "list-row",
+            "null-row",
+            "missing-key",
+            "extra-key",
+            "number-in-nominal",
+            "true-in-numeric",
+            "nan-in-numeric",
+            "float-in-integer",
+            "bad-date",
+            "cell-error-before-list",
+            "list-before-cell-error",
+            "cell-error-past-first-batch",
+        ],
+    )
+    def test_message(self, typed_service, rows, message):
+        with pytest.raises(InputError) as excinfo:
+            typed_service.audit({"model": "typed", "rows": rows})
+        assert str(excinfo.value) == f"invalid rows payload: {message}"
+
+
 def _get(url):
     with urllib.request.urlopen(url, timeout=10) as resp:
         return resp.status, dict(resp.headers), resp.read().decode("utf-8")
@@ -372,16 +490,21 @@ def _raw_post(base, path, body, headers):
 
 
 @pytest.fixture
-def http_server(corpus):
+def live_server(corpus):
     server = make_server(corpus["registry"], port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
+    yield server
     server.shutdown()
     server.server_close()
     server.service.stop_monitors()
     thread.join(timeout=10)
+
+
+@pytest.fixture
+def http_server(live_server):
+    host, port = live_server.server_address[:2]
+    return f"http://{host}:{port}"
 
 
 class TestHttpTransport:
@@ -523,6 +646,23 @@ class TestHttpTransport:
         assert status == 400
         assert fragment in payload["error"]
 
+    def test_accepted_connections_turn_nagle_off(self, http_server, monkeypatch):
+        """Nagle's algorithm would hold each small response write until
+        the client's delayed ACK; every accepted socket has it off."""
+        nodelay = []
+        setup = AuditRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(AuditRequestHandler, "setup", recording_setup)
+        status, _, _ = _get(f"{http_server}/healthz")
+        assert status == 200
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
     def test_concurrent_requests(self, http_server, corpus):
         """4 concurrent clients per body, inline rows and the stored CSV
         of the same load: every response carries the same bytes."""
@@ -547,6 +687,33 @@ class TestHttpTransport:
             t.join(timeout=60)
         assert len(results) == 8
         assert len({body for _, _, body in results}) == 1  # all identical
+
+
+def test_stream_sends_each_chunk_in_one_write():
+    """A streamed response is the head, then one write per non-empty
+    chunk (size line, data, CRLF), then one for the terminator."""
+    writes = []
+
+    class RecordingWriter:
+        def write(self, data):
+            writes.append(bytes(data))
+            return len(data)
+
+    handler = AuditRequestHandler.__new__(AuditRequestHandler)  # no socket
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "POST /audit HTTP/1.1"
+    handler.client_address = ("127.0.0.1", 0)
+    handler.wfile = RecordingWriter()
+    lines = ['{"row": 1}\n', "", '{"attribute": "\u00e9"}\n' * 3]
+    handler._stream_jsonl({"model": "m@v1"}, iter(lines))
+    head, *chunks = writes
+    assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert b"\r\nX-Audit-Model: m@v1\r\n" in head and head.endswith(b"\r\n\r\n")
+    assert chunks == [
+        b'b\r\n{"row": 1}\n\r\n',
+        b"3c\r\n" + '{"attribute": "\u00e9"}\n'.encode("utf-8") * 3 + b"\r\n",
+        b"0\r\n\r\n",
+    ]
 
 
 def _write_stream(table, path):
@@ -613,6 +780,90 @@ class TestFailureContract:
         status, payload = _raw_post(http_server, path, json.dumps(body).encode(), {})
         assert status == 400
         assert "line 3: field larger than field limit (131072)" in payload["error"]
+
+
+@pytest.fixture
+def watched_server(live_server, monkeypatch):
+    """The running server with reads that time out after 0.5 s. ``ended``
+    is released each time the server is done with a connection, after
+    any traceback the connection caused has been printed."""
+    monkeypatch.setattr(AuditRequestHandler, "timeout", 0.5)
+    ended = threading.Semaphore(0)
+    shutdown_request = live_server.shutdown_request
+
+    def shutdown_and_signal(request):
+        shutdown_request(request)
+        ended.release()
+
+    monkeypatch.setattr(live_server, "shutdown_request", shutdown_and_signal)
+    return live_server, ended
+
+
+#: a POST /audit promising a 100-byte body, and the 9 bytes of it sent
+_SHORT_BODY_HEAD = (
+    b"POST /audit HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 100\r\n"
+)
+_SHORT_BODY = b'{"model":'
+
+
+class TestClientStallsAndHangUps:
+    """A client that stalls or vanishes mid-request costs the server one
+    connection: no worker thread stays blocked, no traceback is printed
+    or logged, and the request log names what happened (408 a body that
+    stalled past the read timeout, 499 a client that went away)."""
+
+    @staticmethod
+    def _logged_statuses(caplog):
+        return [
+            int(match.group(1))
+            for record in caplog.records
+            if (match := re.match(r"POST /audit -> (\d+) ", record.getMessage()))
+        ]
+
+    @staticmethod
+    def _assert_no_traceback(caplog, capsys):
+        assert "Traceback" not in capsys.readouterr().err
+        assert not [record for record in caplog.records if record.exc_info]
+
+    def test_stalled_body_ends_its_connection(self, watched_server, caplog, capsys):
+        server, ended = watched_server
+        caplog.set_level(logging.INFO, logger="repro.serve")
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=30) as client:
+            client.sendall(_SHORT_BODY_HEAD + b"\r\n" + _SHORT_BODY)
+            # closed without a response, long before the client's own timeout
+            assert client.recv(65536) == b""
+        assert ended.acquire(timeout=30)
+        status, _, _ = _get(f"http://{host}:{port}/healthz")
+        assert status == 200
+        assert self._logged_statuses(caplog) == [408]
+        self._assert_no_traceback(caplog, capsys)
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["hang-up", "reset"])
+    def test_client_gone_before_its_400(self, watched_server, caplog, capsys, reset):
+        server, ended = watched_server
+        caplog.set_level(logging.INFO, logger="repro.serve")
+        host, port = server.server_address[:2]
+        client = socket.create_connection((host, port), timeout=30)
+        try:
+            # the interim 100 response shows the server is past the head
+            client.sendall(_SHORT_BODY_HEAD + b"Expect: 100-continue\r\n\r\n")
+            assert client.recv(65536).startswith(b"HTTP/1.1 100 ")
+            client.sendall(_SHORT_BODY)
+            if reset:  # close with RST instead of FIN
+                client.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+        finally:
+            client.close()
+        assert ended.acquire(timeout=30)
+        status, _, _ = _get(f"http://{host}:{port}/healthz")
+        assert status == 200
+        # after a hang-up the 400 may still be written whole: the RST
+        # its first write draws can arrive after its last
+        assert self._logged_statuses(caplog) in ([[499]] if reset else [[400], [499]])
+        self._assert_no_traceback(caplog, capsys)
 
 
 class TestModelCache:

@@ -33,7 +33,12 @@ and a read timeout (:attr:`AuditRequestHandler.timeout`). A request
 body that stalls past the timeout is logged as 408; a socket error
 while reading the body or writing any response means the client is
 gone, and is logged as 499. Neither status is sent: the connection ends
-with no further response bytes and no traceback.
+with no further response bytes and no traceback. A client that resets
+an idle keep-alive connection ends it quietly too. An exception raised
+after a streamed response's head has left cannot become an error
+response any more: it is logged as 500 with its traceback, and the
+connection ends without the terminating zero-size chunk, which tells
+the client the body is incomplete.
 
 :func:`serve` runs until SIGTERM/SIGINT, then shuts down gracefully:
 the listening socket closes, in-flight requests finish, and the process
@@ -64,10 +69,11 @@ logger = logging.getLogger("repro.serve")
 _MAX_BODY_BYTES = 256 * 1024 * 1024  # refuse absurd payloads outright
 
 
-class _ClientGone(Exception):
-    """A read or write on the connection failed: the client went away or
-    stalled past the timeout, so no response can reach it. ``status`` is
-    what the request log records (408 or 499)."""
+class _ConnectionEnds(Exception):
+    """No further response byte can or may be sent: a read or write on
+    the connection failed (the client went away, 499, or stalled past
+    the timeout, 408), or a streamed response failed after its head was
+    sent (500). ``status`` is what the request log records."""
 
     def __init__(self, status: int):
         super().__init__(status)
@@ -107,9 +113,9 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
         try:
             yield
         except TimeoutError:
-            raise _ClientGone(timed_out) from None
+            raise _ConnectionEnds(timed_out) from None
         except OSError:
-            raise _ClientGone(499) from None
+            raise _ConnectionEnds(499) from None
 
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
         body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
@@ -147,8 +153,9 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
         status = 500
         try:
             status = self._respond(method, path)
-        except _ClientGone as exc:
-            # nothing more can reach the client: log why, end the connection
+        except _ConnectionEnds as exc:
+            # nothing more can or may reach the client: log why, end the
+            # connection
             status = exc.status
             self.close_connection = True
         finally:
@@ -169,7 +176,7 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
             status, message = 400, str(exc)
         except ServiceError as exc:
             status, message = exc.status, str(exc)
-        except _ClientGone:
+        except _ConnectionEnds:
             raise
         except Exception as exc:  # last resort: never kill the worker thread
             logger.exception("unhandled error for %s %s", method, path)
@@ -213,7 +220,8 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
         """Chunked-encoding JSONL response; summary rides in headers so
         the findings stream stays parseable line by line. Each chunk —
         size line, data, CRLF — leaves in one write, and so does the
-        terminating zero-size chunk."""
+        terminating zero-size chunk, which is sent only when every line
+        was."""
         with self._socket_io():
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
@@ -221,16 +229,31 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
             for key, value in summary.items():
                 self.send_header(f"X-Audit-{key.replace('_', '-').title()}", str(value))
             self.end_headers()
-        for text in lines:
-            data = text.encode("utf-8")
-            if not data:
-                continue  # a zero-length chunk would terminate the stream
-            with self._socket_io():
-                self.wfile.write(b"%x\r\n" % len(data) + data + b"\r\n")
+        try:
+            for text in lines:
+                data = text.encode("utf-8")
+                if not data:
+                    continue  # a zero-length chunk would terminate the stream
+                with self._socket_io():
+                    self.wfile.write(b"%x\r\n" % len(data) + data + b"\r\n")
+        except _ConnectionEnds:
+            raise
+        except Exception:
+            # the 200 head is out, so no error response can follow it
+            logger.exception("unhandled error while streaming %s", self.path)
+            raise _ConnectionEnds(500) from None
         with self._socket_io():
             self.wfile.write(b"0\r\n\r\n")
 
     # -- HTTP verbs ---------------------------------------------------------
+
+    def handle_one_request(self) -> None:
+        # a client may reset an idle keep-alive connection while the
+        # stdlib waits for its next request line: nothing to answer
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            self.close_connection = True
 
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
         self._dispatch("GET")

@@ -3,9 +3,10 @@ lanes to.
 
 Production reads every backend through one column lane
 (:func:`repro.io.columnar.columns_from_rows`), fits through one
-encoder (:class:`repro.core.auditor.FitColumnCache`) and predicts
+encoder (:class:`repro.core.auditor.FitColumnCache`), grows trees level
+by level (:class:`repro.mining.tree.grow.TreeGrower`) and predicts
 through one call (:meth:`AttributeClassifier.predict_batch
-<repro.mining.base.AttributeClassifier.predict_batch>`). All three are
+<repro.mining.base.AttributeClassifier.predict_batch>`). All four are
 optimized formulations, so each keeps a plain, obviously-correct twin
 here:
 
@@ -22,7 +23,11 @@ here:
   and :meth:`ClassEncoder.code_of
   <repro.mining.dataset.ClassEncoder.code_of>`, with class bins fitted
   on the per-cell numeric view, and assembled with
-  :meth:`Dataset.from_shared <repro.mining.dataset.Dataset.from_shared>`;
+  :meth:`Dataset.from_shared <repro.mining.dataset.Dataset.from_shared>`,
+  and its trees grown by the **recursive grower**
+  (:func:`reference_grow`): one node at a time, each numeric column
+  argsorted per node and every boundary scored from a dense one-hot
+  cumulative count matrix, each node pruned as its recursion returns;
 * the **per-record predictors** (:func:`reference_predict`): one per
   classifier family, each predicting one record at a time from a plain
   ``{attribute: encoded value}`` mapping — the tree by a recursive walk
@@ -41,7 +46,9 @@ import csv
 import json
 import math
 import sqlite3
+from dataclasses import dataclass
 from itertools import islice
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,8 +61,10 @@ from repro.mining import (
     PrismClassifier,
     TreeClassifier,
 )
+from repro.mining.confidence import expected_error_confidence
 from repro.mining.dataset import BaseEncoder, ClassEncoder, Dataset
-from repro.mining.tree.node import Leaf, NominalSplit, NumericSplit
+from repro.mining.tree.grow import PruningStrategy, TreeConfig
+from repro.mining.tree.node import Leaf, Node, NominalSplit, NumericSplit
 from repro.schema.types import AttributeKind
 
 __all__ = [
@@ -65,6 +74,7 @@ __all__ = [
     "reference_encode",
     "reference_dataset",
     "reference_fit",
+    "reference_grow",
     "reference_predict",
     "predict_record",
 ]
@@ -258,20 +268,454 @@ def reference_dataset(table, class_attr: str, base_attrs, n_bins: int) -> Datase
 
 
 def reference_fit(auditor, table):
-    """Fit *auditor* serially on cell-at-a-time datasets (returns it)."""
+    """Fit *auditor* serially on cell-at-a-time datasets (returns it);
+    trees grow through the recursive grower (:func:`reference_grow`)."""
     auditor.classifiers = {}
     for class_attr in auditor.audited_attributes():
         classifier = auditor.config.make_classifier()
-        classifier.fit(
-            reference_dataset(
-                table,
-                class_attr,
-                auditor.base_attributes_for(class_attr),
-                auditor.config.n_bins,
-            )
+        dataset = reference_dataset(
+            table,
+            class_attr,
+            auditor.base_attributes_for(class_attr),
+            auditor.config.n_bins,
         )
+        if isinstance(classifier, TreeClassifier):
+            classifier.dataset = dataset
+            classifier.root = reference_grow(dataset, classifier.config)
+        else:
+            classifier.fit(dataset)
         auditor.classifiers[class_attr] = classifier
     return auditor
+
+
+# -- the recursive grower ---------------------------------------------------------
+#
+# The node-at-a-time formulation of C4.5 with the paper's adjustments:
+# every node gathers its rows, argsorts each numeric column on its own,
+# builds a dense one-hot cumulative count matrix and evaluates every
+# boundary, and scores itself for the integrated Def.-9 pruning as its
+# recursion returns. The production grower (repro.mining.tree.grow)
+# grows level by level instead; the two must agree bit for bit.
+
+_EPSILON = 1e-12
+
+
+def _entropy(counts: np.ndarray) -> float:
+    """Shannon entropy (base 2) of a count vector."""
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def _entropy_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise entropy of a (rows × classes) count matrix."""
+    totals = matrix.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(totals > 0, matrix / np.maximum(totals, _EPSILON), 0.0)
+        logs = np.where(p > 0, np.log2(np.maximum(p, _EPSILON)), 0.0)
+    return -(p * logs).sum(axis=1)
+
+
+@dataclass
+class _SplitCandidate:
+    attribute: str
+    gain: float
+    gain_ratio: float
+    categorical: bool
+    threshold: float = 0.0
+    #: the attribute column already gathered for this node's rows, so the
+    #: split application does not fancy-index the full column again
+    column: Optional[np.ndarray] = None
+
+
+class _ReferenceGrower:
+    """Grows one decision tree for a :class:`Dataset`, one node at a time."""
+
+    def __init__(self, dataset: Dataset, config: Optional[TreeConfig] = None):
+        self.dataset = dataset
+        self.config = config or TreeConfig()
+        self.n_labels = dataset.n_labels
+
+    # -- public ------------------------------------------------------------
+
+    def grow(self) -> Node:
+        indices = np.arange(self.dataset.n_rows, dtype=np.int64)
+        weights = np.ones(self.dataset.n_rows, dtype=float)
+        categorical = tuple(
+            name
+            for name in self.dataset.base_attrs
+            if self.dataset.encoders[name].categorical
+        )
+        root = self._build(indices, weights, frozenset(categorical), depth=0)
+        if self.config.pruning is PruningStrategy.PESSIMISTIC:
+            from repro.mining.tree.prune import prune_pessimistic
+
+            root = prune_pessimistic(root, self.config.bounds)
+        return root
+
+    # -- recursion ------------------------------------------------------------
+
+    def _class_counts(self, indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self.dataset.y[indices], weights=weights, minlength=self.n_labels
+        )
+
+    def _build(
+        self,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        categorical_remaining: frozenset[str],
+        depth: int,
+    ) -> Node:
+        node, _ = self._build_scored(indices, weights, categorical_remaining, depth)
+        return node
+
+    def _build_scored(
+        self,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        categorical_remaining: frozenset[str],
+        depth: int,
+    ) -> tuple[Node, Optional[tuple[bool, float]]]:
+        """Build a subtree and return it with its pruning score.
+
+        The score is the lexicographic ``(has_useful_leaf, expErrorConf)``
+        of the *returned* node, computed bottom-up from the child scores
+        in one pass. Recomputing it top-down per pruning decision (as the
+        post-pass :mod:`repro.mining.tree.prune` does) re-walks every
+        subtree once per ancestor — O(nodes × depth); memoizing it here
+        keeps growth O(nodes) while combining the child scores with
+        *exactly* the arithmetic of ``subtree_expected_error_confidence``
+        (same child order, same summation order, same ``total <= 0``
+        guard), so the grown tree is bit-identical either way.
+        """
+        counts = self._class_counts(indices, weights)
+        total = float(weights.sum())
+        config = self.config
+        scoring = config.pruning is PruningStrategy.EXPECTED_ERROR_CONFIDENCE
+        if (
+            total < 2 * config.min_instances
+            or np.count_nonzero(counts > _EPSILON) <= 1
+            or (config.max_depth is not None and depth >= config.max_depth)
+        ):
+            return Leaf(counts), self._leaf_raw_score(counts) if scoring else None
+        y_node = self.dataset.y[indices]
+        candidate = self._select_split(indices, weights, y_node, categorical_remaining)
+        if candidate is None:
+            return Leaf(counts), self._leaf_raw_score(counts) if scoring else None
+        if candidate.categorical:
+            result = self._split_categorical(
+                indices, weights, counts, candidate, categorical_remaining, depth
+            )
+        else:
+            result = self._split_numeric(
+                indices, weights, counts, candidate, categorical_remaining, depth
+            )
+        if result is None:
+            return Leaf(counts), self._leaf_raw_score(counts) if scoring else None
+        node, child_scores = result
+        if not scoring:
+            return node, None
+        subtree_score = self._combine_scores(node, child_scores)
+        leaf_useful, leaf_eec = self._leaf_raw_score(counts)
+        if (leaf_useful, leaf_eec + _EPSILON) >= subtree_score:
+            return Leaf(counts), (leaf_useful, leaf_eec)
+        return node, subtree_score
+
+    # The paper replaces a subtree by a leaf "whenever this transformation
+    # leads to a higher value for expErrorConf" and separately deletes
+    # rules "not useful for error detection". Both ideas combine into a
+    # lexicographic score: (1) does the (sub)tree contain a leaf that
+    # *could* flag a deviating record at the minimal confidence —
+    # leftBound(P(ĉ), n) − rightBound(0, n) ≥ minConf — and (2) the Def.-9
+    # expected error confidence with the minimal-confidence cutoff. The
+    # usefulness component is required because on clean training data a
+    # perfectly structured subtree of pure leaves has expErrorConf 0, just
+    # like the collapsed leaf, yet only the subtree can detect anything.
+    # The shared scoring functions live in repro.mining.tree.prune; the
+    # collapse comparison adds _EPSILON to the leaf's expErrorConf (leaf
+    # wins ties), but the *stored* score of a collapsed leaf is the raw
+    # value — prune.py's recursion never sees the epsilon either.
+
+    def _leaf_raw_score(self, counts: np.ndarray) -> tuple[bool, float]:
+        from repro.mining.tree.prune import leaf_detection_useful
+
+        config = self.config
+        return (
+            leaf_detection_useful(counts, config.bounds, config.min_detection_confidence),
+            expected_error_confidence(
+                counts, config.bounds, config.min_detection_confidence
+            ),
+        )
+
+    @staticmethod
+    def _combine_scores(
+        node: Node, child_scores: Sequence[tuple[Node, tuple[bool, float]]]
+    ) -> tuple[bool, float]:
+        # mirrors subtree_has_useful_leaf / subtree_expected_error_confidence
+        # over already-scored children; child_scores is in children() order
+        useful = any(score[0] for _, score in child_scores)
+        total = node.n
+        if total <= 0:
+            return useful, 0.0
+        return useful, sum(child.n / total * score[1] for child, score in child_scores)
+
+    # -- split selection -------------------------------------------------------
+
+    def _select_split(
+        self,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        y_node: np.ndarray,
+        categorical_remaining: frozenset[str],
+    ) -> Optional[_SplitCandidate]:
+        # Tie-break contract (pinned by tests/test_tree_tie_breaks.py):
+        # candidates are evaluated in dataset.base_attrs order and picked
+        # with Python's max(), which keeps the FIRST maximal element — on
+        # equal scores the earlier attribute wins. Any vectorized
+        # reformulation of this selection must preserve first-max
+        # semantics (np.argmax does; np.argmin over negated scores or
+        # sorting do not necessarily).
+        candidates: list[_SplitCandidate] = []
+        for name in self.dataset.base_attrs:
+            encoder = self.dataset.encoders[name]
+            if encoder.categorical:
+                if name not in categorical_remaining:
+                    continue
+                candidate = self._evaluate_categorical(name, indices, weights, y_node)
+            else:
+                candidate = self._evaluate_numeric(name, indices, weights, y_node)
+            if candidate is not None and candidate.gain > _EPSILON:
+                candidates.append(candidate)
+        if not candidates:
+            return None
+        if not self.config.gain_ratio:
+            return max(candidates, key=lambda c: c.gain)
+        # C4.5: best gain ratio among candidates with at least average gain
+        average_gain = sum(c.gain for c in candidates) / len(candidates)
+        eligible = [c for c in candidates if c.gain >= average_gain - _EPSILON]
+        return max(eligible, key=lambda c: c.gain_ratio)
+
+    def _evaluate_categorical(
+        self, name: str, indices: np.ndarray, weights: np.ndarray, y_node: np.ndarray
+    ) -> Optional[_SplitCandidate]:
+        config = self.config
+        codes = self.dataset.columns[name][indices]
+        known = codes >= 0
+        known_weight = float(weights[known].sum())
+        total_weight = float(weights.sum())
+        if known_weight <= 0:
+            return None
+        n_categories = self.dataset.encoders[name].n_categories
+        joint = np.bincount(
+            codes[known] * self.n_labels + y_node[known],
+            weights=weights[known],
+            minlength=n_categories * self.n_labels,
+        ).reshape(n_categories, self.n_labels)
+        value_totals = joint.sum(axis=1)
+        occupied = value_totals > _EPSILON
+        if np.count_nonzero(occupied) < 2:
+            return None
+        # C4.5 constraint: at least two branches with min_instances weight
+        if np.count_nonzero(value_totals >= config.min_instances) < 2:
+            return None
+        # minInst pre-pruning: some subset must concentrate one class
+        if (
+            config.min_class_instances is not None
+            and joint.max() < config.min_class_instances
+        ):
+            return None
+        known_entropy = _entropy(joint.sum(axis=0))
+        child_entropies = _entropy_rows(joint[occupied])
+        weighted_child = float(
+            (value_totals[occupied] / known_weight * child_entropies).sum()
+        )
+        gain_known = known_entropy - weighted_child
+        gain = (known_weight / total_weight) * gain_known
+        split_parts = value_totals[occupied]
+        missing_weight = total_weight - known_weight
+        if missing_weight > _EPSILON:
+            split_parts = np.append(split_parts, missing_weight)
+        split_info = _entropy(split_parts)
+        if split_info <= _EPSILON:
+            return None
+        return _SplitCandidate(
+            name, gain, gain / split_info, categorical=True, column=codes
+        )
+
+    def _evaluate_numeric(
+        self, name: str, indices: np.ndarray, weights: np.ndarray, y_node: np.ndarray
+    ) -> Optional[_SplitCandidate]:
+        config = self.config
+        values = self.dataset.columns[name][indices]
+        known = ~np.isnan(values)
+        known_weight = float(weights[known].sum())
+        total_weight = float(weights.sum())
+        if known_weight <= 0:
+            return None
+        kv = values[known]
+        ky = y_node[known]
+        kw = weights[known]
+        order = np.argsort(kv, kind="stable")
+        sv, sy, sw = kv[order], ky[order], kw[order]
+        # candidate boundaries: positions where the value changes
+        change = np.nonzero(sv[1:] != sv[:-1])[0]  # split after index i
+        if change.size == 0:
+            return None
+        one_hot = np.zeros((sv.size, self.n_labels), dtype=float)
+        one_hot[np.arange(sv.size), sy] = sw
+        cumulative = np.cumsum(one_hot, axis=0)
+        total_counts = cumulative[-1]
+        left_counts = cumulative[change]  # (n_candidates × n_labels)
+        right_counts = total_counts[None, :] - left_counts
+        left_totals = left_counts.sum(axis=1)
+        right_totals = right_counts.sum(axis=1)
+        feasible = (left_totals >= config.min_instances) & (
+            right_totals >= config.min_instances
+        )
+        if config.min_class_instances is not None:
+            feasible &= np.maximum(
+                left_counts.max(axis=1), right_counts.max(axis=1)
+            ) >= config.min_class_instances
+        if not feasible.any():
+            return None
+        known_entropy = _entropy(total_counts)
+        # Entropy only over feasible boundaries: each row's entropy depends
+        # on that row alone, so subsetting changes no float result, and
+        # argmax over the (order-preserving) subset keeps the row-path
+        # tie-break — the LOWEST cut among equal gains (first maximum).
+        if feasible.all():
+            feasible_at = None
+            lc, rc, lt, rt = left_counts, right_counts, left_totals, right_totals
+        else:
+            feasible_at = np.nonzero(feasible)[0]
+            lc, rc = left_counts[feasible_at], right_counts[feasible_at]
+            lt, rt = left_totals[feasible_at], right_totals[feasible_at]
+        gains_known = known_entropy - (
+            lt / known_weight * _entropy_rows(lc)
+            + rt / known_weight * _entropy_rows(rc)
+        )
+        best_local = int(np.argmax(gains_known))
+        best = best_local if feasible_at is None else int(feasible_at[best_local])
+        gain_known = float(gains_known[best_local])
+        if config.numeric_penalty:
+            gain_known -= math.log2(max(change.size, 1)) / known_weight
+        if gain_known <= _EPSILON:
+            return None
+        gain = (known_weight / total_weight) * gain_known
+        boundary = change[best]
+        threshold = float((sv[boundary] + sv[boundary + 1]) / 2.0)
+        split_parts = [float(left_totals[best]), float(right_totals[best])]
+        missing_weight = total_weight - known_weight
+        if missing_weight > _EPSILON:
+            split_parts.append(missing_weight)
+        split_info = _entropy(np.asarray(split_parts))
+        if split_info <= _EPSILON:
+            return None
+        return _SplitCandidate(
+            name,
+            gain,
+            gain / split_info,
+            categorical=False,
+            threshold=threshold,
+            column=values,
+        )
+
+    # -- split application -----------------------------------------------------
+
+    def _split_categorical(
+        self,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        counts: np.ndarray,
+        candidate: _SplitCandidate,
+        categorical_remaining: frozenset[str],
+        depth: int,
+    ) -> Optional[tuple[Node, list[tuple[Node, Optional[tuple[bool, float]]]]]]:
+        codes = (
+            candidate.column
+            if candidate.column is not None
+            else self.dataset.columns[candidate.attribute][indices]
+        )
+        known = codes >= 0
+        known_weight = float(weights[known].sum())
+        if known_weight <= 0:
+            return None
+        remaining = categorical_remaining - {candidate.attribute}
+        present_codes = np.unique(codes[known])
+        missing_idx = indices[~known]
+        missing_w = weights[~known]
+        branches: dict[int, Node] = {}
+        fractions: dict[int, float] = {}
+        child_scores: list[tuple[Node, Optional[tuple[bool, float]]]] = []
+        for code in present_codes:
+            mask = known & (codes == code)
+            branch_weight = float(weights[mask].sum())
+            if branch_weight <= _EPSILON:
+                continue
+            fraction = branch_weight / known_weight
+            child_idx = indices[mask]
+            child_w = weights[mask]
+            if missing_idx.size:
+                child_idx = np.concatenate([child_idx, missing_idx])
+                child_w = np.concatenate([child_w, missing_w * fraction])
+            child, score = self._build_scored(child_idx, child_w, remaining, depth + 1)
+            branches[int(code)] = child
+            fractions[int(code)] = fraction
+            child_scores.append((child, score))
+        if len(branches) < 2:
+            return None
+        return NominalSplit(counts, candidate.attribute, branches, fractions), child_scores
+
+    def _split_numeric(
+        self,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        counts: np.ndarray,
+        candidate: _SplitCandidate,
+        categorical_remaining: frozenset[str],
+        depth: int,
+    ) -> Optional[tuple[Node, list[tuple[Node, Optional[tuple[bool, float]]]]]]:
+        values = (
+            candidate.column
+            if candidate.column is not None
+            else self.dataset.columns[candidate.attribute][indices]
+        )
+        known = ~np.isnan(values)
+        known_weight = float(weights[known].sum())
+        if known_weight <= 0:
+            return None
+        low_mask = known & (values <= candidate.threshold)
+        high_mask = known & (values > candidate.threshold)
+        low_weight = float(weights[low_mask].sum())
+        high_weight = float(weights[high_mask].sum())
+        if low_weight <= _EPSILON or high_weight <= _EPSILON:
+            return None
+        low_fraction = low_weight / known_weight
+        missing_idx = indices[~known]
+        missing_w = weights[~known]
+        low_idx, low_w = indices[low_mask], weights[low_mask]
+        high_idx, high_w = indices[high_mask], weights[high_mask]
+        if missing_idx.size:
+            low_idx = np.concatenate([low_idx, missing_idx])
+            low_w = np.concatenate([low_w, missing_w * low_fraction])
+            high_idx = np.concatenate([high_idx, missing_idx])
+            high_w = np.concatenate([high_w, missing_w * (1.0 - low_fraction)])
+        low, low_score = self._build_scored(low_idx, low_w, categorical_remaining, depth + 1)
+        high, high_score = self._build_scored(high_idx, high_w, categorical_remaining, depth + 1)
+        node = NumericSplit(
+            counts, candidate.attribute, candidate.threshold, low, high, low_fraction
+        )
+        return node, [(low, low_score), (high, high_score)]
+
+
+
+
+def reference_grow(dataset: Dataset, config: Optional[TreeConfig] = None) -> Node:
+    """One tree grown (and, per config, pruned) by the recursive grower."""
+    return _ReferenceGrower(dataset, config).grow()
 
 
 # -- the per-record predictors ----------------------------------------------------

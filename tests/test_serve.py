@@ -865,6 +865,70 @@ class TestClientStallsAndHangUps:
         assert self._logged_statuses(caplog) in ([[499]] if reset else [[400], [499]])
         self._assert_no_traceback(caplog, capsys)
 
+    def test_reset_of_an_idle_keep_alive_connection_is_quiet(
+        self, watched_server, caplog, capsys
+    ):
+        server, ended = watched_server
+        caplog.set_level(logging.INFO, logger="repro.serve")
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        assert response.status == 200
+        response.read()
+        # the server now waits for the next request on this connection
+        connection.sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        connection.close()
+        assert ended.acquire(timeout=30)
+        status, _, _ = _get(f"http://{host}:{port}/healthz")
+        assert status == 200
+        self._assert_no_traceback(caplog, capsys)
+
+
+class TestFaultAfterStreamHead:
+    """Once a streamed response's 200 head is sent, a fault can no longer
+    become an error response: the connection ends without the
+    terminating chunk, and the fault is logged as 500 with its
+    traceback."""
+
+    def test_fault_mid_stream_ends_the_connection(
+        self, watched_server, corpus, caplog, monkeypatch
+    ):
+        from repro.serve import service as service_module
+
+        def first_chunk_then_fault(findings):
+            yield next(real(findings))
+            raise RuntimeError("boom after the first chunk")
+
+        real = service_module._findings_jsonl
+        monkeypatch.setattr(service_module, "_findings_jsonl", first_chunk_then_fault)
+        server, ended = watched_server
+        caplog.set_level(logging.INFO, logger="repro.serve")
+        host, port = server.server_address[:2]
+        body = json.dumps({"model": "svc", "source": str(corpus["load_csv"])}).encode()
+        with socket.create_connection((host, port), timeout=30) as client:
+            client.sendall(
+                b"POST /audit HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            received = b""
+            while chunk := client.recv(65536):
+                received += chunk
+        assert ended.acquire(timeout=30)
+        assert received.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert received.count(b"HTTP/1.1 ") == 1  # no 500 inside the body
+        # the head, then the first chunk of findings
+        assert re.search(rb"\r\n\r\n[0-9a-f]+\r\n\{", received)
+        assert not received.endswith(b"0\r\n\r\n")
+        status, _, _ = _get(f"http://{host}:{port}/healthz")
+        assert status == 200
+        assert TestClientStallsAndHangUps._logged_statuses(caplog) == [500]
+        (fault,) = [record for record in caplog.records if record.exc_info]
+        assert "boom after the first chunk" in str(fault.exc_info[1])
+
 
 class TestModelCache:
     def test_cache_stays_bounded_and_evicted_versions_reload(self, corpus, tmp_path):

@@ -1,16 +1,17 @@
-"""Split tie-breaking regression tests (the contract `grow._select_split`
-documents).
+"""Split tie-breaking regression tests (the contract
+`grow.TreeGrower._select` documents).
 
 Exact-gain ties are common on real tables (duplicated columns, symmetric
 value patterns), and whichever candidate wins ends up in the persisted
 model — so the tie-break is part of the byte-identity contract between
-the vectorized and row fit paths:
+the level-wise grower and the recursive reference grower
+(``tests/reference_lanes.py``):
 
 * attribute ties → the **first** attribute in ``base_attrs`` order wins
-  (Python ``max`` keeps the first maximal candidate);
+  (``np.argmax`` and Python ``max`` keep the first maximal candidate);
 * numeric cut-point ties within one attribute → the **lowest** cut wins
-  (``np.argmax`` returns the first index, and the vectorized
-  feasible-subset evaluation must preserve that ordering).
+  (the first maximum in boundary order, which the screened shortlist
+  and its exact recheck must preserve).
 
 These tests pin both rules directly on the grown tree, independent of
 the parity suite: if a future optimisation reorders candidate

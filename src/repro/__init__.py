@@ -23,7 +23,7 @@ The package mirrors the paper's architecture:
   classification / regression, error confidence, rankings, corrections,
   persistence, the streaming :class:`~repro.core.session.AuditSession`
   facade for the offline-fit / online-check warehouse-loading split
-  (secs. 2.2, 5), and the per-attribute fit fan-out
+  (secs. 2.2, 5), and the per-attribute fit fan-out on threads
   (:mod:`repro.core.parallel`) behind ``AuditorConfig.fit_n_jobs``;
 * :mod:`repro.registry` — the content-addressed, versioned on-disk
   model registry: named model versions (``loads@v3``) with provenance

@@ -53,8 +53,9 @@ bad flag, a damaged schema, model or log, a cell its column cannot hold
 turns every :class:`~repro.errors.InputError`,
 :class:`~repro.registry.RegistryError` and ``OSError`` into that line.
 Any other exception is a fault of the program and stays a traceback.
-``repro fit --jobs N`` fits the per-attribute classifiers on N worker
-processes; the model is byte-identical at any job count. ``fit`` and
+``repro fit`` fits the per-attribute classifiers on every usable core
+(``--jobs N`` for N threads, ``--jobs 1`` for a serial fit); the model
+is byte-identical at any job count. ``fit`` and
 ``audit`` read their input as column batches (:mod:`repro.io.columnar`),
 with no row objects between storage and the encoders. See
 ``docs/architecture.md`` for the execution model and the README for a
@@ -249,10 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument(
         "--jobs",
         type=int,
-        default=1,
-        help="worker processes for structure induction — one attribute's "
-        "classifier per task (default 1 = serial; -1 = all cores); the "
-        "fitted model is byte-identical regardless of job count",
+        help="worker threads for structure induction — one attribute's "
+        "classifier per task (default: every usable core; 1 = serial); "
+        "the fitted model is byte-identical regardless of job count",
     )
     p_fit.add_argument(
         "--register",
@@ -568,9 +568,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
     schema = _load_schema(args.schema)
     table = _read_columns(schema, args.input, args.input_format, args.null_marker)
+    jobs = {} if args.jobs is None else {"fit_n_jobs": args.jobs}
     auditor = DataAuditor(
-        schema,
-        AuditorConfig(min_error_confidence=args.min_confidence, fit_n_jobs=args.jobs),
+        schema, AuditorConfig(min_error_confidence=args.min_confidence, **jobs)
     )
     auditor.fit(table)
     if args.model_out is not None:

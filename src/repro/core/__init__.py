@@ -5,7 +5,8 @@ measures (Defs. 7–9), ranked findings and correction proposals
 (sec. 5.2–5.3), structure model, model persistence, the streaming
 :class:`~repro.core.session.AuditSession` facade for the asynchronous
 warehouse-loading workflow (sec. 2.2), and the per-attribute fit fan-out
-(:mod:`repro.core.parallel`) behind ``AuditorConfig.fit_n_jobs``.
+on threads (:mod:`repro.core.parallel`) behind
+``AuditorConfig.fit_n_jobs``.
 """
 
 from repro.core.auditor import AuditorConfig, ColumnCache, DataAuditor

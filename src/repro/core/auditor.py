@@ -19,10 +19,10 @@ Domain knowledge plugs in through :attr:`AuditorConfig.base_attributes`
 attribute, it can be removed from the set of base attributes") and
 :attr:`AuditorConfig.audited_attributes`.
 
-Structure induction fans out per attribute: ``fit(table)`` with
-``AuditorConfig(fit_n_jobs=N)`` fits the classifiers on a process pool
-(:mod:`repro.core.parallel`) and produces the same serialized model as
-the serial fit, byte for byte.
+Structure induction fans out per attribute: ``fit(table)`` fits the
+classifiers on ``AuditorConfig.fit_n_jobs`` threads (every usable core
+by default; :mod:`repro.core.parallel`) and produces the same serialized
+model as the serial fit, byte for byte.
 Deviation detection runs serially, one batch-vectorized
 :meth:`DataAuditor.audit_attribute` check per class attribute.
 """
@@ -36,6 +36,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.findings import AuditReport, Finding
+from repro.core.parallel import fit_classifiers, resolve_n_jobs
 from repro.errors import InputError
 from repro.mining.base import AttributeClassifier
 from repro.mining.confidence import (
@@ -163,8 +164,8 @@ class FitColumnCache(ColumnCache):
     shared arrays (:meth:`Dataset.from_shared
     <repro.mining.dataset.Dataset.from_shared>`) — bit-identical to the
     cell-at-a-time reference encoding the fit-parity suite keeps.
-    The serial fit keeps one cache per table; each parallel fit worker
-    builds one per (table, process).
+    A fit keeps one cache per table. Its dicts fill lazily and are not
+    thread-safe, so every dataset is built before the fits fan out.
     """
 
     __slots__ = ("n_bins", "_encoders", "_masks", "_class_encoders", "_class_codes")
@@ -294,18 +295,23 @@ class AuditorConfig:
         Equal-frequency bins for numeric/date class attributes.
     classifier_factory:
         Callable returning a fresh :class:`AttributeClassifier` per
-        audited attribute; defaults to the adjusted C4.5.
+        audited attribute; defaults to the adjusted C4.5. Classifiers fit
+        at the same time, on shared read-only arrays, so the ones a
+        factory builds must share no mutable state (every built-in family
+        keeps its random generator per instance).
     base_attributes:
         Optional domain knowledge: explicit base-attribute lists per class
         attribute (default: all other attributes).
     audited_attributes:
         Restrict auditing to these attributes (default: all).
     fit_n_jobs:
-        Worker count for structure induction: ``1`` (the default)
-        fits serially in-process, ``N > 1`` fans out over *N*
-        worker processes, negative counts are cpu-relative (``-1`` = all
-        cores). Each task is one audited attribute's classifier fit.
-        Parallel and serial fits produce byte-identical serialized models.
+        Thread count for structure induction: ``-1`` (the default) uses
+        every usable core, ``1`` fits serially in the calling thread,
+        ``N > 1`` fans out over *N* threads, and other negative counts
+        are relative to the usable cores. Each task is one audited
+        attribute's classifier fit, so no more threads start than there
+        are audited attributes. Every job count produces a
+        byte-identical serialized model.
     """
 
     min_error_confidence: float = 0.80
@@ -314,7 +320,7 @@ class AuditorConfig:
     classifier_factory: Optional[Callable[["AuditorConfig"], AttributeClassifier]] = None
     base_attributes: Mapping[str, Sequence[str]] = field(default_factory=dict)
     audited_attributes: Optional[Sequence[str]] = None
-    fit_n_jobs: int = 1
+    fit_n_jobs: int = -1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.min_error_confidence < 1.0:
@@ -384,28 +390,26 @@ class DataAuditor:
         :class:`FitColumnCache`, and every classifier trains on those
         shared arrays.
 
-        :attr:`AuditorConfig.fit_n_jobs` selects the executor: ``1`` fits
-        serially in-process; ``N > 1`` fans the per-attribute fits out
-        over *N* worker processes
-        (:func:`repro.core.parallel.fit_table_parallel`); negative counts
-        are cpu-relative (``-1`` = all cores). The fitted model is
-        byte-identical (serialized form) at any job count.
+        Every audited attribute's dataset is built first, in the calling
+        thread, so an encoding error surfaces in audited order. The
+        classifiers then fit on :attr:`AuditorConfig.fit_n_jobs` threads
+        (:func:`repro.core.parallel.fit_classifiers`; ``-1``, the
+        default, is every usable core, ``1`` is serial). The fitted model
+        and the error of a failing fit are the same at any job count.
         """
-        from repro.core.parallel import fit_table_parallel, resolve_n_jobs
-
         if table.schema != self.schema:
             raise ValueError("table schema does not match the auditor's schema")
         started = time.perf_counter()
-        jobs = resolve_n_jobs(self.config.fit_n_jobs)
-        attrs = self.audited_attributes()
-        if jobs > 1 and len(attrs) > 1 and table.n_rows > 0:
-            self.classifiers = fit_table_parallel(self, table, jobs)
-        else:
-            cache = FitColumnCache(table, n_bins=self.config.n_bins)
-            self.classifiers = {
-                class_attr: self.fit_attribute(class_attr, table, cache)
-                for class_attr in attrs
-            }
+        cache = FitColumnCache(table, n_bins=self.config.n_bins)
+        datasets = {
+            class_attr: self.fit_dataset(class_attr, table, cache)
+            for class_attr in self.audited_attributes()
+        }
+        self.classifiers = fit_classifiers(
+            datasets,
+            self.config.make_classifier,
+            resolve_n_jobs(self.config.fit_n_jobs),
+        )
         self.fit_seconds = time.perf_counter() - started
         return self
 
@@ -421,18 +425,6 @@ class DataAuditor:
         if cache is None:
             cache = FitColumnCache(table, n_bins=self.config.n_bins)
         return cache.dataset_for(class_attr, self.base_attributes_for(class_attr))
-
-    def fit_attribute(
-        self,
-        class_attr: str,
-        table,
-        cache: Optional[FitColumnCache] = None,
-    ) -> AttributeClassifier:
-        """Fit one class attribute's classifier — the independent unit of
-        work the serial loop and the parallel fit are built from."""
-        classifier = self.config.make_classifier()
-        classifier.fit(self.fit_dataset(class_attr, table, cache))
-        return classifier
 
     # -- deviation detection ---------------------------------------------------
 

@@ -33,11 +33,11 @@ first-class API on top of :class:`~repro.core.auditor.DataAuditor`:
   ran and why a requested pushdown did not, for the CLI and the
   service to show.
 
-The fit entry points fan the per-attribute fits out over a process pool
-when :attr:`AuditorConfig.fit_n_jobs
-<repro.core.auditor.AuditorConfig.fit_n_jobs>` exceeds 1
-(:mod:`repro.core.parallel`); the model is byte-identical to the serial
-fit. Audits run serially.
+The fit entry points fan the per-attribute fits out over
+:attr:`AuditorConfig.fit_n_jobs
+<repro.core.auditor.AuditorConfig.fit_n_jobs>` threads, every usable
+core by default (:mod:`repro.core.parallel`); the model is
+byte-identical to the serial fit. Audits run serially.
 
 Model-file failures surface as :class:`ModelPersistenceError`, an
 :class:`~repro.errors.InputError` whose ``str()`` is a one-line reason
@@ -123,11 +123,11 @@ class AuditSession:
     def fit(self, table: Table) -> "AuditSession":
         """Induce the structure model (sec. 5; may run offline).
 
-        :attr:`AuditorConfig.fit_n_jobs
-        <repro.core.auditor.AuditorConfig.fit_n_jobs>` above 1 fits the
-        audited attributes on a process pool
-        (:func:`~repro.core.parallel.fit_table_parallel`). The fitted
-        model is byte-identical to the serial fit at any job count.
+        The audited attributes fit on :attr:`AuditorConfig.fit_n_jobs
+        <repro.core.auditor.AuditorConfig.fit_n_jobs>` threads, every
+        usable core by default
+        (:func:`~repro.core.parallel.fit_classifiers`). The fitted model
+        is byte-identical to the serial fit at any job count.
         """
         self.auditor.fit(table)
         return self

@@ -37,7 +37,7 @@ from repro.errors import InputError
 from repro.io.columnar import ColumnBatch
 from repro.schema.schema import Schema
 from repro.schema.table import Table
-from repro.schema.types import Value
+from repro.schema.types import AttributeKind, Value
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -151,10 +151,31 @@ class TableSource(ABC):
     def read_columns(self, *, validate: bool = False) -> ColumnBatch:
         """Materialize the whole source as one
         :class:`~repro.io.columnar.ColumnBatch` — the columnar twin of
-        :meth:`read` (the fit's whole-relation ingest)."""
-        batch = ColumnBatch.concat(
-            self.schema, self._iter_column_batches(DEFAULT_CHUNK_SIZE)
-        )
+        :meth:`read` (the fit's whole-relation ingest).
+
+        Each nominal column holds one ``str`` object per distinct value:
+        as each batch is taken in, its nominal cells are mapped through
+        one ``dict.setdefault`` per column for the whole read, so a
+        relation's labels are stored once, not once per row. Numbers are
+        not shared: equal numbers can differ in type or sign
+        (``1 == 1.0 == True``, ``0.0 == -0.0``).
+        """
+        shared = {
+            attribute.name: {}
+            for attribute in self.schema.attributes
+            if attribute.kind is AttributeKind.NOMINAL
+        }
+        columns: dict[str, list] = {name: [] for name in self.schema.names}
+        n_rows = 0
+        for part in self._iter_column_batches(DEFAULT_CHUNK_SIZE):
+            n_rows += part.n_rows
+            for name, column in columns.items():
+                cells = part.column(name)
+                distinct = shared.get(name)
+                column.extend(
+                    cells if distinct is None else map(distinct.setdefault, cells, cells)
+                )
+        batch = ColumnBatch(self.schema, columns, n_rows)
         if validate:
             batch.validate()
         return batch

@@ -105,8 +105,8 @@ class ColumnBatch:
     # -- pickling (slots + the np-array cache) ------------------------------
 
     def __getstate__(self):
-        # the mask cache is derived data; shipping a batch to a spawned
-        # fit worker sends only the raw columns
+        # the mask cache is derived data; a pickled batch carries only
+        # the raw columns
         return (self.schema, self.columns, self.n_rows)
 
     def __setstate__(self, state):
@@ -160,7 +160,7 @@ class ColumnBatch:
 
     @classmethod
     def concat(cls, schema: Schema, batches: Iterable["ColumnBatch"]) -> "ColumnBatch":
-        """Concatenate batches into one (``read_columns`` materialization)."""
+        """Concatenate batches into one (the monitor's audit window)."""
         merged: dict[str, list] = {name: [] for name in schema.names}
         n_rows = 0
         for batch in batches:

@@ -38,11 +38,10 @@ Each built-in family's per-record predictor lives in
 ``tests/reference_lanes.py`` as the oracle its ``predict_batch`` is
 pinned to, bit for bit.
 
-For the per-attribute fit fan-out (:mod:`repro.core.parallel`),
-:meth:`AttributeClassifier.prediction_payload` names the object a fit
-worker sends back to the parent — by default the classifier itself
-(training state included, always sufficient), overridden by classifiers
-that can return a leaner clone.
+The auditor fits its classifiers at the same time, on threads that
+share the encoded training arrays (:mod:`repro.core.parallel`). So
+:meth:`AttributeClassifier.fit` only reads its dataset, and two
+classifiers share no mutable state.
 """
 
 from __future__ import annotations
@@ -130,20 +129,6 @@ class AttributeClassifier(ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not expose its fitted state"
         )
-
-    def prediction_payload(self) -> "AttributeClassifier":
-        """The object a parallel fit worker returns to the parent process.
-
-        The fitted model is only ever serialized or used through
-        :meth:`predict_batch`, so a classifier whose predictions never
-        consult the training columns may return a clone holding a
-        column-less :meth:`Dataset.prediction_view
-        <repro.mining.dataset.Dataset.prediction_view>` (the tree does).
-        This base implementation returns ``self`` — the full fitted
-        state, which is always sufficient and required by instance-based
-        classifiers such as kNN. The returned object must be picklable.
-        """
-        return self
 
     def _require_fitted(self) -> Dataset:
         if self.dataset is None:

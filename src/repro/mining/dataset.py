@@ -396,29 +396,6 @@ class Dataset:
     def n_labels(self) -> int:
         return self.class_encoder.n_labels
 
-    def prediction_view(self) -> "Dataset":
-        """A column-less view of this dataset sharing its encoders.
-
-        Parallel fit workers send fitted classifiers back to the parent
-        process (:mod:`repro.core.parallel`); classifiers whose
-        predictions never consult the training columns (the decision
-        tree) swap their dataset for this view so the returned payload
-        carries the encoders and class vocabulary — a few kilobytes —
-        instead of the encoded training matrix.
-
-        Encoders and the class encoder are shared, not copied: both are
-        immutable after fitting.
-        """
-        instance = Dataset.__new__(Dataset)
-        instance.class_attr = self.class_attr
-        instance.base_attrs = self.base_attrs
-        instance.encoders = self.encoders
-        instance.columns = {}
-        instance.class_encoder = self.class_encoder
-        instance.y = np.empty(0, dtype=np.int64)
-        instance.n_rows = 0
-        return instance
-
     @classmethod
     def from_shared(
         cls,

@@ -48,9 +48,14 @@ per entry, plus one position per entry and numeric attribute), and
 each grown node's class counts and split record until the bottom-up
 pass. That pass builds node objects from the deepest level up and,
 under the integrated pruning, collapses a subtree into a leaf as soon
-as its root is scored. perfbench's ``fit`` workload (80,000 QUIS rows, eight trees) peaks at
-127 MiB resident, against 166 MiB when every node searched on its own
-with dense one-hot count matrices.
+as its root is scored. A level's searches and layout release each
+per-entry array as soon as it is used up, because the auditor grows
+several trees at once: on perfbench's ``fit`` input (80,000 QUIS rows,
+eight trees) one tree's growing peaks 17–19 MiB above its dataset
+(tracemalloc), and the workload peaks at 131 MiB resident with two
+trees in flight, against 127 MiB growing one tree at a time before the
+release and 166 MiB when every node searched on its own with dense
+one-hot count matrices.
 """
 
 from __future__ import annotations
@@ -555,6 +560,10 @@ class TreeGrower:
         known_weight = _known_weights(
             level, node, ~np.isnan(values), totals, n_changes > 0
         )
+        # per-entry arrays are released as soon as they are used up: this
+        # search is where a tree's memory peaks, and the fit grows several
+        # trees at once
+        del values
         search = _Search.none(n_nodes, known_weight)
         if inner.size == 0:
             return search
@@ -568,6 +577,7 @@ class TreeGrower:
         # running class counts, exact: per (node, class), in sorted order
         by_class = _stable_order(class_key)
         group = class_key[by_class]
+        del class_key
         after = _run_accumulate(
             s_weight[by_class], np.bincount(group, minlength=n_nodes * n_labels)
         )
@@ -588,6 +598,7 @@ class TreeGrower:
         d_right = np.empty_like(after)
         d_right[1:] = f_right_after[1:] - f_right_after[:-1]
         d_right[starts] = f_right_after[starts] - total_f.ravel()[group[starts]]
+        del group_total, right_after, f_after, f_right_after
 
         def in_sorted_order(grouped):
             terms = np.empty_like(grouped)
@@ -597,6 +608,7 @@ class TreeGrower:
         # level-wide running sums, less the value before each node
         ends = np.cumsum(sizes) - 1
         b_node = s_node[inner]
+        del s_node
         running_weight = np.cumsum(s_weight)
         left_f, right_f, left_total = (
             summed[inner] - np.concatenate(([0.0], summed[ends[:-1]]))[b_node]
@@ -750,11 +762,35 @@ class TreeGrower:
         chosen: np.ndarray,
         searches: list[_Search],
     ) -> Optional[_Level]:
-        """Split the chosen nodes and lay out the next level.
+        """Split the chosen nodes and lay out the next level."""
+        branch, n_children, fractions, splits, used = self._branches(
+            level, node, chosen, searches
+        )
+        if not splits:
+            return None
+        first_child = np.cumsum(n_children) - n_children
+        base = len(self._counts)  # the next level's nodes are recorded next
+        for j, split in splits.items():
+            split.first_child = base + int(first_child[j])
+            self._splits[int(ids[j])] = split
+        return self._next_level(
+            level, node, branch, n_children, first_child, fractions, used
+        )
+
+    def _branches(
+        self,
+        level: _Level,
+        node: np.ndarray,
+        chosen: np.ndarray,
+        searches: list[_Search],
+    ) -> tuple:
+        """Each entry's branch under the chosen splits, and the splits.
 
         Every entry gets a branch: the child it goes to (0, 1, …), -1 when
         it misses the split attribute (it goes down every branch), or -2
-        (its node does not split, or its branch carries no weight).
+        (its node does not split, or its branch carries no weight). The
+        per-entry temporaries die with this call, before the next level
+        is laid out, where a tree's memory peaks.
         """
         dataset = self.dataset
         n_nodes = level.n_nodes
@@ -825,16 +861,7 @@ class TreeGrower:
                     )
             branch[entries] = e_branch
         branch[n_children[node] == 0] = -2
-        if not splits:
-            return None
-        first_child = np.cumsum(n_children) - n_children
-        base = len(self._counts)  # the next level's nodes are recorded next
-        for j, split in splits.items():
-            split.first_child = base + int(first_child[j])
-            self._splits[int(ids[j])] = split
-        return self._next_level(
-            level, node, branch, n_children, first_child, fractions, used
-        )
+        return branch, n_children, fractions, splits, used
 
     def _next_level(
         self,
@@ -890,6 +917,8 @@ class TreeGrower:
         weights[position[goes]] = level.weights[goes]
         rows[copy_position] = level.rows[copies]
         weights[copy_position] = level.weights[copies] * fraction[copy_child]
+        # released before the sorted lists are passed on (the peak)
+        del goes, by_child, grouped, copies, copy_child, copy_position
 
         remaining = level.remaining[parent]
         spent = used[parent] >= 0

@@ -45,18 +45,6 @@ class TreeClassifier(AttributeClassifier):
         probabilities, support = predict_distribution_batch(self.root, columns, length)
         return BatchPrediction(probabilities, support, dataset.class_encoder.labels)
 
-    def prediction_payload(self) -> "TreeClassifier":
-        """A lean clone for a parallel fit worker to return: tree
-        prediction never reads the training columns, so the clone carries a
-        column-less :meth:`Dataset.prediction_view
-        <repro.mining.dataset.Dataset.prediction_view>` instead of the
-        encoded training matrix."""
-        dataset = self._require_fitted()
-        clone = TreeClassifier(self.config)
-        clone.dataset = dataset.prediction_view()
-        clone.root = self.root
-        return clone
-
     def fit_state(self) -> dict:
         """Canonical fitted state (see
         :meth:`AttributeClassifier.fit_state`): the same node dictionaries

@@ -988,7 +988,7 @@ class TestModelRegistryCli:
             "n_bins": 10,
             "base_attributes": {},
             "audited_attributes": None,
-            "fit_n_jobs": 1,
+            "fit_n_jobs": -1,
         }
 
     def test_models_list_tag_rm(self, workspace, tmp_path, capsys):

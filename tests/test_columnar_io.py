@@ -31,7 +31,7 @@ from repro import cli
 from repro.core import AuditorConfig, AuditReport, AuditSession
 from repro.core.serialize import auditor_to_dict
 from repro.io import ColumnBatch, open_source, resolve_io_path, write_table
-from repro.io.base import TableSource
+from repro.io.base import DEFAULT_CHUNK_SIZE, TableSource
 from repro.quis import generate_quis_sample
 from repro.schema import Schema, Table, date, nominal, numeric
 from repro.schema.serialize import schema_to_dict
@@ -250,6 +250,33 @@ class TestBackendParity:
         with open_source(schema, location) as source:
             stitched = [row for chunk in source.chunks(chunk_size) for row in chunk.rows]
         assert stitched == whole.rows
+
+    def test_read_columns_shares_nominal_cells(self, tmp_path, schema, fmt):
+        """``read_columns`` keeps one object per distinct value of a
+        nominal column, across batch boundaries too, and every cell
+        still equals the streamed read's: numbers and dates keep their
+        type and value, the sign of ``-0.0`` included."""
+        day = datetime.date(2000, 1, 1)
+        rows = [
+            [
+                ("x", "y", "zzz", None)[i % 4],
+                (0, 2**60 + 1, None)[i % 3],
+                (-0.0, 0.0, 0.5, None, 1.0)[i % 5],
+                (day, None, day + datetime.timedelta(days=i % 300))[i % 3],
+            ]
+            for i in range(DEFAULT_CHUNK_SIZE + 100)
+        ]
+        location = _location(tmp_path, fmt, Table(schema, rows))
+        with open_source(schema, location) as source:
+            whole = source.read_columns()
+        with open_source(schema, location) as source:
+            streamed = list(source.column_batches())
+        assert len(streamed) == 2
+        nominal_cells = [cell for cell in whole.column("A") if cell is not None]
+        assert len({id(cell) for cell in nominal_cells}) == len(set(nominal_cells)) == 3
+        for name in schema.names:
+            cells = [cell for batch in streamed for cell in batch.column(name)]
+            assert list(map(repr, whole.column(name))) == list(map(repr, cells))
 
     def test_validate_parity(self, tmp_path, schema, table, fmt):
         # the out-of-domain nominal converts fine but fails validation:

@@ -1,19 +1,25 @@
-"""Job counts, chunk streams, model persistence and fit-worker failure.
+"""Job counts, chunk streams, model persistence and the fit fan-out.
 
-Audits run serially; the only process pool is the per-attribute fit
-fan-out (:mod:`repro.core.parallel`), whose byte-identity with the
+Audits run serially; the only fan-out is the per-attribute fit on a
+thread pool (:mod:`repro.core.parallel`), whose byte-identity with the
 serial fit is pinned by ``test_fit_parity_property.py``. This suite
-covers the rest of that contract: job-count normalization, chunked
-audits whose merged report equals the whole-table audit whatever order
-chunks were audited in, one-line model-file errors, model documents
-from before the audit fan-out was removed (they carry an ``n_jobs``),
-and a failing fit worker. The fixture mirrors the E9 (base-profile
-pollution) benchmark workload at test scale.
+covers the rest of that contract: job-count normalization against the
+usable cores, the default fit on every usable core, a failing fit
+(the error of the first failing attribute in audited order, at every
+job count, with no thread left behind), chunked audits whose merged
+report equals the whole-table audit whatever order chunks were audited
+in, one-line model-file errors, and model documents from before the
+audit fan-out was removed (they carry an ``n_jobs``). The fixture
+mirrors the E9 (base-profile pollution) benchmark workload at test
+scale.
 """
 
 import json
-import multiprocessing
+import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -27,8 +33,9 @@ from repro.core import (
 )
 from repro.core.serialize import auditor_to_dict
 from repro.generator.profiles import base_profile
+from repro.mining.tree_classifier import TreeClassifier
 from repro.pollution.pipeline import PollutionPipeline, default_polluters
-from repro.schema import Schema, nominal
+from repro.schema import Schema, Table, nominal
 
 
 def _assert_bit_exact(a: AuditReport, b: AuditReport):
@@ -61,13 +68,45 @@ def e9_audit():
     return auditor, dirty
 
 
-class _CrashingClassifier:
-    def fit(self, dataset):
-        raise RuntimeError("worker crash")
+def _scripted_factory(started, *, fail=(), slow=()):
+    """A classifier factory whose classifiers log the class attribute of
+    every fit that starts, take 0.2 s for the attributes in *slow*, and
+    raise ``RuntimeError("<attribute> failed")`` for those in *fail*."""
+
+    class Scripted:
+        def fit(self, dataset):
+            started.append(dataset.class_attr)
+            if dataset.class_attr in slow:
+                time.sleep(0.2)
+            if dataset.class_attr in fail:
+                raise RuntimeError(f"{dataset.class_attr} failed")
+
+    return lambda config: Scripted()
 
 
-def _make_crashing(config):
-    return _CrashingClassifier()
+def _vocabulary_table():
+    """Four nominal attributes in audited order A, B, C, D. B has the
+    widest class vocabulary and A the next, so a fit submits B, A, C, D."""
+    schema = Schema(
+        [
+            nominal("A", ["a1", "a2", "a3", "a4"]),
+            nominal("B", [f"b{i}" for i in range(8)]),
+            nominal("C", ["c1", "c2"]),
+            nominal("D", ["d1", "d2"]),
+        ]
+    )
+    rng = random.Random(5)
+    rows = [
+        [rng.choice(attribute.domain.values) for attribute in schema.attributes]
+        for _ in range(20)
+    ]
+    return Table(schema, rows)
+
+
+def _usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class TestResolveNJobs:
@@ -79,12 +118,16 @@ class TestResolveNJobs:
         assert resolve_n_jobs(4) == 4
 
     def test_negative_is_cpu_relative(self):
-        import os
-
-        cores = os.cpu_count() or 1
+        cores = _usable_cores()
         assert resolve_n_jobs(-1) == cores
         assert resolve_n_jobs(-cores) == 1
         assert resolve_n_jobs(-cores - 10) == 1  # clamped, never 0
+
+    def test_minus_one_counts_only_usable_cores(self, monkeypatch):
+        """A process confined to one CPU (``taskset``, a cpuset) fits
+        serially by default, whatever the machine's CPU count."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_n_jobs(-1) == 1
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -223,16 +266,78 @@ class TestParallelModelPersistence:
 
 
 class TestFitWorkerFailure:
-    def test_worker_exception_propagates_and_leaves_no_children(self, e9_audit):
-        """A classifier that raises inside a fit worker surfaces its own
-        exception from a ``fit_n_jobs=2`` fit, and the pool is reaped."""
-        _, table = e9_audit
-        before = {child.pid for child in multiprocessing.active_children()}
+    def test_worker_exception_propagates_and_leaves_no_children(self):
+        """A classifier that raises in a ``fit_n_jobs=2`` fit surfaces its
+        own exception, no attribute after it in audited order starts,
+        and every fit thread is joined before ``fit`` returns."""
+        table = _vocabulary_table()
+        started = []
+        before = threading.enumerate()
         auditor = DataAuditor(
             table.schema,
-            AuditorConfig(classifier_factory=_make_crashing, fit_n_jobs=2),
+            AuditorConfig(
+                classifier_factory=_scripted_factory(started, fail={"B"}, slow={"A"}),
+                fit_n_jobs=2,
+            ),
         )
-        with pytest.raises(RuntimeError, match="worker crash"):
+        with pytest.raises(RuntimeError, match="^B failed$"):
             auditor.fit(table)
-        after = {child.pid for child in multiprocessing.active_children()}
-        assert after <= before
+        assert threading.enumerate() == before
+        assert sorted(started) == ["A", "B"]  # C and D never started
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, -1])
+    def test_first_failing_attribute_in_audited_order_wins(self, n_jobs):
+        """B fails at once and A only after 0.2 s, yet A comes first in
+        audited order: its message is raised at every job count."""
+        table = _vocabulary_table()
+        auditor = DataAuditor(
+            table.schema,
+            AuditorConfig(
+                classifier_factory=_scripted_factory(
+                    [], fail={"A", "B"}, slow={"A"}
+                ),
+                fit_n_jobs=n_jobs,
+            ),
+        )
+        with pytest.raises(RuntimeError, match="^A failed$"):
+            auditor.fit(table)
+
+
+class TestFitFanOut:
+    def test_default_fits_on_every_usable_core(self, e9_audit, monkeypatch):
+        """On two usable CPUs a default-config fit runs the classifiers'
+        fits on two threads besides the caller's, and writes the
+        ``fit_n_jobs=1`` model document."""
+        _, table = e9_audit
+        serial = DataAuditor(table.schema, AuditorConfig(fit_n_jobs=1)).fit(table)
+        threads = set()
+        grow = TreeClassifier.fit
+
+        def recording_fit(self, dataset):
+            threads.add(threading.get_ident())
+            time.sleep(0.01)  # keep this thread busy while the other takes a fit
+            grow(self, dataset)
+
+        monkeypatch.setattr(TreeClassifier, "fit", recording_fit)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        auditor = DataAuditor(table.schema).fit(table)
+        assert len(threads) == 2
+        assert threading.get_ident() not in threads
+        assert auditor_to_dict(auditor) == auditor_to_dict(serial)
+
+    def test_more_threads_than_cores_under_fast_switching(self, e9_audit):
+        """Eight fit threads switching every microsecond on the shared
+        encoded arrays still write the serial model document."""
+        _, table = e9_audit
+        serial = DataAuditor(table.schema, AuditorConfig(fit_n_jobs=1)).fit(table)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = DataAuditor(
+                table.schema, AuditorConfig(fit_n_jobs=8)
+            ).fit(table)
+        finally:
+            sys.setswitchinterval(interval)
+        assert auditor_to_dict(threaded) == auditor_to_dict(serial)

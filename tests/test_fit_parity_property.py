@@ -12,8 +12,8 @@ randomized schemas and tables — mixed nominal/numeric/date columns,
 nulls, out-of-domain values, ties, constant columns, single-row and
 all-null-attribute edge cases — and assert that for **all five
 classifier families** the fit and the reference induce byte-identical
-models, and that the parallel per-attribute executor (``n_jobs > 1``)
-changes nothing either.
+models, and that fitting the attributes on threads (``fit_n_jobs`` 2,
+and -1 for every usable core) changes nothing either.
 
 "Byte-identical" is checked on the canonical fit fingerprint
 (:meth:`AttributeClassifier.fit_state
@@ -50,7 +50,6 @@ from repro.schema import Schema, Table, date, nominal, numeric, text
 from tests import reference_lanes as ref
 
 # -- the five classifier families ---------------------------------------------
-# module-level functions so the factories stay picklable for spawn-based pools
 
 
 def _make_tree(config):
@@ -189,12 +188,13 @@ def test_columns_path_matches_rows_path(family, data):
 )
 @given(data=schema_and_table(min_rows=1))
 def test_parallel_fit_matches_serial_on_both_paths(family, data):
-    """The per-attribute process pool changes nothing: the fit at one
-    and two jobs and the reference fit produce the same bytes."""
+    """The per-attribute thread fan-out changes nothing: the fit at one
+    job, two jobs and every usable core (-1) and the reference fit
+    produce the same bytes."""
     schema, table = data
     factory = FACTORIES[family]
     fingerprints = {
-        _fit_fingerprint(schema, table, factory, n_jobs=jobs) for jobs in (1, 2)
+        _fit_fingerprint(schema, table, factory, n_jobs=jobs) for jobs in (1, 2, -1)
     }
     fingerprints.add(_fit_fingerprint(schema, table, factory, reference=True))
     assert len(fingerprints) == 1
@@ -218,7 +218,7 @@ def test_tree_models_serialize_identically(data):
             sort_keys=True,
         ).encode()
     }
-    for jobs in (1, 2):
+    for jobs in (1, 2, -1):
         auditor = DataAuditor(schema, AuditorConfig(fit_n_jobs=jobs))
         auditor.fit(table)
         documents.add(json.dumps(auditor_to_dict(auditor), sort_keys=True).encode())
@@ -272,12 +272,13 @@ def test_edge_case_tables_fit_identically(family, case):
 
 @pytest.mark.parametrize("family", sorted(FACTORIES))
 def test_edge_case_parallel_fit(family):
-    """jobs=2 on the canned tied-values table, against the reference."""
+    """jobs=2 and -1 on the canned tied-values table, against the
+    reference."""
     schema = _edge_schema()
     table = Table(schema, _EDGE_TABLES["tied-values"])
     factory = FACTORIES[family]
     fingerprints = {
-        _fit_fingerprint(schema, table, factory, n_jobs=jobs) for jobs in (1, 2)
+        _fit_fingerprint(schema, table, factory, n_jobs=jobs) for jobs in (1, 2, -1)
     }
     fingerprints.add(_fit_fingerprint(schema, table, factory, reference=True))
     assert len(fingerprints) == 1
@@ -285,8 +286,8 @@ def test_edge_case_parallel_fit(family):
 
 def test_quis_fit_matches_reference_at_any_job_count():
     """On a QUIS sample — the shape the benchmark fits — the model
-    document is byte-identical to the reference fit's, serially and on
-    two workers (moved from the retired fit-throughput bench, which
+    document is byte-identical to the reference fit's, serially, on two
+    threads and on every usable core (moved from the retired fit-throughput bench, which
     checked it at 20k and 80k rows)."""
     sample = generate_quis_sample(2_000, seed=2003)
     documents = {
@@ -295,7 +296,7 @@ def test_quis_fit_matches_reference_at_any_job_count():
             sort_keys=True,
         )
     }
-    for jobs in (1, 2):
+    for jobs in (1, 2, -1):
         auditor = DataAuditor(sample.schema, AuditorConfig(fit_n_jobs=jobs))
         auditor.fit(sample.dirty)
         documents.add(json.dumps(auditor_to_dict(auditor), sort_keys=True))

@@ -4,8 +4,8 @@ auto-refit → serving.
 The full production loop of the offline/online split, exercised through
 the same entry points an operator uses:
 
-1. ``repro fit --jobs 4 --register`` induces the model with a 4-worker
-   pool and registers it;
+1. ``repro fit --jobs 4 --register`` induces the model on 4 threads and
+   registers it;
 2. the registered bytes are identical to a serial fit of the same table,
    and to the cell-at-a-time reference fit (the parity contract holding
    at the CLI boundary);

@@ -44,6 +44,8 @@ from repro.mining.confidence import (
     min_instances_for_confidence,
 )
 from repro.mining.dataset import (
+    NULL_LABEL,
+    UNKNOWN_LABEL,
     BaseEncoder,
     ClassEncoder,
     Dataset,
@@ -54,7 +56,7 @@ from repro.mining.intervals import ConfidenceBounds
 from repro.mining.tree.grow import TreeConfig
 from repro.mining.tree_classifier import TreeClassifier
 from repro.mining.tree.rules import TreeRule
-from repro.schema.domain import TextDomain
+from repro.schema.domain import NominalDomain, TextDomain
 from repro.schema.schema import Schema
 from repro.schema.types import AttributeKind
 
@@ -65,11 +67,16 @@ class ColumnCache:
     """Encode-once column store shared by every classifier auditing one
     table.
 
-    Base-attribute encoders are deterministic per schema attribute, so an
-    encoded column is identical no matter which classifier requests it;
-    caching by attribute name turns the audit's encoding cost from
-    O(attributes²) into O(attributes). An audit keeps one cache per
-    table.
+    Each column is encoded once per table — once per chunk of a streamed
+    audit. Base-attribute encoders are deterministic per schema
+    attribute, so an encoded column is identical no matter which
+    classifier requests it; caching by attribute name turns the audit's
+    encoding cost from O(attributes²) into O(attributes). A class
+    attribute's observed codes are derived from that same base encoding
+    and the column's one cached null mask (:meth:`observed_codes`), not
+    by a second walk over the raw cells, and the fit
+    (:class:`FitColumnCache`) derives its training labels through the
+    same method. An audit keeps one cache per table.
 
     ``table`` may be a row-major :class:`~repro.schema.table.Table` or a
     :class:`~repro.io.columnar.ColumnBatch` — the cache reads only the
@@ -81,12 +88,14 @@ class ColumnCache:
     columnar parity suite).
     """
 
-    __slots__ = ("table", "_raw", "_encoded")
+    __slots__ = ("table", "_raw", "_encoded", "_encoders", "_masks")
 
     def __init__(self, table):
         self.table = table
         self._raw: dict[str, list] = {}
         self._encoded: dict[str, np.ndarray] = {}
+        self._encoders: dict[str, BaseEncoder] = {}
+        self._masks: dict[str, np.ndarray] = {}
 
     @property
     def n_rows(self) -> int:
@@ -114,30 +123,61 @@ class ColumnCache:
             self._raw[name] = self.table.column(name)
         return self._raw[name]
 
+    def base_encoder(self, name: str) -> BaseEncoder:
+        if name not in self._encoders:
+            self._encoders[name] = BaseEncoder(self.schema.attribute(name))
+        return self._encoders[name]
+
+    def mask(self, name: str) -> np.ndarray:
+        """The column's null mask (shared by its base and class encodings)."""
+        if name not in self._masks:
+            batch_mask = self._batch_null_mask(name)
+            self._masks[name] = (
+                batch_mask if batch_mask is not None else null_mask(self.raw(name))
+            )
+        return self._masks[name]
+
     def encoded(self, name: str, encoder) -> np.ndarray:
         """The column encoded by *encoder* (cached by attribute name —
         encoders are deterministic per schema attribute)."""
         if name not in self._encoded:
-            if not encoder.categorical:
+            if encoder.categorical:
+                self._encoded[name] = encoder.encode_column(self.raw(name))
+            else:
+                # the batch's ready float64 view is identical to the
+                # encode, which reads the column's shared null mask
                 view = self._numeric_view(name)
-                if view is not None:
-                    # ready float64 view off the batch's own buffers —
-                    # identical to encode_column on the raw cells
-                    self._encoded[name] = view
-                    return view
-            self._encoded[name] = encoder.encode_column(self.raw(name))
+                self._encoded[name] = (
+                    view
+                    if view is not None
+                    else encode_ordered_column(
+                        encoder.attribute, self.raw(name), self.mask(name)
+                    )
+                )
         return self._encoded[name]
 
-    def observed_codes(self, name: str, class_encoder) -> np.ndarray:
-        """The column encoded into class-label codes (the audit side's
-        observed classes)."""
-        if self.schema.attribute(name).kind is not AttributeKind.NOMINAL:
-            view = self._numeric_view(name)
-            if view is not None:
-                mask = self._batch_null_mask(name)
-                if mask is not None:
-                    return class_encoder.encode_from_numeric(view, mask)
-        return class_encoder.encode_column(self.raw(name))
+    def observed_codes(self, name: str, class_encoder: ClassEncoder) -> np.ndarray:
+        """The column encoded into class-label codes: the audit's observed
+        classes and the fit's training labels.
+
+        Derived from the column's base encoding, bit-identical to
+        :meth:`ClassEncoder.code_of
+        <repro.mining.dataset.ClassEncoder.code_of>` per cell: an ordered
+        class bins the numeric view
+        (:meth:`~repro.mining.dataset.ClassEncoder.encode_from_numeric`);
+        a nominal class lists its domain values first, in base-code
+        order, so in-domain codes coincide and only the unknown and null
+        codes remap. :class:`DataAuditor` refuses a domain that holds a
+        reserved class label, which would break that coincidence.
+        """
+        encoder = self.base_encoder(name)
+        base = self.encoded(name, encoder)
+        if class_encoder.attribute.kind is not AttributeKind.NOMINAL:
+            return class_encoder.encode_from_numeric(base, self.mask(name))
+        codes = base.copy()
+        codes[base == encoder.unknown_code] = class_encoder.unknown_code
+        codes[base < 0] = class_encoder.null_code
+        return codes
 
     def observed_value(self, name: str, row: int):
         """One raw cell, for a finding's ``observed_value``."""
@@ -151,14 +191,11 @@ class FitColumnCache(ColumnCache):
     classifier's :class:`~repro.mining.dataset.Dataset` used to re-encode
     its own copy of each base column — O(attributes²) cell encodes, the
     fit path's dominant cost at scale. This cache extends the audit-side
-    :class:`ColumnCache` with everything a fit needs, each computed at
-    most once per table:
-
-    * base encoders and base-encoded columns per attribute,
-    * null masks (shared between base and class encodings),
-    * class encoders (discretizers fitted on the base numeric view) and
-      class-code vectors, with nominal class codes derived from the base
-      codes by an integer remap instead of a second raw-column walk.
+    :class:`ColumnCache` (base encoders, base-encoded columns and null
+    masks, each computed at most once per table) with class encoders
+    (discretizers fitted on the base numeric view) and class-code
+    vectors, derived from the base codes by the audit's own
+    :meth:`~ColumnCache.observed_codes`.
 
     :meth:`dataset_for` assembles a classifier's training view from the
     shared arrays (:meth:`Dataset.from_shared
@@ -168,50 +205,12 @@ class FitColumnCache(ColumnCache):
     thread-safe, so every dataset is built before the fits fan out.
     """
 
-    __slots__ = ("n_bins", "_encoders", "_masks", "_class_encoders", "_class_codes")
+    __slots__ = ("n_bins", "_class_encoders")
 
     def __init__(self, table, *, n_bins: int = 10):
         super().__init__(table)
         self.n_bins = n_bins
-        self._encoders: dict[str, BaseEncoder] = {}
-        self._masks: dict[str, np.ndarray] = {}
         self._class_encoders: dict[str, ClassEncoder] = {}
-        self._class_codes: dict[str, np.ndarray] = {}
-
-    def base_encoder(self, name: str) -> BaseEncoder:
-        if name not in self._encoders:
-            self._encoders[name] = BaseEncoder(self.table.schema.attribute(name))
-        return self._encoders[name]
-
-    def mask(self, name: str) -> np.ndarray:
-        """The column's null mask (shared by base and class encodings)."""
-        if name not in self._masks:
-            batch_mask = self._batch_null_mask(name)
-            self._masks[name] = (
-                batch_mask if batch_mask is not None else null_mask(self.raw(name))
-            )
-        return self._masks[name]
-
-    def base_column(self, name: str) -> np.ndarray:
-        """The base-encoded column (category codes / numeric view)."""
-        if name not in self._encoded:
-            encoder = self.base_encoder(name)
-            if encoder.categorical:
-                self._encoded[name] = encoder.encode_column(self.raw(name))
-            else:
-                view = self._numeric_view(name)
-                if view is not None:
-                    # the batch's ready view — identical to the encode
-                    # below (no raw cells materialized)
-                    self._encoded[name] = view
-                else:
-                    # route through the shared mask instead of
-                    # encode_column's internal one, so the mask is
-                    # computed once per column
-                    self._encoded[name] = encode_ordered_column(
-                        encoder.attribute, self.raw(name), self.mask(name)
-                    )
-        return self._encoded[name]
 
     def class_encoder(self, name: str) -> ClassEncoder:
         if name not in self._class_encoders:
@@ -222,7 +221,7 @@ class FitColumnCache(ColumnCache):
                     attribute, (), n_bins=self.n_bins
                 )
             else:
-                numeric = self.base_column(name)
+                numeric = self.encoded(name, self.base_encoder(name))
                 self._class_encoders[name] = ClassEncoder(
                     attribute,
                     (),
@@ -231,36 +230,38 @@ class FitColumnCache(ColumnCache):
                 )
         return self._class_encoders[name]
 
-    def class_codes(self, name: str) -> np.ndarray:
-        """The column encoded into class-label codes."""
-        if name not in self._class_codes:
-            encoder = self.class_encoder(name)
-            base = self.base_column(name)
-            if self.table.schema.attribute(name).kind is AttributeKind.NOMINAL:
-                # base and class encoders enumerate the same domain values,
-                # so in-domain codes coincide; only null/unknown remap
-                codes = base.copy()
-                codes[base == self.base_encoder(name).unknown_code] = (
-                    encoder.unknown_code
-                )
-                codes[base < 0] = encoder.null_code
-                self._class_codes[name] = codes
-            else:
-                self._class_codes[name] = encoder.encode_from_numeric(
-                    base, self.mask(name)
-                )
-        return self._class_codes[name]
-
     def dataset_for(self, class_attr: str, base_attrs: Sequence[str]) -> Dataset:
         """One classifier's training view over the shared columns."""
+        encoders = {name: self.base_encoder(name) for name in base_attrs}
+        class_encoder = self.class_encoder(class_attr)
         return Dataset.from_shared(
             class_attr,
             base_attrs,
-            encoders={name: self.base_encoder(name) for name in base_attrs},
-            columns={name: self.base_column(name) for name in base_attrs},
-            class_encoder=self.class_encoder(class_attr),
-            y=self.class_codes(class_attr),
+            encoders=encoders,
+            columns={name: self.encoded(name, encoders[name]) for name in base_attrs},
+            class_encoder=class_encoder,
+            y=self.observed_codes(class_attr, class_encoder),
             n_rows=self.table.n_rows,
+        )
+
+
+def refuse_reserved_labels(schema: Schema, class_attrs: Sequence[str]) -> None:
+    """Raise :class:`InputError` if a nominal attribute among *class_attrs*
+    holds a reserved class label (``<null>``, ``<unknown>``) in its
+    domain: its class vocabulary would name that label twice, and the
+    fit and the audit would code its cells differently."""
+    reserved = {NULL_LABEL, UNKNOWN_LABEL}
+    holders = [
+        attribute.name
+        for attribute in schema.attributes
+        if attribute.name in class_attrs
+        and isinstance(attribute.domain, NominalDomain)
+        and not reserved.isdisjoint(attribute.domain.values)
+    ]
+    if holders:
+        raise InputError(
+            f"nominal attributes {holders!r} cannot be audited: their domains "
+            f"hold a reserved class label ({NULL_LABEL!r} or {UNKNOWN_LABEL!r})"
         )
 
 
@@ -323,6 +324,10 @@ class AuditorConfig:
     fit_n_jobs: int = -1
 
     def __post_init__(self) -> None:
+        for name in ("n_bins", "fit_n_jobs"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.min_error_confidence < 1.0:
             raise InputError("min_error_confidence must lie strictly in (0, 1)")
         if self.n_bins < 2:
@@ -361,6 +366,7 @@ class DataAuditor:
             )
         self.schema = schema
         self.config = config or AuditorConfig()
+        refuse_reserved_labels(schema, self.audited_attributes())
         self.classifiers: dict[str, AttributeClassifier] = {}
         self.fit_seconds: float = 0.0
 

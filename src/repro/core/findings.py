@@ -10,7 +10,6 @@ classifier with the highest error confidence".
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -206,9 +205,20 @@ class AuditReport:
         chunk-local rows to their global position in the stream."""
         if offset == 0:
             return self
+        # positional construction: dataclasses.replace would introspect
+        # the fields once per finding
         findings = [
-            dataclasses.replace(finding, row=finding.row + offset)
-            for finding in self.findings
+            Finding(
+                f.row + offset,
+                f.attribute,
+                f.observed_label,
+                f.observed_value,
+                f.predicted_label,
+                f.confidence,
+                f.support,
+                f.proposal,
+            )
+            for f in self.findings
         ]
         return AuditReport(
             self.n_rows,

@@ -31,7 +31,7 @@ from typing import Any, Mapping, Union
 
 import numpy as np
 
-from repro.core.auditor import AuditorConfig, DataAuditor
+from repro.core.auditor import AuditorConfig, DataAuditor, refuse_reserved_labels
 from repro.errors import InputError, InputKeyError, decoding
 from repro.mining.dataset import ClassEncoder, Dataset
 from repro.mining.intervals import ConfidenceBounds, IntervalMethod
@@ -250,7 +250,9 @@ def auditor_from_dict(payload: Mapping[str, Any]) -> DataAuditor:
             _check_names(schema, config.audited_attributes, "audited_attributes")
         auditor = DataAuditor(schema, config)
         entries = payload["classifiers"].items()
-        _check_names(schema, [class_attr for class_attr, _ in entries], "classifiers")
+        class_attrs = [class_attr for class_attr, _ in entries]
+        _check_names(schema, class_attrs, "classifiers")
+        refuse_reserved_labels(schema, class_attrs)
     for class_attr, entry in entries:
         with decoding(f"classifier {class_attr!r}"):
             auditor.classifiers[class_attr] = _classifier_from_dict(

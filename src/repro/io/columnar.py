@@ -46,6 +46,8 @@ per backend, and the property suites pin this lane to it.
 from __future__ import annotations
 
 import datetime
+import operator
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -126,7 +128,7 @@ class ColumnBatch:
         if name not in self._masks:
             values = self.columns[name]
             self._masks[name] = np.fromiter(
-                (v is None for v in values), dtype=bool, count=len(values)
+                map(operator.is_, values, repeat(None)), dtype=bool, count=len(values)
             )
         return self._masks[name]
 

@@ -175,12 +175,14 @@ class JsonlTableSink(TableSink):
         names = self.schema.names
         kinds = [a.kind for a in self.schema.attributes]
         write = self._handle.write
+        # json.dumps with these options would build this encoder per row
+        encode = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
         for row in rows:
             obj = {
                 name: _encode(value, kind)
                 for name, value, kind in zip(names, row, kinds)
             }
-            write(json.dumps(obj, allow_nan=False, separators=(",", ":")) + "\n")
+            write(encode(obj) + "\n")
 
     def close(self) -> None:
         if self._owns_handle and not self._handle.closed:

@@ -19,8 +19,9 @@ The classifiers of sec. 5 all consume the same view of a table:
   *unknown* label absorbs out-of-domain class values.
 
 The encoders convert whole columns at once — bulk NumPy casts for
-numeric columns, dict-lookup comprehensions for nominal codes — for
-both the fit and the audit. The cell-at-a-time formulation
+numeric columns, C-level ``map`` loops for nominal codes, null masks and
+date ordinals — for both the fit and the audit. The cell-at-a-time
+formulation
 (:meth:`BaseEncoder.encode` / :meth:`ClassEncoder.code_of` per cell)
 lives on as the reference encoding in ``tests/reference_lanes.py``, and
 ``tests/test_fit_parity_property.py`` pins the two to bit-identical
@@ -33,6 +34,9 @@ is indistinguishable from a kind-violating cell here.
 
 from __future__ import annotations
 
+import datetime
+import operator
+from itertools import compress, repeat
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -61,7 +65,9 @@ UNKNOWN_LABEL = "<unknown>"
 
 def null_mask(values: Sequence[Value]) -> np.ndarray:
     """Boolean mask of the null cells of a raw column."""
-    return np.fromiter((v is None for v in values), dtype=bool, count=len(values))
+    return np.fromiter(
+        map(operator.is_, values, repeat(None)), dtype=bool, count=len(values)
+    )
 
 
 def encode_ordered_column(
@@ -71,21 +77,25 @@ def encode_ordered_column(
     cell, ``NaN`` for null (per *mask*) and for kind-violating cells.
 
     Clean numeric columns take one bulk C-level cast; date columns one
-    ``toordinal`` comprehension. Columns polluted with kind-violating
-    cells (and domains without a numeric view) fall back to a
-    cell-at-a-time loop with exactly the ``try/except`` semantics of
-    :meth:`BaseEncoder.encode`, so the result is bit-identical to the
-    per-cell :meth:`BaseEncoder.encode` in every case.
+    C-level ``date.toordinal`` map (``datetime`` cells included: they
+    inherit it). Columns polluted with kind-violating cells (and domains
+    without a numeric view) fall back to a cell-at-a-time loop with
+    exactly the ``try/except`` semantics of :meth:`BaseEncoder.encode`,
+    so the result is bit-identical to the per-cell
+    :meth:`BaseEncoder.encode` in every case.
     """
     out = np.full(len(values), np.nan, dtype=np.float64)
-    nonnull = [v for v in values if v is not None]
-    if not nonnull:
+    present = ~mask
+    nonnull = list(compress(values, present.tolist())) if mask.any() else values
+    if not len(nonnull):
         return out
     converted: Optional[np.ndarray] = None
     try:
         if attribute.kind is AttributeKind.DATE:
-            converted = np.asarray(
-                [float(v.toordinal()) for v in nonnull], dtype=np.float64
+            converted = np.fromiter(
+                map(datetime.date.toordinal, nonnull),
+                dtype=np.float64,
+                count=len(nonnull),
             )
         elif attribute.kind is AttributeKind.NUMERIC:
             # numpy converts int/float/bool/str elements exactly like
@@ -104,7 +114,7 @@ def encode_ordered_column(
                 return float("nan")
 
         converted = np.asarray([_one(v) for v in nonnull], dtype=np.float64)
-    out[~mask] = converted
+    out[present] = converted
     return out
 
 
@@ -116,7 +126,10 @@ class BaseEncoder:
         domain = attribute.domain
         if isinstance(domain, NominalDomain):
             self.categorical = True
+            # null maps to -1 here too, so encode_column is one dict lookup
+            # per cell (domain values are str, never None)
             self._codes = {value: i for i, value in enumerate(domain.values)}
+            self._codes[None] = -1
             #: code used for non-null values outside the declared domain
             self.unknown_code = len(domain.values)
             self.n_categories = len(domain.values) + 1
@@ -148,11 +161,10 @@ class BaseEncoder:
         :meth:`encode` per cell (pinned by the fit-parity property
         suite)."""
         if self.categorical:
-            get = self._codes.get
-            unknown = self.unknown_code
-            return np.asarray(
-                [-1 if v is None else get(v, unknown) for v in values],
+            return np.fromiter(
+                map(self._codes.get, values, repeat(self.unknown_code)),
                 dtype=np.int64,
+                count=len(values),
             )
         return encode_ordered_column(self.attribute, values, null_mask(values))
 
@@ -233,12 +245,11 @@ class ClassEncoder:
         """Vectorized class encoding of a whole column (bit-identical to
         the per-cell :meth:`code_of` loop, pinned by the parity suite)."""
         if self.attribute.kind is AttributeKind.NOMINAL:
-            get = self._value_codes.get
-            null_code = self.null_code
-            unknown_code = self.unknown_code
-            return np.asarray(
-                [null_code if v is None else get(v, unknown_code) for v in values],
+            lookup = {None: self.null_code, **self._value_codes}
+            return np.fromiter(
+                map(lookup.get, values, repeat(self.unknown_code)),
                 dtype=np.int64,
+                count=len(values),
             )
         mask = null_mask(values)
         numeric = encode_ordered_column(self.attribute, values, mask)
@@ -249,8 +260,8 @@ class ClassEncoder:
     ) -> np.ndarray:
         """Class codes from a precomputed numeric view + null mask.
 
-        The shared fit path
-        (:class:`repro.core.auditor.FitColumnCache`) already holds the
+        The fit's and the audit's column caches
+        (:class:`repro.core.auditor.ColumnCache`) already hold the
         base-encoded float column of an ordered class attribute; this
         reuses it instead of re-walking the raw values. ``NaN`` cells
         that are not null are kind violations → the unknown label.

@@ -11,8 +11,8 @@ from hypothesis import settings
 from repro.schema import Schema, date, nominal, numeric
 
 # ``pytest --hypothesis-profile=deep`` runs the properties that leave their
-# example budget to the profile (the tree-grower exactness property) at
-# 1,000 examples; CI's paper-benches job does so.
+# example budget to the profile (the tree-grower exactness and audit-cache
+# properties) at 1,000 examples; CI's paper-benches job does so.
 settings.register_profile("deep", max_examples=1_000, deadline=None)
 
 

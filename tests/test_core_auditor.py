@@ -15,6 +15,7 @@ from repro.core import (
     record_error_confidence,
     save_auditor,
 )
+from repro.errors import InputError
 from repro.mining import KnnClassifier
 from repro.schema import Schema, Table, nominal, numeric
 
@@ -57,6 +58,24 @@ class TestConfig:
     def test_invalid_bins(self):
         with pytest.raises(ValueError):
             AuditorConfig(n_bins=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fit_n_jobs", "abc"),
+            ("fit_n_jobs", 1.5),
+            ("fit_n_jobs", True),
+            ("n_bins", 2.5),
+            ("n_bins", "10"),
+            ("n_bins", False),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        """A count that is not an ``int`` (a ``bool`` included) is refused
+        where the config is built, not deep inside a fit or stored in a
+        registered model's provenance."""
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            AuditorConfig(**{field: value})
 
     def test_base_attribute_override(self, table):
         config = AuditorConfig(base_attributes={"B": ["A"]})
@@ -129,6 +148,48 @@ class TestFitAudit:
         fresh.set_cell(7, "B", "x" if fresh.cell(7, "B") != "x" else "y")
         report = auditor.audit(fresh)
         assert report.is_flagged(7)
+
+
+class TestReservedClassLabels:
+    """A nominal domain holding ``<null>`` or ``<unknown>`` would repeat
+    that label in its class vocabulary, and fit and audit coded its cells
+    differently: a two-attribute table fitted and audited on itself
+    flagged its own ``<null>`` cells as deviating from ``<null>``. Such an
+    attribute is refused when it is to be audited."""
+
+    @staticmethod
+    def _schema(values=("b", "<null>", "<unknown>")):
+        return Schema([nominal("A", list(values)), nominal("B", ["x", "y"])])
+
+    def test_audited_attribute_refused(self):
+        with pytest.raises(InputError, match=r"\['A'\].*reserved class label"):
+            DataAuditor(self._schema())
+
+    @pytest.mark.parametrize("label", ["<null>", "<unknown>"])
+    def test_either_label_refused(self, label):
+        with pytest.raises(InputError, match="reserved class label"):
+            DataAuditor(self._schema(("b", label)))
+
+    def test_unaudited_attribute_allowed(self):
+        """As a base attribute only, the domain is coded by the base
+        encoder, which holds no reserved labels."""
+        schema = self._schema()
+        rows = [["<null>", "x"], ["b", "y"], [None, "x"], ["zzz", "y"]] * 10
+        auditor = DataAuditor(schema, AuditorConfig(audited_attributes=["B"]))
+        report = auditor.fit(Table(schema, rows)).audit(Table.adopt(schema, rows))
+        assert report.n_rows == 40
+
+    def test_loaded_model_refused(self):
+        """A model document whose schema holds a reserved label in an
+        audited attribute's domain is refused by the loader."""
+        schema = self._schema(("b", "n", "u"))
+        rows = [["b", "x"], ["n", "y"], ["u", "x"], [None, "y"]] * 10
+        auditor = DataAuditor(schema).fit(Table(schema, rows))
+        text = json.dumps(auditor_to_dict(auditor))
+        assert text.count('"n"') == text.count('"u"') == 2  # domain + labels
+        text = text.replace('"n"', '"<null>"').replace('"u"', '"<unknown>"')
+        with pytest.raises(InputError, match="reserved class label"):
+            auditor_from_dict(json.loads(text))
 
 
 class TestCorrections:

@@ -162,6 +162,26 @@ class TestServiceEndpoints:
                 400,
                 "unknown config fields ['fit_path']",
             ),
+            (
+                lambda p: p.update(config={"fit_n_jobs": "abc"}),
+                400,
+                "fit_n_jobs must be an integer, got 'abc'",
+            ),
+            (
+                lambda p: p.update(config={"fit_n_jobs": 1.5}),
+                400,
+                "fit_n_jobs must be an integer, got 1.5",
+            ),
+            (
+                lambda p: p.update(config={"fit_n_jobs": True}),
+                400,
+                "fit_n_jobs must be an integer, got True",
+            ),
+            (
+                lambda p: p.update(config={"n_bins": 2.5}),
+                400,
+                "n_bins must be an integer, got 2.5",
+            ),
         ],
     )
     def test_fit_rejections(self, corpus, mutate, status, fragment):
@@ -752,6 +772,21 @@ class TestFailureContract:
         )
         assert status == 500
         assert payload["error"] == "internal error: boom"
+
+    @pytest.mark.parametrize("config", [{"fit_n_jobs": "abc"}, {"n_bins": 2.5}])
+    def test_non_integer_config_count_is_400(self, http_server, corpus, config):
+        """A count of the wrong type is the client's error, not a fault
+        of the fit that would answer 500."""
+        body = {
+            "name": "n",
+            "schema": schema_to_dict(corpus["schema"]),
+            "source": str(corpus["train_csv"]),
+            "config": config,
+        }
+        status, payload = _raw_post(http_server, "/fit", json.dumps(body).encode(), {})
+        assert status == 400
+        assert payload["error"].startswith("invalid auditor config: ")
+        assert "must be an integer" in payload["error"]
 
     @pytest.mark.parametrize("path", ["/fit", "/audit", "/monitors"])
     def test_unopenable_client_location_is_400(self, http_server, corpus, tmp_path, path):

@@ -9,7 +9,7 @@ One screening query checks every audited attribute in a single scan, and
 only the handful of rows it cannot certify clean come back to Python for
 the exact confidence computation — the ranked findings are
 byte-identical to the in-memory audit, while the database ships a
-fraction of the rows (the compilation contract, per-family SQL shapes
+fraction of the rows (the compilation contract, the tree's SQL shape
 and all, lives in ``docs/sql_compilation.md``).
 
 Run with:  python examples/sql_pushdown.py

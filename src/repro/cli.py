@@ -90,7 +90,7 @@ from repro.io.registry import (
 from repro.pollution.log import PollutionLog
 from repro.pollution.pipeline import PollutionPipeline, default_polluters
 from repro.quis.simulator import quis_schema
-from repro.registry import ModelRegistry, Provenance, RegistryError
+from repro.registry import ModelRegistry, Provenance, RegistryError, check_model_name
 from repro.schema.serialize import schema_from_dict, schema_to_dict
 from repro.schema.table import Table
 from repro.testenv.metrics import evaluate_audit
@@ -319,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution engine: 'memory' extracts and audits in-process "
         "(default); 'sql' compiles the fitted model to SQL and screens "
         "deviations inside the SQLite --input itself — same ranked "
-        "findings; when the input is not SQLite, the model (e.g. kNN) "
-        "has no SQL form or the pushdown fails at run time, a one-line "
+        "findings; when the input is not SQLite, a tree has no SQL form "
+        "(e.g. it is too deep) or the pushdown fails at run time, a one-line "
         "note on stderr says why and the audit runs in memory",
     )
 
@@ -566,6 +566,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "pass --model-out FILE, --register NAME, or both — "
             "a fit with neither destination would be discarded"
         )
+    if args.register is not None:
+        check_model_name(args.register)
     schema = _load_schema(args.schema)
     table = _read_columns(schema, args.input, args.input_format, args.null_marker)
     jobs = {} if args.jobs is None else {"fit_n_jobs": args.jobs}
@@ -739,6 +741,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
+    if args.refit_name is not None:
+        check_model_name(args.refit_name)
 
     # a registry reference also names the default refit target and the
     # concrete version recorded in the watermark

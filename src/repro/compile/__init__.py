@@ -2,17 +2,18 @@
 
 The audit pipeline normally extracts every row out of the warehouse and
 streams it through Python. This package instead compiles the *fitted*
-models into SQL — trees path-by-path into nested ``CASE`` routing, 1R
-and PRISM rules into disjunctive bucket conditions, naive Bayes into
-arithmetic log-posterior scoring — and fuses them into one
-deviation-screening query that runs entirely inside SQLite in a single
-table scan, with one flag column per audited attribute. Only the rows
-the screens cannot certify clean come back to Python, where they
-are re-audited through the unmodified in-memory code path, so the
-resulting :class:`~repro.core.findings.AuditReport` matches the
-in-memory engine finding for finding (the contract, its per-family SQL
-shapes, and the one documented divergence are specified in
-``docs/sql_compilation.md``).
+trees into SQL — each path by path into nested ``CASE`` routing to its
+leaf — and fuses them into one deviation-screening query that runs
+entirely inside SQLite in a single table scan, with one flag column per
+audited attribute. Only the rows the screens cannot certify clean come
+back to Python, where they are re-audited through the unmodified
+in-memory code path, so the resulting
+:class:`~repro.core.findings.AuditReport` matches the in-memory engine
+finding for finding (the contract, the tree's SQL shape, and the one
+documented divergence are specified in ``docs/sql_compilation.md``).
+
+Only trees compile: a tree is the paper's auditor and the only model
+this system stores or serves. Any other classifier audits in memory.
 
 Entry points
 ------------
@@ -43,7 +44,7 @@ from repro.compile.engine import (
     audit_connection,
     compilation_plan,
 )
-from repro.compile.screen import FamilyScreen, NotCompilable
+from repro.compile.screen import NotCompilable
 
 __all__ = [
     "SqlDialect",
@@ -51,7 +52,6 @@ __all__ = [
     "ALIAS_PREFIX",
     "ScreenStatement",
     "CompilationPlan",
-    "FamilyScreen",
     "NotCompilable",
     "compilation_plan",
     "audit_connection",

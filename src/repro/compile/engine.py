@@ -17,15 +17,17 @@ One statement screens every audited attribute in a single table scan::
 
     SELECT * FROM (
       SELECT rowid, dirty, <one flag per attribute>, <columns> FROM (
-        ... layered aliases over SELECT rowid, dirty, <obs per attribute> ...
+        SELECT rowid, dirty, <obs per attribute>, <leaf per attribute>,
+               <columns> FROM table
       )
     ) WHERE dirty OR flag_1 OR ... OR flag_k ORDER BY rowid
 
 where *dirty* catches any cell whose storage the SQLite reader would
 not convert losslessly (those rows must reach the Python converter,
 which raises or handles them exactly as an in-memory read would) and
-each flag is one attribute's compiled *suspect* screen. Attribute *a*
-is re-checked on the returned rows that are dirty or carry *a*'s flag;
+each flag is one attribute's compiled *suspect* screen, a test of its
+tree's leaf paired with the row's observed class code. Attribute *a* is
+re-checked on the returned rows that are dirty or carry *a*'s flag;
 rows its screen certifies clean provably score below the audit
 threshold, so dropping them inside the database loses no finding. A
 plan splits into more statements only where one would exceed the
@@ -45,9 +47,11 @@ reported lower than in memory (a screened-out row keeps confidence
 confidence able to overtake a flagged one would itself be at or above
 the threshold and therefore flagged.
 
-Anything without a SQL form — a kNN classifier, an over-deep tree, an
-attribute exceeding the parameter cap on its own, a ``WITHOUT ROWID``
-table — ends in :class:`~repro.compile.screen.NotCompilable`, and
+Only trees compile, because a tree is the only model this system stores
+or serves. Anything without a SQL form — any other classifier, an
+over-deep tree, an attribute exceeding the parameter cap on its own, a
+``WITHOUT ROWID`` table — ends in
+:class:`~repro.compile.screen.NotCompilable`, and
 :meth:`AuditSession.audit_source
 <repro.core.session.AuditSession.audit_source>`, the one caller that
 chooses an engine, falls back to the in-memory path with a notice (see
@@ -62,18 +66,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.compile.bayes import compile_naive_bayes
 from repro.compile.dialect import SQLITE, SqlDialect
 from repro.compile.expressions import SqlBuilder, clean_expr, observed_class_expr
-from repro.compile.rules import compile_one_r, compile_prism
-from repro.compile.screen import FamilyScreen, NotCompilable
+from repro.compile.screen import NotCompilable
 from repro.compile.tree import compile_tree
 from repro.core.auditor import ColumnCache
 from repro.core.findings import AuditReport, Finding
 from repro.io.cells import cell_converters, convert_row
 from repro.io.sqlite_backend import _from_sql, resolve_table
-from repro.mining.naive_bayes import NaiveBayesClassifier
-from repro.mining.rule_induction import OneRClassifier, PrismClassifier
 from repro.mining.tree_classifier import TreeClassifier
 from repro.schema.table import Table
 
@@ -92,15 +92,6 @@ ALIAS_PREFIX = "__audit_"
 #: (statements are planned before a concrete table is known; the
 #: control characters cannot appear in a planned statement).
 _TABLE_TOKEN = "\x1ftable\x1f"
-
-#: Model family → compiler. Exact types only: a subclass may override
-#: ``predict_batch``, invalidating the compiled screen's parity.
-_COMPILERS = {
-    TreeClassifier: compile_tree,
-    OneRClassifier: compile_one_r,
-    PrismClassifier: compile_prism,
-    NaiveBayesClassifier: compile_naive_bayes,
-}
 
 
 @dataclass(frozen=True)
@@ -182,13 +173,14 @@ def compilation_plan(auditor, dialect: SqlDialect = SQLITE) -> CompilationPlan:
     reasons: dict[str, str] = {}
     pending = _PendingStatement(auditor.schema, dialect)
     for index, (class_attr, classifier) in enumerate(auditor.classifiers.items()):
-        compiler = _COMPILERS.get(type(classifier))
-        if compiler is None:
+        # the exact type: a subclass may override predict_batch,
+        # which would break the compiled screen's parity
+        if type(classifier) is not TreeClassifier:
             reasons[class_attr] = (
                 f"{type(classifier).__name__} does not compile to SQL"
             )
             continue
-        args = (auditor.config, index, class_attr, classifier, compiler)
+        args = (auditor.config, index, class_attr, classifier)
         try:
             overflow = pending.add(*args)
             if overflow is not None and pending.members:
@@ -206,15 +198,17 @@ def compilation_plan(auditor, dialect: SqlDialect = SQLITE) -> CompilationPlan:
 
 
 #: Columns one ``SELECT`` may return (SQLite's ``SQLITE_MAX_COLUMN``).
-#: The fused statement's widest layer carries every attribute's aliases,
-#: so a wide schema can pass this cap while each attribute alone fits.
+#: The fused statement's inner ``SELECT`` carries every attribute's
+#: aliases, so a wide schema can pass this cap while each attribute
+#: alone fits.
 _MAX_COLUMNS = 2000
 
 
 class _PendingStatement:
     """A screening statement being packed: the shared dirty guard plus
-    one member per attribute added so far — ``(attribute, alias prefix,
-    observed-class SQL, screen)``."""
+    one member per attribute added so far — ``(attribute, observed
+    alias, leaf alias, flag alias)``, each alias a ``(name, SQL)``
+    pair."""
 
     def __init__(self, schema, dialect: SqlDialect):
         self.schema = schema
@@ -227,36 +221,44 @@ class _PendingStatement:
         self.dirty_sql = "NOT (" + " AND ".join(
             clean_expr(self.builder, attribute) for attribute in schema.attributes
         ) + ")"
-        self.members: list[tuple[str, str, str, FamilyScreen]] = []
+        self.members: list[tuple[str, tuple, tuple, tuple]] = []
 
-    def add(self, config, index, class_attr, classifier, compiler) -> Optional[str]:
-        """Compile *class_attr*'s screen into this statement.
+    def add(self, config, index, class_attr, classifier) -> Optional[str]:
+        """Compile *class_attr*'s tree screen into this statement.
 
         Returns ``None``, or why the statement cannot take it, in which
         case the statement is left as it was. Raises
-        :class:`~repro.compile.screen.NotCompilable` when the model has
+        :class:`~repro.compile.screen.NotCompilable` when the tree has
         no SQL form.
         """
         dataset = classifier.dataset
         if dataset is None:
             raise NotCompilable("classifier is not fitted")
         prefix = f"{ALIAS_PREFIX}{index}_"
+        quote = self.dialect.quote
         mark = len(self.builder.params)
         try:
             observed = observed_class_expr(
                 self.builder, self.schema.attribute(class_attr), dataset.class_encoder
             )
-            screen = compiler(
+            group, suspect = compile_tree(
                 self.builder,
                 classifier,
                 config,
-                self.dialect.quote(prefix + "obs"),
-                prefix,
+                quote(prefix + "obs"),
+                quote(prefix + "grp"),
             )
         except NotCompilable:
             del self.builder.params[mark:]
             raise
-        self.members.append((class_attr, prefix, observed, screen))
+        self.members.append(
+            (
+                class_attr,
+                (prefix + "obs", observed),
+                (prefix + "grp", group),
+                (prefix + "flag", suspect),
+            )
+        )
         overflow = self._overflow()
         if overflow is not None:
             self.members.pop()
@@ -278,11 +280,9 @@ class _PendingStatement:
                 f"statement needs {n_terms} OR terms, over the {dialect.name} "
                 f"expression nesting budget of {dialect.max_expression_depth}"
             )
-        # the widest layer: rowid, dirty, every alias, every column
-        width = 2 + len(self.schema.names) + sum(
-            1 + sum(len(layer) for layer in screen.levels)
-            for *_, screen in self.members
-        )
+        # the inner SELECT: rowid, dirty, two aliases per attribute,
+        # every column
+        width = 2 + len(self.schema.names) + 2 * len(self.members)
         if width > _MAX_COLUMNS:
             return (
                 f"statement needs {width} result columns, over the "
@@ -299,25 +299,14 @@ class _PendingStatement:
         cols = ", ".join(quote(name) for name in self.schema.names)
         rowid = quote(ALIAS_PREFIX + "rowid")
         dirty = quote(ALIAS_PREFIX + "dirty")
-        layers = [
-            [
-                (ALIAS_PREFIX + "rowid", "rowid"),
-                (ALIAS_PREFIX + "dirty", self.dirty_sql),
-                *((prefix + "obs", observed) for _, prefix, observed, _ in self.members),
-            ]
+        aliases = [
+            (ALIAS_PREFIX + "rowid", "rowid"),
+            (ALIAS_PREFIX + "dirty", self.dirty_sql),
+            *(observed for _, observed, _, _ in self.members),
+            *(group for _, _, group, _ in self.members),
         ]
-        for *_, screen in self.members:
-            for depth, layer in enumerate(screen.levels):
-                if depth == len(layers):
-                    layers.append([])
-                layers[depth].extend(layer)
-        statement = f"SELECT {defs(layers[0])}, {cols} FROM {_TABLE_TOKEN}"
-        for layer in layers[1:]:
-            statement = f"SELECT *, {defs(layer)} FROM ({statement})"
-        flags = [
-            (prefix + "flag", screen.suspect_sql)
-            for _, prefix, _, screen in self.members
-        ]
+        statement = f"SELECT {defs(aliases)}, {cols} FROM {_TABLE_TOKEN}"
+        flags = [flag for *_, flag in self.members]
         statement = (
             f"SELECT {rowid}, {dirty}, {defs(flags)}, {cols} FROM ({statement})"
         )

@@ -1,8 +1,7 @@
 """Shared SQL expression builders for the model compiler.
 
-Every compiled screen (:mod:`repro.compile.tree`,
-:mod:`repro.compile.rules`, :mod:`repro.compile.bayes`) is assembled
-from the same small vocabulary of expressions over one table row:
+Every compiled screen (:mod:`repro.compile.tree`) is assembled from the
+same small vocabulary of expressions over one table row:
 
 * **storage-cleanliness guards** (:func:`clean_expr`) — a cell is
   *clean* when its SQLite storage class is exactly what
@@ -17,14 +16,12 @@ from the same small vocabulary of expressions over one table row:
 * **class-code expressions** (:func:`observed_class_expr`) — the
   observed cell's :class:`~repro.mining.dataset.ClassEncoder` label
   code, computed in SQL for clean storage;
-* **bucket expressions** (:func:`bucket_expr`) — the
-  ``_Bucketizer`` index used by the 1R/PRISM rule models;
 * **ordered comparisons** (:func:`value_ge_expr`, :func:`value_le_expr`)
-  — numeric-view comparisons against fitted cut points and split
-  thresholds. Numeric constants are bound as parameters (exact
-  doubles); date-ordinal comparisons are rewritten to lexicographic
-  ISO-string comparisons, which order identically for the guarded
-  ``YYYY-MM-DD`` shape.
+  — numeric-view comparisons against the class discretizer's cut
+  points and the trees' split thresholds. Numeric constants are bound
+  as parameters (exact doubles); date-ordinal comparisons are
+  rewritten to lexicographic ISO-string comparisons, which order
+  identically for the guarded ``YYYY-MM-DD`` shape.
 
 All expressions assume the clean guard is checked *independently* by
 the caller: on unclean storage their value is irrelevant because the
@@ -35,11 +32,10 @@ from __future__ import annotations
 
 import datetime
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.compile.dialect import SqlDialect
-from repro.mining.dataset import BaseEncoder, ClassEncoder
-from repro.mining.discretize import EqualFrequencyDiscretizer
+from repro.mining.dataset import ClassEncoder
 from repro.schema.attribute import Attribute
 from repro.schema.types import AttributeKind
 
@@ -47,7 +43,6 @@ __all__ = [
     "SqlBuilder",
     "clean_expr",
     "observed_class_expr",
-    "bucket_expr",
     "cut_count_expr",
     "value_ge_expr",
     "value_le_expr",
@@ -202,26 +197,3 @@ def observed_class_expr(
     bins = cut_count_expr(builder, attribute, discretizer.cut_points)
     return f"CASE WHEN {col} IS NULL THEN {null_code} ELSE {bins} END"
 
-
-def bucket_expr(
-    builder: SqlBuilder,
-    attribute: Attribute,
-    encoder: BaseEncoder,
-    discretizer: Optional[EqualFrequencyDiscretizer],
-) -> str:
-    """Integer SQL: the rule models' ``_Bucketizer`` index of a clean
-    cell — 0 for null, category code + 1 / bin + 1 otherwise."""
-    col = builder.col(attribute.name)
-    if encoder.categorical:
-        arms = "".join(
-            f" WHEN {col} = {builder.bind(value)} THEN {code + 1}"
-            for code, value in enumerate(attribute.domain.values)  # type: ignore[attr-defined]
-        )
-        return (
-            f"CASE WHEN {col} IS NULL THEN 0{arms}"
-            f" ELSE {encoder.unknown_code + 1} END"
-        )
-    if discretizer is None:
-        return "0"
-    bins = cut_count_expr(builder, attribute, discretizer.cut_points)
-    return f"CASE WHEN {col} IS NULL THEN 0 ELSE 1 + {bins} END"

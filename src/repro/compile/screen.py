@@ -1,29 +1,25 @@
-"""Common structures shared by the per-family model compilers.
+"""The tree screen's soundness test, and the refusal of models without one.
 
-A fitted classifier compiles into a :class:`FamilyScreen`: extra
-SELECT-list aliases (possibly layered, when one alias must reference
-another) plus one boolean *suspect* expression. A row is **suspect**
-when the SQL side cannot certify that its Def.-7 error confidence for
-this attribute stays below the configured threshold; suspect rows (and
-rows with unclean storage, which the engine guards separately) are
-returned to Python and re-audited through the exact in-memory code
-path. The screens are deliberately *sound over-approximations*:
-over-selection costs only a little Python work, while under-selection
-would lose findings — the parity argument per family lives in its
-module docstring.
+A fitted tree compiles into one group alias (the leaf a row routes to)
+plus one boolean *suspect* expression. A row is **suspect** when the
+SQL side cannot certify that its Def.-7 error confidence for this
+attribute stays below the configured threshold; suspect rows (and rows
+with unclean storage, which the engine guards separately) are returned
+to Python and re-audited through the exact in-memory code path. The
+screen is deliberately a *sound over-approximation*: over-selection
+costs only a little Python work, while under-selection would lose
+findings — the tree's parity argument lives in
+:mod:`repro.compile.tree`.
 
-The finite-group families (tree, 1R, PRISM) share the pair-key
-construction: every row a group model can certify lands in one of
-finitely many *(group, observed-class)* cells whose exact confidence is
-precomputed here with the very same vectorized primitives the in-memory
-audit runs (:func:`repro.mining.confidence.error_confidence_batch` over
-the groups' count vectors), so the SQL ``IN`` filter and the in-memory
+Every row the tree can certify lands in one of finitely many
+*(leaf, observed-class)* cells whose exact confidence is precomputed
+here with the very same vectorized primitives the in-memory audit runs
+(:func:`repro.mining.confidence.error_confidence_batch` over the
+leaves' count vectors), so the SQL ``IN`` filter and the in-memory
 threshold test agree bit for bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +27,6 @@ from repro.mining.confidence import error_confidence_batch
 
 __all__ = [
     "NotCompilable",
-    "FamilyScreen",
     "flagged_pair_keys",
     "pair_suspect_sql",
 ]
@@ -40,37 +35,11 @@ __all__ = [
 class NotCompilable(RuntimeError):
     """A fitted model (or audit configuration) has no SQL form.
 
-    Raised by the compilers and by
+    Raised by :func:`repro.compile.tree.compile_tree` and by
     :func:`repro.compile.engine.audit_connection`; callers fall back to
-    the in-memory batch path (:meth:`DataAuditor.audit
-    <repro.core.auditor.DataAuditor.audit>` with ``engine="memory"``).
+    the in-memory path (:meth:`DataAuditor.audit
+    <repro.core.auditor.DataAuditor.audit>`).
     """
-
-
-@dataclass
-class FamilyScreen:
-    """One classifier's compiled screening expressions.
-
-    Attributes
-    ----------
-    levels:
-        Layered SELECT-list aliases ``(name, sql)``. Layer 0 may
-        reference only table columns; layer *k* may additionally
-        reference aliases of layers ``< k`` (each layer becomes one
-        subquery nesting in the emitted statement).
-    suspect_sql:
-        Boolean SQL over table columns, the observed-class alias the
-        engine passed in, and this screen's aliases: true when the row
-        needs the Python re-check. The engine returns it as the
-        attribute's flag column of the fused screening statement.
-
-    Alias names come from the engine (one prefix per audited
-    attribute), so the screens of several attributes share one
-    statement without clashing.
-    """
-
-    suspect_sql: str
-    levels: list[list[tuple[str, str]]] = field(default_factory=list)
 
 
 def flagged_pair_keys(

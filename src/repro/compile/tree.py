@@ -24,23 +24,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compile.expressions import SqlBuilder, value_le_expr
-from repro.compile.screen import (
-    FamilyScreen,
-    NotCompilable,
-    flagged_pair_keys,
-    pair_suspect_sql,
-)
+from repro.compile.screen import NotCompilable, flagged_pair_keys, pair_suspect_sql
 from repro.mining.tree.node import Leaf, NominalSplit, Node, NumericSplit
 
 __all__ = ["compile_tree"]
 
 
 def compile_tree(
-    builder: SqlBuilder, classifier, config, obs_ref: str, prefix: str
-) -> FamilyScreen:
+    builder: SqlBuilder, classifier, config, obs_ref: str, group_ref: str
+) -> tuple[str, str]:
     """Compile a fitted :class:`~repro.mining.tree_classifier.TreeClassifier`
-    into a :class:`~repro.compile.screen.FamilyScreen` whose alias is
-    ``prefix + "grp"``."""
+    into its screen: ``(group SQL, suspect SQL)``.
+
+    The group SQL routes a row to its leaf index (``-1`` when the batch
+    path would blend); the engine selects it as the alias *group_ref*
+    names, beside the observed class code *obs_ref* names, and the
+    suspect SQL tests the pair of the two."""
     root = classifier.root
     dataset = classifier.dataset
     if root is None or dataset is None:
@@ -103,10 +102,4 @@ def compile_tree(
             probabilities[index] = counts / n
             support[index] = n
     keys = flagged_pair_keys(probabilities, support, config)
-    group = prefix + "grp"
-    return FamilyScreen(
-        suspect_sql=pair_suspect_sql(
-            builder.dialect.quote(group), obs_ref, n_labels, keys
-        ),
-        levels=[[(group, group_sql)]],
-    )
+    return group_sql, pair_suspect_sql(group_ref, obs_ref, n_labels, keys)

@@ -104,17 +104,6 @@ class ColumnBatch:
         self.n_rows = n_rows
         self._masks: dict[str, np.ndarray] = {}
 
-    # -- pickling (slots + the np-array cache) ------------------------------
-
-    def __getstate__(self):
-        # the mask cache is derived data; a pickled batch carries only
-        # the raw columns
-        return (self.schema, self.columns, self.n_rows)
-
-    def __setstate__(self, state):
-        self.schema, self.columns, self.n_rows = state
-        self._masks = {}
-
     # -- the Table surface the caches consume -------------------------------
 
     def column(self, name: str) -> list:

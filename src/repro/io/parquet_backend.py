@@ -121,18 +121,6 @@ class ArrowColumnBatch(ColumnBatch):
         self._attrs = dict(zip(schema.names, schema.attributes))
         self._views: dict[str, Optional[np.ndarray]] = {}
 
-    def __reduce__(self):
-        # shipping a batch to a worker sends converted columns, not
-        # the Arrow buffers (the plain batch is cheap and dependency-free)
-        return (
-            ColumnBatch,
-            (
-                self.schema,
-                {name: self.column(name) for name in self.schema.names},
-                self.n_rows,
-            ),
-        )
-
     # -- raw cell values (lazy) ---------------------------------------------
 
     def column(self, name: str) -> list:

@@ -99,8 +99,8 @@ class NaiveBayesClassifier(AttributeClassifier):
     @property
     def priors(self) -> Optional[np.ndarray]:
         """Smoothed class priors (``(n_labels,)``), or ``None`` before
-        fitting. Read-only model state for rule extraction
-        (:mod:`repro.compile`)."""
+        fitting. Read-only model state, read by the per-record
+        reference lane in ``tests/reference_lanes.py``."""
         return self._priors
 
     @property

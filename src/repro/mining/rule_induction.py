@@ -145,8 +145,8 @@ class OneRClassifier(AttributeClassifier):
     def bucket_counts(self) -> Optional[np.ndarray]:
         """Per-bucket class-count table of the chosen attribute
         (``(n_buckets, n_labels)``), or ``None`` before fitting / when no
-        attribute was usable. Read-only model state for rule extraction
-        (:mod:`repro.compile`)."""
+        attribute was usable. Read-only model state, read by the
+        per-record reference lane in ``tests/reference_lanes.py``."""
         return self._bucket_counts
 
     @property
@@ -369,8 +369,7 @@ class PrismClassifier(AttributeClassifier):
         """Indices into :attr:`rules` in batch evaluation order —
         precision descending, then support descending, then original
         index — under which the first matching rule claims a row. This is
-        the exact order :meth:`predict_batch` applies (and
-        :mod:`repro.compile` replays as a ``CASE`` chain)."""
+        the exact order :meth:`predict_batch` applies."""
         return sorted(
             range(len(self.rules)),
             key=lambda i: (

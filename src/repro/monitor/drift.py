@@ -31,6 +31,7 @@ resumes mid-excursion exactly where the killed monitor left off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -57,6 +58,15 @@ class DriftConfig:
     sustain_windows: int = 2
 
     def __post_init__(self) -> None:
+        # a bool is neither a rate nor a count
+        for name in ("confidence", "threshold"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise InputError(f"drift {name} must be a finite number, got {value!r}")
+        for name in ("baseline_windows", "sustain_windows"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if not 0.5 <= self.confidence < 1.0:
             raise InputError(
                 f"drift confidence must be in [0.5, 1), got {self.confidence}"

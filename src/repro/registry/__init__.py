@@ -14,6 +14,7 @@ from repro.registry.store import (
     ModelVersion,
     Provenance,
     RegistryError,
+    check_model_name,
     model_digest,
     parse_ref,
     schema_digest,
@@ -27,4 +28,5 @@ __all__ = [
     "model_digest",
     "schema_digest",
     "parse_ref",
+    "check_model_name",
 ]

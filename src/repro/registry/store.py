@@ -67,6 +67,7 @@ __all__ = [
     "model_digest",
     "schema_digest",
     "parse_ref",
+    "check_model_name",
 ]
 
 _INDEX_FORMAT = "repro-registry-v1"
@@ -106,6 +107,28 @@ def parse_ref(ref: str) -> tuple[str, str]:
     if not name or (sep and not selector):
         raise RegistryError(f"invalid model reference {ref!r} (want name[@ref])")
     return name, selector or "latest"
+
+
+def check_model_name(name: Any) -> str:
+    """*name* when it can name a model, else a :class:`RegistryError`.
+
+    A name is a non-empty string with no ``/`` or ``@`` and no leading
+    ``.``: it becomes a file name under ``names/``, and ``@`` separates
+    it from a version selector in a reference. Every front end that
+    takes a name checks it here before it does any work.
+    """
+    if (
+        not isinstance(name, str)
+        or not name
+        or "/" in name
+        or "@" in name
+        or name.startswith(".")
+    ):
+        raise RegistryError(
+            f"invalid model name {name!r} (want a non-empty string with "
+            f"no '/', '@', or leading '.')"
+        )
+    return name
 
 
 def _config_json(config: AuditorConfig) -> dict[str, Any]:
@@ -276,11 +299,7 @@ class ModelRegistry:
         return self.objects_dir / f"{digest}.json"
 
     def _index_path(self, name: str) -> Path:
-        if not name or "/" in name or "@" in name or name.startswith("."):
-            raise RegistryError(
-                f"invalid model name {name!r} (no '/', '@', or leading '.')"
-            )
-        return self.names_dir / f"{name}.json"
+        return self.names_dir / f"{check_model_name(name)}.json"
 
     def _read_index(self, name: str) -> Optional[dict]:
         try:
@@ -326,6 +345,7 @@ class ModelRegistry:
         here) and the ``latest`` tag moves to it. Returns the new
         :class:`ModelVersion`.
         """
+        check_model_name(name)
         if not auditor.classifiers:
             raise RegistryError(
                 f"cannot register an unfitted auditor as {name!r}; fit() first"
@@ -342,7 +362,6 @@ class ModelRegistry:
             config=_config_json(auditor.config),
             created_at=base.created_at or _utc_now_iso(),
         )
-        self._index_path(name)  # validate the name before touching disk
         object_path = self._object_path(digest)
         if not object_path.exists():
             self._write_atomic(object_path, _canonical_bytes(payload))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -43,7 +44,13 @@ from repro.errors import InputError
 from repro.io.base import DEFAULT_CHUNK_SIZE
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
 from repro.io.registry import detect_format, open_source
-from repro.registry import ModelRegistry, ModelVersion, Provenance, RegistryError
+from repro.registry import (
+    ModelRegistry,
+    ModelVersion,
+    Provenance,
+    RegistryError,
+    check_model_name,
+)
 from repro.schema.serialize import schema_from_dict
 from repro.schema.table import Table
 
@@ -84,10 +91,46 @@ def _require_location(payload: Mapping[str, Any]) -> str:
     return location
 
 
+def _optional(
+    payload: Mapping[str, Any], key: str, kind: type, default: Any = None
+) -> Any:
+    """The body's *key*, *default* when it is absent, and a 400 unless it
+    holds a *kind*: ``str``, ``int`` (a count) or ``float`` (any finite
+    number). A bool is neither a count nor a number."""
+    if key not in payload:
+        return default
+    value = payload[key]
+    if kind is float:
+        finite = type(value) is float and math.isfinite(value)
+        usable = type(value) is int or finite
+    else:
+        usable = type(value) is kind
+    if not usable:
+        what = {str: "a string", int: "an integer", float: "a finite number"}
+        raise InputError(f"{key!r} must be {what[kind]}, got {value!r}")
+    return value
+
+
+def _model_name(key: str, name: Any) -> str:
+    """*name*, the body's *key*, under the registry's name rule (a 400
+    when it breaks the rule)."""
+    try:
+        return check_model_name(name)
+    except RegistryError as exc:
+        raise InputError(f"{key!r}: {exc}") from None
+
+
 #: the top-level fields each POST body may carry
 _FIT_FIELDS = frozenset({"name", "schema", "source", "format", "config"})
 _AUDIT_FIELDS = frozenset(
     {"model", "source", "rows", "format", "chunk_size", "engine"}
+)
+_MONITOR_FIELDS = frozenset(
+    {
+        "name", "model", "source", "format", "null_marker", "window_rows",
+        "poll_interval", "drift", "refit", "refit_name", "refit_rows",
+        "state", "findings",
+    }
 )
 
 
@@ -191,7 +234,7 @@ class AuditService:
         when the body gives none.
         """
         _reject_unknown(payload, _FIT_FIELDS, "request")
-        name = _require(payload, "name")
+        name = _model_name("name", _require(payload, "name"))
         source_uri = _require_location(payload)
         schema = schema_from_dict(_require(payload, "schema"))
         auditor = DataAuditor(schema, _parse_config(payload.get("config")))
@@ -290,8 +333,8 @@ class AuditService:
         _reject_unknown(payload, _AUDIT_FIELDS, "request")
         auditor, version = self._load_model(_require(payload, "model"))
         session = AuditSession(auditor=auditor)
-        chunk_size = payload.get("chunk_size", DEFAULT_CHUNK_SIZE)
-        if type(chunk_size) is not int or chunk_size < 1:  # bool is not a size
+        chunk_size = _optional(payload, "chunk_size", int, DEFAULT_CHUNK_SIZE)
+        if chunk_size < 1:
             raise InputError("'chunk_size' must be a positive integer")
         has_source = "source" in payload
         has_rows = "rows" in payload
@@ -299,7 +342,7 @@ class AuditService:
             raise InputError(
                 "pass exactly one of 'source' (a location) or 'rows' (inline)"
             )
-        engine = payload.get("engine") or "memory"
+        engine = payload.get("engine", "memory")
         if engine not in ("memory", "sql"):
             raise InputError(f"'engine' must be 'memory' or 'sql', got {engine!r}")
         if has_rows:
@@ -348,7 +391,8 @@ class AuditService:
         (a :class:`~repro.monitor.drift.DriftConfig` object),
         ``refit`` (``off``/``recommend``/``auto``), ``refit_name``,
         ``refit_rows``, ``state``, and ``findings`` (both default to
-        ``<registry>/monitors/<name>.*``). The monitor runs on a daemon
+        ``<registry>/monitors/<name>.*``); any other field, or a field
+        of the wrong type, is a 400. The monitor runs on a daemon
         thread in follow mode; because it tails through the torn-write
         safe tail readers, a producer appending to the source mid-poll
         never breaks it. Auto-refits land in this service's own
@@ -359,11 +403,25 @@ class AuditService:
         from repro.monitor.refit import RefitPolicy
         from repro.monitor.watcher import TableWatcher
 
+        _reject_unknown(payload, _MONITOR_FIELDS, "request")
         name = _require(payload, "name")
         if not isinstance(name, str) or not name or "/" in name:
             raise InputError("'name' must be a non-empty string without '/'")
         ref = _require(payload, "model")
         source = _require_location(payload)
+        try:
+            fmt = _optional(payload, "format", str)
+            null_marker = _optional(payload, "null_marker", str, "")
+            window_rows = _optional(payload, "window_rows", int, 256)
+            poll_interval = _optional(payload, "poll_interval", float, 1.0)
+            refit_rows = _optional(payload, "refit_rows", int, 4096)
+            refit_name = _optional(payload, "refit_name", str)
+            if refit_name is not None:
+                _model_name("refit_name", refit_name)
+            state = _optional(payload, "state", str)
+            findings = _optional(payload, "findings", str)
+        except InputError as exc:
+            raise InputError(f"cannot start monitor {name!r}: {exc}") from None
         with self._monitors_lock:
             entry = self._monitors.get(name)
             if entry is not None and entry["thread"].is_alive():
@@ -376,14 +434,8 @@ class AuditService:
             refit = RefitPolicy(
                 refit_mode,
                 registry=self.registry if refit_mode == "auto" else None,
-                model_name=payload.get("refit_name") or version.name,
-                refit_rows=int(payload.get("refit_rows", 4096)),
-            )
-            window_rows = int(payload.get("window_rows", 256))
-            poll_interval = float(payload.get("poll_interval", 1.0))
-            state_path = Path(payload.get("state") or state_dir / f"{name}.state.json")
-            findings_path = Path(
-                payload.get("findings") or state_dir / f"{name}.findings.jsonl"
+                model_name=refit_name or version.name,
+                refit_rows=refit_rows,
             )
         except (TypeError, ValueError) as exc:
             raise InputError(f"cannot start monitor {name!r}: {exc}") from exc
@@ -392,10 +444,10 @@ class AuditService:
             watcher = TableWatcher(
                 AuditSession(auditor=auditor),
                 source,
-                state_path=state_path,
-                findings_path=findings_path,
-                format=payload.get("format"),
-                null_marker=payload.get("null_marker", ""),
+                state_path=Path(state or state_dir / f"{name}.state.json"),
+                findings_path=Path(findings or state_dir / f"{name}.findings.jsonl"),
+                format=fmt,
+                null_marker=null_marker,
                 window_rows=window_rows,
                 poll_interval=poll_interval,
                 drift=drift,

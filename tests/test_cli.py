@@ -970,6 +970,41 @@ class TestModelRegistryCli:
                 ]
             )
 
+    @pytest.mark.parametrize("name", ["", "a/b", "a@b", ".x"])
+    def test_bad_register_name_fails_before_reading_input(self, tmp_path, name):
+        # neither the schema nor the input exists: the name is checked first
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "fit",
+                    "--schema",
+                    str(tmp_path / "absent.json"),
+                    "--input",
+                    str(tmp_path / "absent.csv"),
+                    "--register",
+                    name,
+                    "--registry",
+                    str(tmp_path / "registry"),
+                ]
+            )
+        assert str(excinfo.value).startswith(f"error: invalid model name {name!r}")
+
+    @pytest.mark.parametrize("name", ["", "a/b", "a@b", ".x"])
+    def test_bad_refit_name_fails_before_loading_the_model(self, tmp_path, name):
+        # neither the model nor the source exists: the name is checked first
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "monitor",
+                    str(tmp_path / "absent.csv"),
+                    "--model",
+                    str(tmp_path / "absent.json"),
+                    "--refit-name",
+                    name,
+                ]
+            )
+        assert str(excinfo.value).startswith(f"error: invalid model name {name!r}")
+
     def test_register_records_provenance(self, workspace, tmp_path, capsys):
         _fitted_workspace(workspace)
         registry = tmp_path / "registry"

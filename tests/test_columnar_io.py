@@ -22,7 +22,6 @@ This suite pins:
 
 import datetime
 import json
-import pickle
 import sqlite3
 
 import pytest
@@ -133,15 +132,6 @@ class TestColumnBatch:
         with pytest.raises(ValueError) as col_err:
             batch.validate()
         assert str(col_err.value) == str(row_err.value)
-
-    def test_pickle_drops_mask_cache(self, schema, table):
-        batch = ColumnBatch.from_table(table)
-        batch.null_mask("A")
-        clone = pickle.loads(pickle.dumps(batch))
-        assert clone._masks == {}
-        assert clone.n_rows == batch.n_rows
-        for name in schema.names:
-            assert clone.column(name) == batch.column(name)
 
 
 # -- the one lane ----------------------------------------------------------------

@@ -778,6 +778,12 @@ class TestDriftTracker:
             {"threshold": -0.1},
             {"baseline_windows": 0},
             {"sustain_windows": 0},
+            # mistyped: a bool is no count, a string or NaN no rate
+            {"baseline_windows": 2.5},
+            {"sustain_windows": True},
+            {"threshold": True},
+            {"threshold": float("nan")},
+            {"confidence": "0.9"},
         ],
     )
     def test_config_validation(self, kwargs):

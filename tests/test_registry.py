@@ -104,7 +104,7 @@ class TestPutGet:
         with pytest.raises(ModelPersistenceError, match="unfitted"):
             session.save_to_registry(registry, "loads")
 
-    @pytest.mark.parametrize("bad", ["", "a/b", "x@y", ".hidden"])
+    @pytest.mark.parametrize("bad", ["", "a/b", "x@y", ".hidden", 5])
     def test_invalid_names_rejected(self, registry, fitted, bad):
         with pytest.raises(RegistryError, match="invalid model name"):
             registry.put(fitted.auditor, bad)

@@ -28,7 +28,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.cli import main
-from repro.core import AuditorConfig, AuditSession
+from repro.core import AuditorConfig, AuditSession, DataAuditor
 from repro.registry import ModelRegistry, model_digest
 from repro.core.serialize import auditor_to_dict, save_auditor
 from repro.io import write_table
@@ -197,6 +197,24 @@ class TestServiceEndpoints:
             service.fit(payload)
         assert fragment in str(excinfo.value)
 
+    @pytest.mark.parametrize("name", [5, "", "a/b", "a@b", ".x"])
+    def test_fit_refuses_a_bad_name_before_fitting(self, corpus, monkeypatch, name):
+        def fit(self, table):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(DataAuditor, "fit", fit)
+        service = AuditService(ModelRegistry(corpus["root"] / "name-registry"))
+        with pytest.raises(InputError) as excinfo:
+            service.fit(
+                {
+                    "name": name,
+                    "schema": schema_to_dict(corpus["schema"]),
+                    "source": str(corpus["train_csv"]),
+                }
+            )
+        assert str(excinfo.value).startswith(f"'name': invalid model name {name!r}")
+        assert service.registry.list() == []
+
     def test_audit_source_summary(self, service, corpus):
         summary, lines = service.audit(
             {"model": "svc", "source": str(corpus["load_csv"])}
@@ -227,6 +245,10 @@ class TestServiceEndpoints:
             ({"model": "svc", "rows": [{"A": "q"}]}, 400, "invalid rows payload"),
             ({"model": "svc", "rows": [], "engine": "duckdb"}, 400, "'engine'"),
             ({"model": "svc", "rows": [], "jobs": 2}, 400, "unknown request fields ['jobs']"),
+            # a falsy engine is no request for the memory engine
+            ({"model": "svc", "rows": [], "engine": 0}, 400, "got 0"),
+            ({"model": "svc", "rows": [], "engine": False}, 400, "got False"),
+            ({"model": "svc", "rows": [], "engine": ""}, 400, "got ''"),
         ],
     )
     def test_audit_rejections(self, service, payload, status, fragment):
@@ -788,6 +810,25 @@ class TestFailureContract:
         assert payload["error"].startswith("invalid auditor config: ")
         assert "must be an integer" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/fit", {"name": 5}),
+            ("/audit", {"model": "svc", "rows": [], "engine": False}),
+            ("/monitors", {"name": "m", "model": "svc", "window_rows": True}),
+        ],
+    )
+    def test_mistyped_field_is_400(self, http_server, corpus, path, body):
+        """A field of the wrong type is the client's error; it is not
+        coerced, and it is no fault of the service that would answer 500."""
+        body = {**body, "source": str(corpus["train_csv"])}
+        if path == "/fit":
+            body["schema"] = schema_to_dict(corpus["schema"])
+        if path == "/audit":
+            del body["source"]
+        status, payload = _raw_post(http_server, path, json.dumps(body).encode(), {})
+        assert status == 400, payload
+
     @pytest.mark.parametrize("path", ["/fit", "/audit", "/monitors"])
     def test_unopenable_client_location_is_400(self, http_server, corpus, tmp_path, path):
         absent = str(tmp_path / "absent.jsonl")
@@ -1062,6 +1103,38 @@ class TestHostedMonitors:
         for payload in cases:
             with pytest.raises(InputError):
                 service.start_monitor(payload)
+        assert service.list_monitors() == {"monitors": []}
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("window_rows", 2.9, "'window_rows' must be an integer, got 2.9"),
+            ("window_rows", True, "'window_rows' must be an integer, got True"),
+            ("refit_rows", 10.5, "'refit_rows' must be an integer, got 10.5"),
+            ("poll_interval", "0.5", "'poll_interval' must be a finite number, got '0.5'"),
+            ("poll_interval", True, "'poll_interval' must be a finite number, got True"),
+            ("poll_interval", float("nan"), "'poll_interval' must be a finite number, got nan"),
+            ("format", 5, "'format' must be a string, got 5"),
+            ("null_marker", 5, "'null_marker' must be a string, got 5"),
+            ("state", 5, "'state' must be a string, got 5"),
+            ("findings", 5, "'findings' must be a string, got 5"),
+            ("refit_name", 5, "'refit_name' must be a string, got 5"),
+            ("refit_name", "a/b", "'refit_name': invalid model name 'a/b'"),
+            ("refit_name", "", "'refit_name': invalid model name ''"),
+            ("window_row", 64, "unknown request fields ['window_row']"),
+            ("drift", {"baseline_windows": 2.5}, "baseline_windows must be an integer, got 2.5"),
+            ("drift", {"sustain_windows": True}, "sustain_windows must be an integer, got True"),
+        ],
+    )
+    def test_mistyped_fields_are_400(self, service, tmp_path, field, value, message):
+        stream = _structured_table(n=64, seed=3)
+        source = tmp_path / "s.jsonl"
+        _write_stream(stream, source)
+        with pytest.raises(InputError) as excinfo:
+            service.start_monitor(
+                {"name": "m", "model": "svc", "source": str(source), field: value}
+            )
+        assert message in str(excinfo.value)
         assert service.list_monitors() == {"monitors": []}
 
     def test_unknown_model_is_404(self, service, tmp_path):

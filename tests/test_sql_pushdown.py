@@ -1,10 +1,10 @@
 """SQL pushdown parity suite: ``engine="sql"`` must match the in-memory
 audit finding for finding.
 
-The contract under test (``docs/sql_compilation.md``): for every
-compilable model family — tree, 1R, PRISM, naive Bayes — the pushdown
-engine returns the same :class:`~repro.core.findings.AuditReport`
-content as the in-memory batch path: the identical ranked findings list
+The contract under test (``docs/sql_compilation.md``): for a fitted
+tree, the only model with a SQL form, the pushdown engine returns the
+same :class:`~repro.core.findings.AuditReport` content as the in-memory
+batch path: the identical ranked findings list
 (bit-equal confidences included, since ``Finding`` equality compares the
 floats), the same suspicious-row ranking, and the same record
 confidences on every flagged row. The fixtures deliberately cover the
@@ -13,9 +13,9 @@ never showed, exact ties, domain-boundary numerics/dates, tables with
 deleted rows (rowid gaps), and plans split over several statements by
 the dialect's limits.
 
-Non-compilable configurations (kNN), non-SQLite sources and pushdowns
-that fail at run time (``WITHOUT ROWID`` tables) must fall back to the
-in-memory path cleanly — same findings, one-line notice. The engine is
+Every other model (1R, PRISM, naive Bayes, kNN), non-SQLite sources and
+pushdowns that fail at run time (``WITHOUT ROWID`` tables) must fall
+back to the in-memory path cleanly — same findings, one-line notice. The engine is
 chosen in one place, :meth:`AuditSession.audit_source`; the CLI and the
 service only pass the request on and report its ``engine`` and
 ``notice``.
@@ -45,16 +45,29 @@ from repro.io.sqlite_backend import SqliteTableSink
 from repro.mining.knn import KnnClassifier
 from repro.mining.naive_bayes import NaiveBayesClassifier
 from repro.mining.rule_induction import OneRClassifier, PrismClassifier
+from repro.mining.tree.grow import TreeConfig
 from repro.mining.tree_classifier import TreeClassifier
 from repro.quis import generate_quis_sample
 from repro.schema import Schema, Table, date, nominal, numeric
 
-FAMILIES = {
+#: the models with a SQL form
+TREES = {
     "tree": lambda config: TreeClassifier(),
+    # depth <= 3: within an expression budget of six, the rich schema's
+    # attribute count
+    "shallow_tree": lambda config: TreeClassifier(TreeConfig(max_depth=2)),
+}
+
+#: models without one, which ``engine="sql"`` audits in memory
+FALLBACKS = {
     "one_r": lambda config: OneRClassifier(n_bins=config.n_bins),
     "prism": lambda config: PrismClassifier(n_bins=config.n_bins),
     "naive_bayes": lambda config: NaiveBayesClassifier(n_bins=config.n_bins),
 }
+
+
+class _SubTree(TreeClassifier):
+    """A subclass may override ``predict_batch``, so it has no SQL form."""
 
 
 def _rich_schema() -> Schema:
@@ -130,6 +143,13 @@ def _pushdown(auditor, database, plan=None) -> AuditReport:
         connection.close()
 
 
+def _engine_sql(auditor, database):
+    """``audit_source(engine="sql")`` of *database*: the merged report
+    and the run, which says which engine ran."""
+    run = AuditSession(auditor=auditor).audit_source(database, engine="sql")
+    return AuditReport.merge(list(run)), run
+
+
 def _drop_rowid(database, schema: Schema) -> None:
     """Move table ``loads`` of *database* into a ``WITHOUT ROWID`` table
     keyed on every column (rows with nulls or duplicates drop out): the
@@ -148,13 +168,14 @@ def _extract(schema: Schema, database) -> Table:
         return source.read()
 
 
-def _assert_same_error(auditor, schema: Schema, database) -> str:
-    """The pushdown raises exactly the extract path's error; returns it."""
+def _assert_same_error(auditor, schema: Schema, database, audit=_pushdown) -> str:
+    """*audit* (the pushdown by default) raises exactly the extract
+    path's error; returns it."""
     with pytest.raises(ValueError) as via_extract:
         _extract(schema, database)
-    with pytest.raises(ValueError) as via_pushdown:
-        _pushdown(auditor, database)
-    assert str(via_pushdown.value) == str(via_extract.value)
+    with pytest.raises(ValueError) as via_audit:
+        audit(auditor, database)
+    assert str(via_audit.value) == str(via_extract.value)
     return str(via_extract.value)
 
 
@@ -168,22 +189,22 @@ def _assert_reports_match(memory: AuditReport, sql: AuditReport) -> None:
 
 
 class TestFamilyParity:
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", sorted(TREES))
     def test_findings_byte_identical(self, family, tmp_path):
         train, audit = _rich_tables()
-        auditor = _fitted(FAMILIES[family], train)
+        auditor = _fitted(TREES[family], train)
         plan = compilation_plan(auditor)
         assert plan.compilable and plan.reasons == {}
         memory = auditor.audit(audit)
         assert memory.findings, "fixture must actually flag deviations"
         _assert_reports_match(memory, _pushdown(auditor, _warehouse(audit, tmp_path)))
 
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", sorted(TREES))
     def test_self_audit_parity(self, family, tmp_path):
         # fit table == audit table: the all-clean regime where the screen
         # should certify nearly everything without a Python recheck
         train, _ = _rich_tables()
-        auditor = _fitted(FAMILIES[family], train)
+        auditor = _fitted(TREES[family], train)
         _assert_reports_match(
             auditor.audit(train), _pushdown(auditor, _warehouse(train, tmp_path))
         )
@@ -193,7 +214,7 @@ class TestFamilyParity:
         # clean keep confidence 0.0; flagged rows stay exact, so the
         # SQL confidence can never exceed the in-memory one
         train, audit = _rich_tables()
-        auditor = _fitted(FAMILIES["tree"], train)
+        auditor = _fitted(TREES["tree"], train)
         memory = auditor.audit(audit)
         sql = _pushdown(auditor, _warehouse(audit, tmp_path))
         assert any(
@@ -204,7 +225,7 @@ class TestFamilyParity:
 
     def test_engine_flag_on_audit(self, tmp_path):
         train, audit = _rich_tables()
-        auditor = _fitted(FAMILIES["tree"], train)
+        auditor = _fitted(TREES["tree"], train)
         session = AuditSession(auditor=auditor)
         database = str(_warehouse(audit, tmp_path))
         sql = session.audit_source(database, engine="sql")
@@ -221,7 +242,7 @@ class TestDatabaseFiles:
     @pytest.fixture
     def warehouse(self, tmp_path):
         train, audit = _rich_tables()
-        auditor = _fitted(FAMILIES["tree"], train)
+        auditor = _fitted(TREES["tree"], train)
         database = tmp_path / "wh.db"
         with SqliteTableSink(audit.schema, database, table="loads") as sink:
             sink.write(audit)
@@ -296,53 +317,77 @@ class TestDatabaseFiles:
 
 
 class TestRowidGaps:
-    """Deleted rows leave gaps in ``rowid``; positions must still count
-    rows in ``rowid`` order, as the extract path does."""
+    """Deleted rows leave gaps in ``rowid``; an ``engine="sql"`` audit
+    must still count rows in ``rowid`` order, as the extract path does,
+    whether a tree screens in the database or another model falls back
+    to memory."""
 
-    @pytest.fixture(params=sorted(FAMILIES))
+    @pytest.fixture(params=sorted([*FALLBACKS, "tree"]))
     def gapped(self, request, tmp_path):
         train, audit = _rich_tables()
-        auditor = _fitted(FAMILIES[request.param], train)
+        auditor = _fitted({**TREES, **FALLBACKS}[request.param], train)
         database = _warehouse(audit, tmp_path)
         with sqlite3.connect(database) as connection:
             connection.execute("DELETE FROM loads WHERE rowid % 7 = 0 OR rowid < 4")
-        return auditor, audit.schema, database
+        engine = "sql" if request.param in TREES else "memory"
+        return auditor, audit.schema, database, engine
 
     def test_findings_match_the_extract_path(self, gapped):
-        auditor, schema, database = gapped
+        auditor, schema, database, engine = gapped
         memory = auditor.audit(_extract(schema, database))
         assert memory.findings, "fixture must actually flag deviations"
-        _assert_reports_match(memory, _pushdown(auditor, database))
+        report, run = _engine_sql(auditor, database)
+        assert run.engine == engine
+        _assert_reports_match(memory, report)
 
     def test_mistyped_cell_after_a_gap_raises_the_extraction_error(self, gapped):
-        auditor, schema, database = gapped
+        auditor, schema, database, _ = gapped
         with sqlite3.connect(database) as connection:
             connection.execute("UPDATE loads SET N = 'bogus' WHERE rowid = 30")
-        message = _assert_same_error(auditor, schema, database)
+        message = _assert_same_error(auditor, schema, database, audit=_engine_sql)
         # rowids 1-3, 7, 14, 21 and 28 are gone: rowid 30 is the 23rd row
         assert message.startswith("row 23, attribute 'N'")
 
 
 class TestFallbacks:
-    def test_knn_is_not_compilable(self, tmp_path):
+    @staticmethod
+    def _assert_falls_back(factory, name, tmp_path) -> None:
         train, audit = _rich_tables()
-        auditor = _fitted(lambda config: KnnClassifier(), train)
+        auditor = _fitted(factory, train)
         plan = compilation_plan(auditor)
         assert not plan.compilable
         assert "auditing in memory" in plan.notice()
-        assert "KnnClassifier" in plan.notice()
+        assert f"{name} does not compile to SQL" in plan.notice()
         database = _warehouse(audit, tmp_path)
         with pytest.raises(NotCompilable):
             _pushdown(auditor, database)
         # engine="sql" falls back to the identical memory audit, with the
         # plan's notice
-        run = AuditSession(auditor=auditor).audit_source(database, engine="sql")
-        assert AuditReport.merge(run).findings == auditor.audit(audit).findings
+        report, run = _engine_sql(auditor, database)
+        assert report.findings == auditor.audit(audit).findings
         assert (run.engine, run.notice) == ("memory", plan.notice())
+
+    def test_knn_is_not_compilable(self, tmp_path):
+        self._assert_falls_back(
+            lambda config: KnnClassifier(), "KnnClassifier", tmp_path
+        )
+
+    @pytest.mark.parametrize(
+        "factory, name",
+        [
+            (FALLBACKS["one_r"], "OneRClassifier"),
+            (FALLBACKS["prism"], "PrismClassifier"),
+            (FALLBACKS["naive_bayes"], "NaiveBayesClassifier"),
+            (lambda config: _SubTree(), "_SubTree"),
+        ],
+        ids=["one_r", "prism", "naive_bayes", "tree_subclass"],
+    )
+    def test_other_models_are_not_compilable(self, factory, name, tmp_path):
+        self._assert_falls_back(factory, name, tmp_path)
 
     def test_audit_source_non_sqlite_falls_back_chunked(self, tmp_path):
         train, audit = _rich_tables()
-        auditor = _fitted(FAMILIES["tree"], train)
+        auditor = _fitted(TREES["tree"], train)
         path = tmp_path / "loads.csv"
         with CsvTableSink(audit.schema, path) as sink:
             sink.write(audit)
@@ -354,7 +399,7 @@ class TestFallbacks:
 
     def test_audit_source_rejects_unknown_engine(self, tmp_path):
         train, _ = _rich_tables()
-        auditor = _fitted(FAMILIES["tree"], train)
+        auditor = _fitted(TREES["tree"], train)
         session = AuditSession(auditor=auditor)
         with pytest.raises(ValueError, match="engine"):
             next(session.audit_source(str(tmp_path / "x.csv"), engine="duckdb"))
@@ -370,7 +415,7 @@ class TestEngineDecision:
     @pytest.fixture
     def fitted(self):
         train, audit = _rich_tables()
-        auditor = _fitted(FAMILIES["tree"], train)
+        auditor = _fitted(TREES["tree"], train)
         return AuditSession(auditor=auditor), audit
 
     def test_non_sqlite_source_notice(self, fitted, tmp_path):
@@ -420,7 +465,7 @@ class TestEngineDecision:
 class TestCompilationPlan:
     def test_statements_cover_audited_attributes(self):
         train, _ = _rich_tables()
-        auditor = _fitted(FAMILIES["tree"], train)
+        auditor = _fitted(TREES["tree"], train)
         plan = compilation_plan(auditor)
         attributes = [a for s in plan.statements for a in s.attributes]
         assert attributes == list(auditor.classifiers)
@@ -434,9 +479,10 @@ class TestCompilationPlan:
         "limit", ["max_parameters", "max_expression_depth", "max_columns"]
     )
     def test_dialect_limits_split_the_screen(self, tmp_path, monkeypatch, limit):
-        # 1R has no tree-depth check, so every limit can bite on packing
+        # shallow trees pass the tree-depth check of the tight expression
+        # budget, so every limit can bite on packing
         train, audit = _rich_tables()
-        auditor = _fitted(FAMILIES["one_r"], train)
+        auditor = _fitted(TREES["shallow_tree"], train)
         database = _warehouse(audit, tmp_path)
         fused = compilation_plan(auditor)
         assert len(fused.statements) == 1
@@ -466,7 +512,7 @@ class TestCompilationPlan:
 
     def test_attribute_over_the_parameter_cap_is_not_compilable(self, tmp_path):
         train, audit = _rich_tables()
-        auditor = _fitted(FAMILIES["tree"], train)
+        auditor = _fitted(TREES["tree"], train)
         plan = compilation_plan(auditor, SqlDialect("sqlite", max_parameters=1))
         assert not plan.compilable
         assert set(plan.reasons) == set(auditor.classifiers)
@@ -548,7 +594,7 @@ class TestCli:
         from repro.core.serialize import save_auditor
 
         train, audit = _rich_tables()
-        auditor = _fitted(FAMILIES["tree"], train)
+        auditor = _fitted(TREES["tree"], train)
         model = tmp_path / "model.json"
         save_auditor(auditor, model)
         database = tmp_path / "wh.db"

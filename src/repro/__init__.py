@@ -120,7 +120,6 @@ from repro.io import (
     open_sink,
     open_source,
     read_table,
-    read_table_chunks,
     register_format,
     write_table,
 )
@@ -191,7 +190,6 @@ __all__ = [
     "open_source",
     "open_sink",
     "read_table",
-    "read_table_chunks",
     "write_table",
     # logic
     "Rule",

@@ -173,7 +173,7 @@ def observed_class_expr(
     builder: SqlBuilder, attribute: Attribute, class_encoder: ClassEncoder
 ) -> str:
     """Integer SQL: the observed cell's class-label code on clean storage
-    — exactly :meth:`~repro.mining.dataset.ClassEncoder.encode_column`
+    — exactly :meth:`~repro.core.auditor.ColumnCache.observed_codes`
     restricted to convertible cells."""
     col = builder.col(attribute.name)
     null_code = class_encoder.null_code

@@ -19,6 +19,10 @@ Domain knowledge plugs in through :attr:`AuditorConfig.base_attributes`
 attribute, it can be removed from the set of base attributes") and
 :attr:`AuditorConfig.audited_attributes`.
 
+Both steps read a table through one encode-once column cache
+(:class:`FitColumnCache` for the fit, :class:`ColumnCache` for the
+check), the only code that turns raw cells into encoded arrays.
+
 Structure induction fans out per attribute: ``fit(table)`` fits the
 classifiers on ``AuditorConfig.fit_n_jobs`` threads (every usable core
 by default; :mod:`repro.core.parallel`) and produces the same serialized
@@ -79,13 +83,11 @@ class ColumnCache:
     same method. An audit keeps one cache per table.
 
     ``table`` may be a row-major :class:`~repro.schema.table.Table` or a
-    :class:`~repro.io.columnar.ColumnBatch` — the cache reads only the
-    shared surface (``schema`` / ``n_rows`` / ``column``) and probes the
-    batch's optional accelerator hooks (``numeric_view`` / ``null_mask``)
-    with ``getattr``, so encoding ordered columns off an Arrow-backed
-    batch never materializes Python cell values. Every accelerated lane
-    is value-identical to the encoder's own conversion (pinned by the
-    columnar parity suite).
+    :class:`~repro.io.columnar.ColumnBatch`: the cache reads only the
+    surface both share (``schema`` / ``n_rows`` / ``column``), and every
+    encoding starts from the raw cells ``column`` returns. This cache and
+    :class:`FitColumnCache` are the only code that turns raw cells into
+    encoded arrays.
     """
 
     __slots__ = ("table", "_raw", "_encoded", "_encoders", "_masks")
@@ -105,16 +107,6 @@ class ColumnCache:
     def schema(self) -> Schema:
         return self.table.schema
 
-    # -- accelerator-hook probes --------------------------------------------
-
-    def _numeric_view(self, name: str) -> Optional[np.ndarray]:
-        hook = getattr(self.table, "numeric_view", None)
-        return hook(name) if hook is not None else None
-
-    def _batch_null_mask(self, name: str) -> Optional[np.ndarray]:
-        hook = getattr(self.table, "null_mask", None)
-        return hook(name) if hook is not None else None
-
     # -- column views --------------------------------------------------------
 
     def raw(self, name: str) -> list:
@@ -131,10 +123,7 @@ class ColumnCache:
     def mask(self, name: str) -> np.ndarray:
         """The column's null mask (shared by its base and class encodings)."""
         if name not in self._masks:
-            batch_mask = self._batch_null_mask(name)
-            self._masks[name] = (
-                batch_mask if batch_mask is not None else null_mask(self.raw(name))
-            )
+            self._masks[name] = null_mask(self.raw(name))
         return self._masks[name]
 
     def encoded(self, name: str, encoder) -> np.ndarray:
@@ -143,16 +132,9 @@ class ColumnCache:
         if name not in self._encoded:
             if encoder.categorical:
                 self._encoded[name] = encoder.encode_column(self.raw(name))
-            else:
-                # the batch's ready float64 view is identical to the
-                # encode, which reads the column's shared null mask
-                view = self._numeric_view(name)
-                self._encoded[name] = (
-                    view
-                    if view is not None
-                    else encode_ordered_column(
-                        encoder.attribute, self.raw(name), self.mask(name)
-                    )
+            else:  # reads the column's shared null mask
+                self._encoded[name] = encode_ordered_column(
+                    encoder.attribute, self.raw(name), self.mask(name)
                 )
         return self._encoded[name]
 
@@ -198,9 +180,8 @@ class FitColumnCache(ColumnCache):
     :meth:`~ColumnCache.observed_codes`.
 
     :meth:`dataset_for` assembles a classifier's training view from the
-    shared arrays (:meth:`Dataset.from_shared
-    <repro.mining.dataset.Dataset.from_shared>`) — bit-identical to the
-    cell-at-a-time reference encoding the fit-parity suite keeps.
+    shared arrays — bit-identical to the cell-at-a-time reference
+    encoding the fit-parity suite keeps.
     A fit keeps one cache per table. Its dicts fill lazily and are not
     thread-safe, so every dataset is built before the fits fan out.
     """
@@ -214,27 +195,21 @@ class FitColumnCache(ColumnCache):
 
     def class_encoder(self, name: str) -> ClassEncoder:
         if name not in self._class_encoders:
-            attribute = self.table.schema.attribute(name)
-            if attribute.kind is AttributeKind.NOMINAL:
-                # nominal vocabularies come from the domain, not the data
-                self._class_encoders[name] = ClassEncoder(
-                    attribute, (), n_bins=self.n_bins
-                )
-            else:
+            attribute = self.schema.attribute(name)
+            view = ()  # nominal vocabularies come from the domain, not the data
+            if attribute.kind is not AttributeKind.NOMINAL:
                 numeric = self.encoded(name, self.base_encoder(name))
-                self._class_encoders[name] = ClassEncoder(
-                    attribute,
-                    (),
-                    n_bins=self.n_bins,
-                    numeric_view=numeric[~np.isnan(numeric)],
-                )
+                view = numeric[~np.isnan(numeric)]
+            self._class_encoders[name] = ClassEncoder(
+                attribute, n_bins=self.n_bins, numeric_view=view
+            )
         return self._class_encoders[name]
 
     def dataset_for(self, class_attr: str, base_attrs: Sequence[str]) -> Dataset:
         """One classifier's training view over the shared columns."""
         encoders = {name: self.base_encoder(name) for name in base_attrs}
         class_encoder = self.class_encoder(class_attr)
-        return Dataset.from_shared(
+        return Dataset(
             class_attr,
             base_attrs,
             encoders=encoders,
@@ -324,8 +299,8 @@ class AuditorConfig:
     fit_n_jobs: int = -1
 
     def __post_init__(self) -> None:
-        for name in ("n_bins", "fit_n_jobs"):
-            value = getattr(self, name)
+        counts = (("n_bins", self.n_bins), ("fit_n_jobs", self.fit_n_jobs))
+        for name, value in counts:
             if type(value) is bool or not isinstance(value, int):
                 raise InputError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.min_error_confidence < 1.0:

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.auditor import AuditorConfig, DataAuditor, refuse_reserved_labels
 from repro.errors import InputError, InputKeyError, decoding
-from repro.mining.dataset import ClassEncoder, Dataset
+from repro.mining.dataset import BaseEncoder, ClassEncoder, Dataset
 from repro.mining.intervals import ConfidenceBounds, IntervalMethod
 from repro.mining.tree.grow import PruningStrategy, TreeConfig
 from repro.mining.tree.node import Leaf, Node, NominalSplit, NumericSplit
@@ -285,7 +285,17 @@ def _classifier_from_dict(schema, class_attr: str, entry: Mapping[str, Any]) -> 
     class_encoder = ClassEncoder.from_state(
         schema.attribute(class_attr), entry["class_encoder"]
     )
-    dataset = Dataset.for_prediction(schema, class_attr, base_attrs, class_encoder)
+    # prediction needs the encoders and the class vocabulary, not the
+    # training columns
+    dataset = Dataset(
+        class_attr,
+        base_attrs,
+        encoders={name: BaseEncoder(schema.attribute(name)) for name in base_attrs},
+        columns={},
+        class_encoder=class_encoder,
+        y=np.empty(0, dtype=np.int64),
+        n_rows=0,
+    )
     classifier = TreeClassifier(_tree_config_from_dict(entry["tree_config"]))
     classifier.dataset = dataset
     classifier.root = _node_from_dict(entry["tree"], dataset, "root")

@@ -43,7 +43,6 @@ from repro.io.registry import (
     open_sink,
     open_source,
     read_table,
-    read_table_chunks,
     register_format,
     write_table,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "open_source",
     "open_sink",
     "read_table",
-    "read_table_chunks",
     "write_table",
     "CsvTableSource",
     "CsvTableSink",

@@ -8,7 +8,9 @@ relation held column-major, duck-typing the slice of the
 (``schema`` / ``n_rows`` / ``column(name)``), so it flows through
 :meth:`DataAuditor.audit <repro.core.auditor.DataAuditor.audit>` and
 :meth:`DataAuditor.fit <repro.core.auditor.DataAuditor.fit>` without
-ever constructing row lists.
+ever constructing row lists. A batch holds converted cells and nothing
+else: the column caches of :mod:`repro.core.auditor` do all the
+encoding.
 
 One lane
 --------
@@ -46,12 +48,8 @@ per backend, and the property suites pin this lane to it.
 from __future__ import annotations
 
 import datetime
-import operator
-from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
 
 from repro.io.cells import convert_row
 from repro.schema.schema import Schema
@@ -81,18 +79,10 @@ class ColumnBatch:
     (plain Python values — never NumPy scalars, so findings and rendered
     output stay byte-identical to a row-major table). The batch
     duck-types the table surface the encoding caches read (``schema``,
-    ``n_rows``, ``column``) and adds two optional accelerator hooks the
-    caches probe with ``getattr``:
-
-    * :meth:`null_mask` — the column's boolean null mask, cached;
-    * :meth:`numeric_view` — a ready float64 numeric view of an ordered
-      column, or ``None``. The base class always answers ``None``; the
-      Arrow-backed subclass (:class:`repro.io.parquet_backend.ArrowColumnBatch`)
-      serves zero-copy-derived views where they are provably
-      bit-identical to the encoder's own conversion.
+    ``n_rows``, ``column``); the caches do all the encoding.
     """
 
-    __slots__ = ("schema", "columns", "n_rows", "_masks")
+    __slots__ = ("schema", "columns", "n_rows")
 
     def __init__(
         self, schema: Schema, columns: dict[str, list], n_rows: Optional[int] = None
@@ -102,28 +92,12 @@ class ColumnBatch:
         if n_rows is None:
             n_rows = len(next(iter(columns.values()))) if columns else 0
         self.n_rows = n_rows
-        self._masks: dict[str, np.ndarray] = {}
 
     # -- the Table surface the caches consume -------------------------------
 
     def column(self, name: str) -> list:
         """Raw cell values of one column (the stored list, not a copy)."""
         return self.columns[name]
-
-    # -- accelerator hooks ---------------------------------------------------
-
-    def null_mask(self, name: str) -> np.ndarray:
-        """Boolean null mask of one column (cached per batch)."""
-        if name not in self._masks:
-            values = self.columns[name]
-            self._masks[name] = np.fromiter(
-                map(operator.is_, values, repeat(None)), dtype=bool, count=len(values)
-            )
-        return self._masks[name]
-
-    def numeric_view(self, name: str) -> Optional[np.ndarray]:
-        """Ready float64 view of an ordered column, or ``None`` (default)."""
-        return None
 
     # -- conversions ---------------------------------------------------------
 

@@ -16,30 +16,23 @@ the other backends guarantee.
 Reads stream record batches (``ParquetFile.iter_batches``), so chunked
 audits stay bounded-memory over arbitrarily large extracts.
 
-The columnar fast lane
-----------------------
+Lazy columns
+------------
 Parquet is the one backend whose storage is *already* column-major, so
 its :class:`ArrowColumnBatch` keeps the Arrow record batch itself and
-converts columns lazily on first access. Columns whose physical type is
-exactly what :class:`ParquetTableSink` writes (``string`` / ``date32`` /
-``int64`` / ``float64``) skip per-cell coercion entirely, and the
-encoding caches' :meth:`~ArrowColumnBatch.numeric_view` hook serves
-float64 views derived from the Arrow buffers without ever materializing
-Python objects for ordered columns. Every fast lane is only taken where
-it is provably value-identical to the per-cell conversion (int64→float64
-and date-ordinal arithmetic are exact or identically rounded); anything
-else — foreign physical types, non-finite floats — falls back to the
-per-cell lane, which replays rows in order so the error names the first
-bad cell in row order, as on every other backend.
+converts columns lazily on first access. A ``string``, ``date32`` or
+``int64`` column, as :class:`ParquetTableSink` writes them, is taken
+as ``to_pylist`` returns it. Any other column — ``float64``, whose
+cells need the finiteness check, and foreign physical types — converts
+cell by cell; a failing cell replays the rows in order, so the error
+names the first bad cell in row order, as on every other backend.
 """
 
 from __future__ import annotations
 
 import datetime
 from pathlib import Path
-from typing import Iterator, Optional, Union
-
-import numpy as np
+from typing import Iterator, Union
 
 from repro.errors import InputError
 from repro.io.base import TableSink, TableSource
@@ -50,11 +43,6 @@ from repro.schema.schema import Schema
 from repro.schema.types import AttributeKind, Value
 
 __all__ = ["ParquetTableSource", "ParquetTableSink", "ArrowColumnBatch"]
-
-#: ``date(1970, 1, 1).toordinal()`` — date32 stores days since the Unix
-#: epoch, the encoders ordinal days; the shift between them is exact in
-#: float64 for any representable date.
-_EPOCH_ORDINAL = 719163
 
 
 def _require_pyarrow():
@@ -103,13 +91,12 @@ class ArrowColumnBatch(ColumnBatch):
     record batch.
 
     Columns convert lazily on first :meth:`column` access (and the
-    conversion is cached); ordered columns served through
-    :meth:`numeric_view` never materialize Python cell values at all.
-    ``row_offset`` is the number of rows yielded by earlier batches of
-    the same stream, so error labels carry stream-global row numbers.
+    conversion is cached). ``row_offset`` is the number of rows yielded
+    by earlier batches of the same stream, so error labels carry
+    stream-global row numbers.
     """
 
-    __slots__ = ("_batch", "_row_offset", "_index", "_attrs", "_views")
+    __slots__ = ("_batch", "_row_offset", "_index", "_attrs")
 
     def __init__(self, schema: Schema, batch, row_offset: int = 0):
         super().__init__(schema, {}, batch.num_rows)
@@ -119,7 +106,6 @@ class ArrowColumnBatch(ColumnBatch):
             name: batch.schema.get_field_index(name) for name in schema.names
         }
         self._attrs = dict(zip(schema.names, schema.attributes))
-        self._views: dict[str, Optional[np.ndarray]] = {}
 
     # -- raw cell values (lazy) ---------------------------------------------
 
@@ -155,18 +141,6 @@ class ArrowColumnBatch(ColumnBatch):
         try:
             if self._fast_ok(arr.type, kind, integer):
                 return raw
-            import pyarrow as pa
-
-            if (
-                kind is AttributeKind.NUMERIC
-                and not integer
-                and pa.types.is_floating(arr.type)
-            ):
-                # float64 fast lane: one vectorized finiteness check
-                # replaces n per-cell check_finite calls
-                view = self.numeric_view(name)
-                if view is not None:
-                    return raw
         except Exception:  # pragma: no cover - pyarrow API drift
             pass
         try:
@@ -184,73 +158,6 @@ class ArrowColumnBatch(ColumnBatch):
         raws = [self._batch.column(self._index[n]).to_pylist() for n in names]
         for i, raw_row in enumerate(zip(*raws), start=1):
             convert_row(f"row {self._row_offset + i}", raw_row, converters, names)
-
-    # -- accelerator hooks ---------------------------------------------------
-
-    def null_mask(self, name: str) -> np.ndarray:
-        mask = self._masks.get(name)
-        if mask is None:
-            try:
-                arr = self._batch.column(self._index[name])
-                mask = np.ascontiguousarray(
-                    arr.is_null().to_numpy(zero_copy_only=False), dtype=bool
-                )
-            except Exception:  # pragma: no cover - pyarrow API drift
-                values = self.column(name)
-                mask = np.fromiter(
-                    (v is None for v in values), dtype=bool, count=len(values)
-                )
-            self._masks[name] = mask
-        return mask
-
-    def numeric_view(self, name: str) -> Optional[np.ndarray]:
-        if name not in self._views:
-            try:
-                view = self._compute_view(name)
-            except Exception:  # pragma: no cover - pyarrow API drift
-                view = None
-            self._views[name] = view
-        return self._views[name]
-
-    def _compute_view(self, name: str) -> Optional[np.ndarray]:
-        """Float64 view of an ordered column straight off the Arrow
-        buffers, or ``None`` when no provably-identical lane exists.
-
-        * int64 → float64: both Arrow's cast and Python's ``float(int)``
-          round to nearest, so the views agree bit-for-bit even beyond
-          2**53;
-        * float64: the buffer values *are* the converted floats, but a
-          non-finite non-null cell means the conversion would raise —
-          answer ``None`` so the caches fall back to :meth:`column`,
-          which raises the identical error;
-        * date32 → epoch days + 719163 == ``float(d.toordinal())``,
-          exact in float64 for every representable date.
-        """
-        import pyarrow as pa
-
-        arr = self._batch.column(self._index[name])
-        attribute = self._attrs[name]
-        if attribute.kind is AttributeKind.DATE:
-            if not pa.types.is_date32(arr.type):
-                return None
-            days = arr.cast(pa.int32()).to_numpy(zero_copy_only=False)
-            return days.astype(np.float64) + float(_EPOCH_ORDINAL)
-        if attribute.kind is not AttributeKind.NUMERIC:
-            return None
-        if pa.types.is_int64(arr.type):
-            out = arr.to_numpy(zero_copy_only=False)
-            # with nulls present pyarrow already hands back float64+NaN
-            return out if out.dtype == np.float64 else out.astype(np.float64)
-        if pa.types.is_float64(arr.type):
-            if getattr(attribute.domain, "integer", False):
-                return None  # integralness needs the per-cell walk
-            out = arr.to_numpy(zero_copy_only=False)
-            if out.dtype != np.float64:  # pragma: no cover - defensive
-                return None
-            if not np.isfinite(out[~self.null_mask(name)]).all():
-                return None  # force the raw lane, which raises
-            return out
-        return None
 
 
 class ParquetTableSource(TableSource):

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.errors import InputError
-from repro.io.base import DEFAULT_CHUNK_SIZE, TableSink, TableSource
+from repro.io.base import TableSink, TableSource
 from repro.io.csv_backend import CsvTableSink, CsvTableSource
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
 from repro.io.parquet_backend import ParquetTableSink, ParquetTableSource
@@ -49,7 +49,6 @@ __all__ = [
     "open_source",
     "open_sink",
     "read_table",
-    "read_table_chunks",
     "write_table",
 ]
 
@@ -169,20 +168,6 @@ def read_table(
     """Read a whole table from any registered format."""
     with open_source(schema, location, format=format, **options) as source:
         return source.read(validate=validate)
-
-
-def read_table_chunks(
-    schema: Schema,
-    location: Location,
-    *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    format: Optional[str] = None,
-    validate: bool = False,
-    **options,
-) -> Iterator[Table]:
-    """Stream a table from any registered format in bounded chunks."""
-    with open_source(schema, location, format=format, **options) as source:
-        yield from source.chunks(chunk_size, validate=validate)
 
 
 def write_table(

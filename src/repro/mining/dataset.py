@@ -20,8 +20,12 @@ The classifiers of sec. 5 all consume the same view of a table:
 
 The encoders convert whole columns at once — bulk NumPy casts for
 numeric columns, C-level ``map`` loops for nominal codes, null masks and
-date ordinals — for both the fit and the audit. The cell-at-a-time
-formulation
+date ordinals. Raw cells reach them only through the column caches of
+:mod:`repro.core.auditor` (``ColumnCache`` for the audit,
+``FitColumnCache`` for the fit), which encode each column once, fit
+class encoders on the numeric view, derive class codes from the base
+codes and assemble each classifier's :class:`Dataset` from the shared
+arrays. The cell-at-a-time formulation
 (:meth:`BaseEncoder.encode` / :meth:`ClassEncoder.code_of` per cell)
 lives on as the reference encoding in ``tests/reference_lanes.py``, and
 ``tests/test_fit_parity_property.py`` pins the two to bit-identical
@@ -44,7 +48,6 @@ import numpy as np
 from repro.mining.discretize import EqualFrequencyDiscretizer
 from repro.schema.attribute import Attribute
 from repro.schema.domain import NominalDomain
-from repro.schema.table import Table
 from repro.schema.types import AttributeKind, Value
 
 __all__ = [
@@ -184,30 +187,31 @@ class ClassEncoder:
     def __init__(
         self,
         attribute: Attribute,
-        values: Sequence[Value],
         *,
         n_bins: int = 10,
-        numeric_view: Optional[Sequence[float]] = None,
+        numeric_view: Sequence[float] = (),
     ):
+        """*numeric_view* holds the non-null numeric view of an ordered
+        class column, whose equal-frequency bins become the labels; a
+        nominal class takes its labels from the domain."""
+        discretizer = None
+        if attribute.kind is not AttributeKind.NOMINAL and len(numeric_view):
+            bins = max(2, min(n_bins, _distinct_count(numeric_view)))
+            discretizer = EqualFrequencyDiscretizer(bins).fit(numeric_view)
+        self._set_vocabulary(attribute, discretizer)
+
+    def _set_vocabulary(
+        self, attribute: Attribute, discretizer: Optional[EqualFrequencyDiscretizer]
+    ) -> None:
         self.attribute = attribute
-        self.discretizer: Optional[EqualFrequencyDiscretizer] = None
-        if attribute.kind is AttributeKind.NOMINAL:
-            domain: NominalDomain = attribute.domain  # type: ignore[assignment]
-            self._value_to_label = {value: value for value in domain.values}
-        else:
-            if numeric_view is None:
-                numeric = encode_ordered_column(attribute, values, null_mask(values))
-                numeric_view = numeric[~np.isnan(numeric)]
-            if len(numeric_view):
-                bins = max(2, min(n_bins, _distinct_count(numeric_view)))
-                self.discretizer = EqualFrequencyDiscretizer(bins).fit(numeric_view)
-            self._value_to_label = {}
-        self.labels = _vocabulary(attribute, self.discretizer)
+        self.discretizer = discretizer
+        self.labels = _vocabulary(attribute, discretizer)
         self._label_codes = {label: i for i, label in enumerate(self.labels)}
-        self._value_codes = {
-            value: self._label_codes[label]
-            for value, label in self._value_to_label.items()
-        }
+        self._value_to_label = (
+            {value: value for value in attribute.domain.values}  # type: ignore[attr-defined]
+            if attribute.kind is AttributeKind.NOMINAL
+            else {}
+        )
 
     @property
     def n_labels(self) -> int:
@@ -237,23 +241,6 @@ class ClassEncoder:
 
     def code_of(self, value: Value) -> int:
         return self._label_codes[self.label_of(value)]
-
-    def code_of_label(self, label: str) -> int:
-        return self._label_codes[label]
-
-    def encode_column(self, values: Sequence[Value]) -> np.ndarray:
-        """Vectorized class encoding of a whole column (bit-identical to
-        the per-cell :meth:`code_of` loop, pinned by the parity suite)."""
-        if self.attribute.kind is AttributeKind.NOMINAL:
-            lookup = {None: self.null_code, **self._value_codes}
-            return np.fromiter(
-                map(lookup.get, values, repeat(self.unknown_code)),
-                dtype=np.int64,
-                count=len(values),
-            )
-        mask = null_mask(values)
-        numeric = encode_ordered_column(self.attribute, values, mask)
-        return self.encode_from_numeric(numeric, mask)
 
     def encode_from_numeric(
         self, numeric: np.ndarray, mask: np.ndarray
@@ -290,33 +277,21 @@ class ClassEncoder:
         unless the stored labels are exactly the vocabulary the attribute
         and discretizer define, so every class code the encoder produces
         names a label."""
-        instance = cls.__new__(cls)
-        instance.attribute = attribute
         discretizer_state = state.get("discretizer")
-        instance.discretizer = (
+        discretizer = (
             EqualFrequencyDiscretizer.from_state(discretizer_state)
             if discretizer_state
             else None
         )
-        if instance.discretizer is not None and attribute.kind is AttributeKind.NOMINAL:
+        if discretizer is not None and attribute.kind is AttributeKind.NOMINAL:
             raise ValueError(f"nominal class attribute {attribute.name!r} has a discretizer")
-        instance.labels = _vocabulary(attribute, instance.discretizer)
+        instance = cls.__new__(cls)
+        instance._set_vocabulary(attribute, discretizer)
         if list(state["labels"]) != list(instance.labels):
             raise ValueError(
                 f"class labels {state['labels']!r} of {attribute.name!r} are not "
                 f"its vocabulary {list(instance.labels)!r}"
             )
-        instance._label_codes = {label: i for i, label in enumerate(instance.labels)}
-        if attribute.kind is AttributeKind.NOMINAL:
-            instance._value_to_label = {
-                value: value for value in attribute.domain.values  # type: ignore[attr-defined]
-            }
-        else:
-            instance._value_to_label = {}
-        instance._value_codes = {
-            value: instance._label_codes[label]
-            for value, label in instance._value_to_label.items()
-        }
         return instance
 
     def proposal_for(self, label: str) -> Value:
@@ -369,47 +344,22 @@ def _distinct_count(view) -> int:
 
 
 class Dataset:
-    """One classifier's training view: encoded base columns + class codes.
+    """One classifier's view: base encoders and encoded base columns,
+    the class encoder and the class codes.
 
     All rows are retained — null and out-of-domain class values are
     legitimate labels (see module docstring), so nothing is silently
-    dropped.
+    dropped. A dataset holds arrays encoded elsewhere: the fit's
+    :class:`repro.core.auditor.FitColumnCache` encodes every column of a
+    table once and shares the arrays, read-only, with every classifier's
+    dataset. The model loader builds one with no columns and no rows:
+    prediction needs only the encoders and the class vocabulary, so a
+    persisted model reloads without its training table (sec. 2.2's
+    asynchronous auditing).
     """
 
     def __init__(
         self,
-        table: Table,
-        class_attr: str,
-        base_attrs: Sequence[str],
-        *,
-        n_bins: int = 10,
-    ):
-        schema = table.schema
-        self.class_attr = class_attr
-        self.base_attrs = tuple(base_attrs)
-        if class_attr in self.base_attrs:
-            raise ValueError("class attribute cannot be one of its base attributes")
-        self.encoders: dict[str, BaseEncoder] = {
-            name: BaseEncoder(schema.attribute(name)) for name in self.base_attrs
-        }
-        self.columns: dict[str, np.ndarray] = {
-            name: self.encoders[name].encode_column(table.column(name))
-            for name in self.base_attrs
-        }
-        class_values = table.column(class_attr)
-        self.class_encoder = ClassEncoder(
-            schema.attribute(class_attr), class_values, n_bins=n_bins
-        )
-        self.y: np.ndarray = self.class_encoder.encode_column(class_values)
-        self.n_rows = table.n_rows
-
-    @property
-    def n_labels(self) -> int:
-        return self.class_encoder.n_labels
-
-    @classmethod
-    def from_shared(
-        cls,
         class_attr: str,
         base_attrs: Sequence[str],
         *,
@@ -418,50 +368,17 @@ class Dataset:
         class_encoder: ClassEncoder,
         y: np.ndarray,
         n_rows: int,
-    ) -> "Dataset":
-        """Assemble a dataset from pre-encoded shared columns.
-
-        The fit fan-out (:class:`repro.core.auditor.FitColumnCache`)
-        encodes every column of a table exactly once; each per-attribute
-        classifier then gets a dataset view referencing those shared
-        arrays instead of re-encoding its own copy — the same
-        one-encode-per-column discipline the audit path uses. Arrays are
-        shared read-only, never copied.
-        """
-        instance = cls.__new__(cls)
-        instance.class_attr = class_attr
-        instance.base_attrs = tuple(base_attrs)
-        if class_attr in instance.base_attrs:
+    ):
+        self.class_attr = class_attr
+        self.base_attrs = tuple(base_attrs)
+        if class_attr in self.base_attrs:
             raise ValueError("class attribute cannot be one of its base attributes")
-        instance.encoders = {name: encoders[name] for name in instance.base_attrs}
-        instance.columns = {name: columns[name] for name in instance.base_attrs}
-        instance.class_encoder = class_encoder
-        instance.y = y
-        instance.n_rows = n_rows
-        return instance
+        self.encoders = dict(encoders)
+        self.columns = dict(columns)
+        self.class_encoder = class_encoder
+        self.y = y
+        self.n_rows = n_rows
 
-    @classmethod
-    def for_prediction(
-        cls,
-        schema,
-        class_attr: str,
-        base_attrs: Sequence[str],
-        class_encoder: ClassEncoder,
-    ) -> "Dataset":
-        """A column-less dataset usable only for prediction.
-
-        The asynchronous auditing workflow (sec. 2.2) persists fitted
-        models and reloads them without the training table; prediction
-        needs the encoders and class vocabulary, not the training columns.
-        """
-        instance = cls.__new__(cls)
-        instance.class_attr = class_attr
-        instance.base_attrs = tuple(base_attrs)
-        instance.encoders = {
-            name: BaseEncoder(schema.attribute(name)) for name in instance.base_attrs
-        }
-        instance.columns = {}
-        instance.class_encoder = class_encoder
-        instance.y = np.empty(0, dtype=np.int64)
-        instance.n_rows = 0
-        return instance
+    @property
+    def n_labels(self) -> int:
+        return self.class_encoder.n_labels

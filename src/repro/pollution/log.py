@@ -184,14 +184,6 @@ class PollutionLog:
         """(dirty row index, attribute) pairs of all net-changed cells."""
         return set(self.net_cell_changes())
 
-    def changes_by_row(self) -> dict[int, list[CellChange]]:
-        """Raw cell-change events grouped by dirty row index (events, not
-        net effects — see :meth:`net_cell_changes`)."""
-        grouped: dict[int, list[CellChange]] = {}
-        for change in self.cell_changes:
-            grouped.setdefault(change.row, []).append(change)
-        return grouped
-
     # -- persistence ---------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -24,7 +24,6 @@ decision tree) without special-casing.
 
 from __future__ import annotations
 
-import bisect
 import datetime
 import random
 from abc import ABC, abstractmethod
@@ -270,26 +269,3 @@ class DateDomain(Domain):
 
     def __repr__(self) -> str:
         return f"DateDomain({self.start.isoformat()}, {self.end.isoformat()})"
-
-
-def _check_sorted(values: Sequence[float]) -> None:  # pragma: no cover - helper for debugging
-    for a, b in zip(values, values[1:]):
-        if a > b:
-            raise AssertionError("values not sorted")
-
-
-def nearest_in(values: Sequence[float], target: float) -> float:
-    """Return the element of the sorted *values* closest to *target*.
-
-    Utility used when a numeric-view value must be snapped back onto a
-    discrete set (e.g. integer domains after averaging).
-    """
-    if not values:
-        raise ValueError("empty value sequence")
-    pos = bisect.bisect_left(values, target)
-    candidates = []
-    if pos > 0:
-        candidates.append(values[pos - 1])
-    if pos < len(values):
-        candidates.append(values[pos])
-    return min(candidates, key=lambda v: abs(v - target))

@@ -26,8 +26,6 @@ __all__ = [
     "Value",
     "NULL",
     "is_null",
-    "is_ordered_kind",
-    "kind_of_value",
 ]
 
 
@@ -60,29 +58,3 @@ NULL = None
 def is_null(value: Value) -> bool:
     """Return ``True`` iff *value* is the null marker."""
     return value is None
-
-
-def is_ordered_kind(kind: AttributeKind) -> bool:
-    """Return ``True`` iff *kind* supports ordering comparisons."""
-    return kind.is_ordered
-
-
-def kind_of_value(value: Value) -> AttributeKind:
-    """Infer the :class:`AttributeKind` of a non-null Python value.
-
-    Raises
-    ------
-    TypeError
-        If *value* is null or of an unsupported Python type.
-    """
-    if value is None:
-        raise TypeError("null has no attribute kind")
-    if isinstance(value, bool):
-        raise TypeError("bool is not a supported cell type")
-    if isinstance(value, str):
-        return AttributeKind.NOMINAL
-    if isinstance(value, (int, float)):
-        return AttributeKind.NUMERIC
-    if isinstance(value, datetime.date):
-        return AttributeKind.DATE
-    raise TypeError(f"unsupported cell type: {type(value).__name__}")

@@ -39,7 +39,7 @@ from typing import Any, Iterator, Mapping, Optional
 
 from repro.core.auditor import AuditorConfig, DataAuditor
 from repro.core.findings import Finding, StreamReport, findings_to_table
-from repro.core.session import AuditRun, AuditSession
+from repro.core.session import AuditSession
 from repro.errors import InputError
 from repro.io.base import DEFAULT_CHUNK_SIZE
 from repro.io.jsonl_backend import JsonlTableSink, JsonlTableSource
@@ -82,13 +82,21 @@ def _require(payload: Mapping[str, Any], key: str) -> Any:
         raise InputError(f"request body is missing the {key!r} field") from None
 
 
+def _refuse_nul(key: str, value: str) -> str:
+    """*value*, the body's *key*, which names a file: a 400 when it holds
+    a NUL byte, which no path can."""
+    if "\x00" in value:
+        raise InputError(f"{key!r} must not contain a NUL byte, got {value!r}")
+    return value
+
+
 def _require_location(payload: Mapping[str, Any]) -> str:
     """The body's ``source``, which must be a location string (an integer
     would open as a file descriptor)."""
     location = _require(payload, "source")
     if not isinstance(location, str):
         raise InputError(f"'source' must be a location string, got {location!r}")
-    return location
+    return _refuse_nul("source", location)
 
 
 def _optional(
@@ -296,30 +304,17 @@ class AuditService:
             while len(self._model_cache) > _MODEL_CACHE_SIZE:
                 self._model_cache.popitem(last=False)
 
-    def _table_from_rows(self, auditor: DataAuditor, rows: list) -> Table:
-        """Parse an inline ``rows`` payload through the JSONL backend, so
-        inline audits get the same strict schema-driven coercion (and
-        the same error messages) as stored tables."""
-        if not isinstance(rows, list):
-            raise InputError("'rows' must be a list of JSON objects")
-        # NaN/Infinity cells render as JSON's NaN/Infinity constants, which
-        # the reader refuses with the line and attribute named
-        text = "".join(json.dumps(row) + "\n" for row in rows)
-        try:
-            with JsonlTableSource(auditor.schema, io.StringIO(text)) as source:
-                return source.read()
-        except InputError as exc:
-            raise InputError(f"invalid rows payload: {exc}") from exc
-
     def audit(self, payload: Mapping[str, Any]) -> tuple[dict[str, Any], Iterator[str]]:
         """Audit a stored table or an inline row payload.
 
         Body: ``{"model": "name[@ref]"}`` plus exactly one of
         ``"source"`` (a server-side ``repro.io`` location, optionally
         with ``"format"``, which overrides format detection as in
-        ``POST /fit``) or ``"rows"`` (inline JSON objects); optional
-        ``"chunk_size"`` (default ``DEFAULT_CHUNK_SIZE``), and ``"engine":
-        "sql"`` is handed to :meth:`AuditSession.audit_source
+        ``POST /fit``) or ``"rows"`` (inline JSON objects, read as JSONL
+        text with a stored table's strict coercion and error messages);
+        optional ``"chunk_size"`` (default ``DEFAULT_CHUNK_SIZE``, for
+        either input), and ``"engine": "sql"`` is handed to
+        :meth:`AuditSession.audit_source
         <repro.core.session.AuditSession.audit_source>`, which pushes
         the deviation screen into the database when the source is a
         SQLite table and the model compiles. The summary's ``engine``
@@ -346,37 +341,35 @@ class AuditService:
         if engine not in ("memory", "sql"):
             raise InputError(f"'engine' must be 'memory' or 'sql', got {engine!r}")
         if has_rows:
-            table = self._table_from_rows(auditor, payload["rows"])
-            report = session.audit(table)
-            findings = report.findings  # already ranked
-            # inline rows are never a SQLite table
-            notice = AuditRun.NOT_SQLITE if engine == "sql" else None
-            engine = "memory"
+            rows = payload["rows"]
+            if not isinstance(rows, list):
+                raise InputError("'rows' must be a list of JSON objects")
+            failure = "invalid rows payload"
         else:
             location = _require_location(payload)
-            report = StreamReport(auditor.config.min_error_confidence)
-            try:
-                with open_source(
-                    auditor.schema, location, format=payload.get("format")
-                ) as source:
-                    run = session.audit_source(
-                        source, chunk_size=chunk_size, engine=engine
-                    )
-                    for chunk_report in run:
-                        report.extend(chunk_report)
-            except (OSError, InputError) as exc:
-                raise InputError(f"cannot audit source {location!r}: {exc}") from exc
-            engine, notice = run.engine, run.notice
-            findings = report.ranked_findings()
+            failure = f"cannot audit source {location!r}"
+        report = StreamReport(auditor.config.min_error_confidence)
+        try:
+            with (
+                _rows_source(auditor.schema, rows)
+                if has_rows
+                else open_source(auditor.schema, location, format=payload.get("format"))
+            ) as source:
+                run = session.audit_source(source, chunk_size=chunk_size, engine=engine)
+                for chunk_report in run:
+                    report.extend(chunk_report)
+        except (OSError, InputError) as exc:
+            raise InputError(f"{failure}: {exc}") from exc
+        findings = report.ranked_findings()
         summary = {
             "model": version.ref,
             "rows": report.n_rows,
             "findings": len(findings),
             "suspicious": report.n_suspicious,
-            "engine": engine,
+            "engine": run.engine,
         }
-        if notice is not None:
-            summary["notice"] = notice
+        if run.notice is not None:
+            summary["notice"] = run.notice
         return summary, _findings_jsonl(findings)
 
     # -- GET/POST /monitors --------------------------------------------------
@@ -407,6 +400,7 @@ class AuditService:
         name = _require(payload, "name")
         if not isinstance(name, str) or not name or "/" in name:
             raise InputError("'name' must be a non-empty string without '/'")
+        _refuse_nul("name", name)
         ref = _require(payload, "model")
         source = _require_location(payload)
         try:
@@ -420,6 +414,9 @@ class AuditService:
                 _model_name("refit_name", refit_name)
             state = _optional(payload, "state", str)
             findings = _optional(payload, "findings", str)
+            for key, path in (("state", state), ("findings", findings)):
+                if path is not None:
+                    _refuse_nul(key, path)
         except InputError as exc:
             raise InputError(f"cannot start monitor {name!r}: {exc}") from None
         with self._monitors_lock:
@@ -500,6 +497,15 @@ class AuditService:
     def mark_request(self) -> None:
         """Count one served request (called by the transport)."""
         self.requests_served += 1
+
+
+def _rows_source(schema, rows: list) -> JsonlTableSource:
+    """An inline ``rows`` payload as a JSONL source: the chunked audit
+    reads it like a stored table, errors named by line and attribute."""
+    # NaN/Infinity cells render as JSON's NaN/Infinity constants, which
+    # the reader refuses with the line and attribute named
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    return JsonlTableSource(schema, io.StringIO(text))
 
 
 def _findings_jsonl(findings: list[Finding]) -> Iterator[str]:

@@ -22,8 +22,8 @@ here:
   :meth:`BaseEncoder.encode <repro.mining.dataset.BaseEncoder.encode>`
   and :meth:`ClassEncoder.code_of
   <repro.mining.dataset.ClassEncoder.code_of>`, with class bins fitted
-  on the per-cell numeric view, and assembled with
-  :meth:`Dataset.from_shared <repro.mining.dataset.Dataset.from_shared>`,
+  on the per-cell numeric view, and assembled by the
+  :class:`~repro.mining.dataset.Dataset` constructor,
   and its trees grown by the **recursive grower**
   (:func:`reference_grow`): one node at a time, each numeric column
   argsorted per node and every boundary scored from a dense one-hot
@@ -246,7 +246,7 @@ def reference_dataset(table, class_attr: str, base_attrs, n_bins: int) -> Datase
     attribute = schema.attribute(class_attr)
     values = table.column(class_attr)
     if attribute.kind is AttributeKind.NOMINAL:
-        class_encoder = ClassEncoder(attribute, (), n_bins=n_bins)
+        class_encoder = ClassEncoder(attribute, n_bins=n_bins)
     else:
         # per-cell numeric view: to_number of every orderable non-null cell
         view = [
@@ -254,9 +254,9 @@ def reference_dataset(table, class_attr: str, base_attrs, n_bins: int) -> Datase
             for value in values
             if value is not None and _orderable(attribute, value)
         ]
-        class_encoder = ClassEncoder(attribute, (), n_bins=n_bins, numeric_view=view)
+        class_encoder = ClassEncoder(attribute, n_bins=n_bins, numeric_view=view)
     y = np.asarray([class_encoder.code_of(value) for value in values], dtype=np.int64)
-    return Dataset.from_shared(
+    return Dataset(
         class_attr,
         base_attrs,
         encoders=encoders,

@@ -88,9 +88,9 @@ def audited_columns(draw):
     if attribute.kind.is_ordered:
         numbers = map(BaseEncoder(attribute).encode, column)
         view = [number for number in numbers if not np.isnan(number)]
-        encoder = ClassEncoder(attribute, (), n_bins=n_bins, numeric_view=view)
+        encoder = ClassEncoder(attribute, n_bins=n_bins, numeric_view=view)
     else:
-        encoder = ClassEncoder(attribute, (), n_bins=n_bins)
+        encoder = ClassEncoder(attribute, n_bins=n_bins)
     return attribute, column, encoder
 
 

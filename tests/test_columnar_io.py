@@ -99,16 +99,6 @@ class TestColumnBatch:
         assert batch.n_rows == 0
         assert batch.to_table().rows == []
 
-    def test_null_mask_cached(self, schema, table):
-        batch = ColumnBatch.from_table(table)
-        mask = batch.null_mask("N")
-        assert mask.dtype == bool
-        assert mask.tolist() == [v is None for v in table.column("N")]
-        assert batch.null_mask("N") is mask  # cached
-
-    def test_numeric_view_defaults_to_none(self, schema, table):
-        assert ColumnBatch.from_table(table).numeric_view("F") is None
-
     def test_concat(self, schema, table):
         whole = ColumnBatch.from_table(table)
         parts = [

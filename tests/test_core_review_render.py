@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro.core import AuditorConfig, DataAuditor, DecisionKind, ReviewSession
-from repro.mining import Dataset, TreeClassifier, TreeConfig
+from repro.mining import TreeClassifier, TreeConfig
 from repro.mining.tree import render_tree
 from repro.schema import Schema, Table, nominal, numeric
+from tests.datasets import training_dataset
 
 
 def _world(n=1000, seed=31):
@@ -140,7 +141,7 @@ class TestRenderTree:
         for _ in range(600):
             n = rng.randint(0, 100)
             rows.append(["low" if n < 50 else "high", n])
-        dataset = Dataset(Table(schema, rows), "B", ["N"])
+        dataset = training_dataset(Table(schema, rows), "B", ["N"])
         classifier = TreeClassifier(TreeConfig())
         classifier.fit(dataset)
         text = render_tree(classifier.root, dataset)

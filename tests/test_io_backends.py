@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import AuditorConfig, AuditReport, AuditSession, DataAuditor
 from repro.io import (
+    DEFAULT_CHUNK_SIZE,
     CsvTableSink,
     CsvTableSource,
     JsonlTableSink,
@@ -28,7 +29,6 @@ from repro.io import (
     open_sink,
     open_source,
     read_table,
-    read_table_chunks,
     write_table,
 )
 from repro.io.sqlite_backend import parse_sqlite_url
@@ -69,6 +69,12 @@ def table(schema) -> Table:
 
 
 BACKEND_PATHS = ["t.csv", "t.jsonl", "t.db"]
+
+
+def _read_chunks(schema, location, chunk_size=DEFAULT_CHUNK_SIZE) -> list:
+    """Every chunk of the table stored at *location*."""
+    with open_source(schema, location) as source:
+        return list(source.chunks(chunk_size))
 
 
 class TestRegistry:
@@ -134,7 +140,7 @@ class TestRoundTrips:
     def test_chunked_reads_concatenate(self, tmp_path, schema, table, name, chunk_size):
         path = tmp_path / name
         write_table(table, path)
-        chunks = list(read_table_chunks(schema, path, chunk_size=chunk_size))
+        chunks = _read_chunks(schema, path, chunk_size)
         assert all(chunk.n_rows <= chunk_size for chunk in chunks)
         merged = Table(schema, [row for chunk in chunks for row in chunk.rows])
         assert merged == table
@@ -155,7 +161,7 @@ class TestRoundTrips:
         write_table(Table(schema), path)
         back = read_table(schema, path)
         assert back.n_rows == 0 and back.schema == schema
-        assert list(read_table_chunks(schema, path)) == []
+        assert _read_chunks(schema, path) == []
 
     def test_sink_rejects_mismatched_chunk_schema(self, tmp_path, schema, table):
         other = Schema([nominal("Z", ["a"])])
@@ -166,7 +172,7 @@ class TestRoundTrips:
     def test_chunk_size_validated(self, tmp_path, schema, table):
         write_table(table, tmp_path / "t.csv")
         with pytest.raises(ValueError, match="chunk_size"):
-            list(read_table_chunks(schema, tmp_path / "t.csv", chunk_size=0))
+            _read_chunks(schema, tmp_path / "t.csv", 0)
 
 
 class TestSqliteBackend:
@@ -413,7 +419,7 @@ class TestParquetGating:
         with open_sink(schema, path) as sink:
             sink.write_chunk(table.head(2))
             sink.write_chunk(Table(schema, table.rows[2:]))
-        chunks = list(read_table_chunks(schema, path, chunk_size=3))
+        chunks = _read_chunks(schema, path, 3)
         total = sum(chunk.n_rows for chunk in chunks)
         assert total == table.n_rows
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.mining import (
     AttributeClassifier,
+    BaseEncoder,
     ClassEncoder,
     KnnClassifier,
     Leaf,
@@ -29,6 +30,7 @@ from repro.mining import (
 from repro.mining.base import batch_length
 from repro.mining.dataset import Dataset
 from repro.schema import Schema, Table, date, nominal, numeric
+from tests.datasets import training_dataset
 from tests.reference_lanes import reference_predict
 
 CLASSIFIER_FACTORIES = {
@@ -80,7 +82,9 @@ def table():
 def datasets(table):
     names = list(table.schema.names)
     return {
-        class_attr: Dataset(table, class_attr, [n for n in names if n != class_attr])
+        class_attr: training_dataset(
+            table, class_attr, [n for n in names if n != class_attr]
+        )
         for class_attr in names
     }
 
@@ -152,8 +156,14 @@ def test_hand_built_tree_blends_at_two_levels():
         on_n.counts + b_leaf.counts, "A", {0: on_n, 1: b_leaf}, {0: 0.75, 1: 0.25}
     )
     classifier = TreeClassifier()
-    classifier.dataset = Dataset.for_prediction(
-        schema, "C", ["A", "N"], ClassEncoder(schema.attribute("C"), [])
+    classifier.dataset = Dataset(
+        "C",
+        ["A", "N"],
+        encoders={name: BaseEncoder(schema.attribute(name)) for name in ("A", "N")},
+        columns={},
+        class_encoder=ClassEncoder(schema.attribute("C")),
+        y=np.empty(0, dtype=np.int64),
+        n_rows=0,
     )
     classifier.root = root
     cases = [  # (A, N) -> P(x), P(y), support
@@ -249,7 +259,7 @@ def test_every_family_matches_its_reference_on_fresh_columns(data):
     unpruned trees, so blends nest."""
     train, fresh, class_attr = data
     base = [name for name in train.schema.names if name != class_attr]
-    dataset = Dataset(train, class_attr, base)
+    dataset = training_dataset(train, class_attr, base)
     columns = {
         name: dataset.encoders[name].encode_column(fresh.column(name))
         for name in base

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.mining import (
-    Dataset,
     KnnClassifier,
     NaiveBayesClassifier,
     OneRClassifier,
     PrismClassifier,
 )
 from repro.schema import Schema, Table, nominal, numeric
+from tests.datasets import training_dataset
 from tests.reference_lanes import predict_record
 
 
@@ -36,7 +36,7 @@ def _dependency_table(n=1200, noise=0.03, seed=11):
 
 @pytest.fixture
 def dataset():
-    return Dataset(_dependency_table(), "B", ["A", "N"])
+    return training_dataset(_dependency_table(), "B", ["A", "N"])
 
 
 ALL_CLASSIFIERS = [

@@ -16,6 +16,7 @@ from repro.mining import (
     EqualFrequencyDiscretizer,
 )
 from repro.schema import Schema, Table, date, nominal, numeric
+from tests.datasets import training_dataset
 
 
 class TestEqualFrequencyDiscretizer:
@@ -119,41 +120,45 @@ class TestBaseEncoder:
 
 class TestClassEncoder:
     def test_nominal_labels(self, schema):
-        encoder = ClassEncoder(schema.attribute("A"), ["a", "b", None])
+        encoder = ClassEncoder(schema.attribute("A"))
         assert encoder.labels == ("a", "b", "c", NULL_LABEL, UNKNOWN_LABEL)
         assert encoder.label_of("b") == "b"
         assert encoder.label_of(None) == NULL_LABEL
         assert encoder.label_of("weird") == UNKNOWN_LABEL
 
     def test_numeric_class_is_binned(self, schema):
-        values = list(range(100))
-        encoder = ClassEncoder(schema.attribute("N"), values, n_bins=4)
+        encoder = ClassEncoder(
+            schema.attribute("N"), n_bins=4, numeric_view=list(range(100))
+        )
         assert encoder.discretizer is not None
         assert len(encoder.labels) == encoder.discretizer.n_bins + 2
         assert encoder.label_of(None) == NULL_LABEL
 
     def test_numeric_proposal_is_representative(self, schema):
-        values = list(range(101))
-        encoder = ClassEncoder(schema.attribute("N"), values, n_bins=4)
+        encoder = ClassEncoder(
+            schema.attribute("N"), n_bins=4, numeric_view=list(range(101))
+        )
         label = encoder.label_of(10)
         proposal = encoder.proposal_for(label)
         assert isinstance(proposal, int)
         assert 0 <= proposal <= 30
 
     def test_nominal_proposal_is_value(self, schema):
-        encoder = ClassEncoder(schema.attribute("A"), ["a"])
+        encoder = ClassEncoder(schema.attribute("A"))
         assert encoder.proposal_for("a") == "a"
         assert encoder.proposal_for(NULL_LABEL) is None
 
     def test_date_class(self, schema):
-        values = [datetime.date(2000, m, 15) for m in range(1, 13)]
-        encoder = ClassEncoder(schema.attribute("D"), values, n_bins=3)
+        ordinals = [datetime.date(2000, m, 15).toordinal() for m in range(1, 13)]
+        encoder = ClassEncoder(schema.attribute("D"), n_bins=3, numeric_view=ordinals)
         label = encoder.label_of(datetime.date(2000, 2, 1))
         proposal = encoder.proposal_for(label)
         assert isinstance(proposal, datetime.date)
 
     def test_state_roundtrip(self, schema):
-        encoder = ClassEncoder(schema.attribute("N"), list(range(50)), n_bins=5)
+        encoder = ClassEncoder(
+            schema.attribute("N"), n_bins=5, numeric_view=list(range(50))
+        )
         clone = ClassEncoder.from_state(schema.attribute("N"), encoder.to_state())
         for value in (None, 3, 25, 49, "garbage"):
             assert clone.label_of(value) == encoder.label_of(value)
@@ -170,7 +175,7 @@ class TestDataset:
                 ["zzz", 99, datetime.date(2000, 11, 11)],
             ],
         )
-        dataset = Dataset(table, "A", ["N", "D"])
+        dataset = training_dataset(table, "A", ["N", "D"])
         assert dataset.n_rows == 3
         assert dataset.y[0] == dataset.class_encoder.code_of("a")
         assert dataset.y[1] == dataset.class_encoder.null_code
@@ -179,10 +184,18 @@ class TestDataset:
     def test_class_attr_not_in_base(self, schema):
         table = Table(schema, [["a", 5, datetime.date(2000, 2, 2)]])
         with pytest.raises(ValueError):
-            Dataset(table, "A", ["A", "N"])
+            training_dataset(table, "A", ["A", "N"])
 
     def test_for_prediction_needs_no_table(self, schema):
-        encoder = ClassEncoder(schema.attribute("A"), ["a", "b"])
-        dataset = Dataset.for_prediction(schema, "A", ["N", "D"], encoder)
+        # how the model loader builds a reloaded classifier's dataset
+        dataset = Dataset(
+            "A",
+            ["N", "D"],
+            encoders={name: BaseEncoder(schema.attribute(name)) for name in "ND"},
+            columns={},
+            class_encoder=ClassEncoder(schema.attribute("A")),
+            y=np.empty(0, dtype=np.int64),
+            n_rows=0,
+        )
         assert dataset.encoders["N"].encode_column([5])[0] == 5.0
         assert np.isnan(dataset.encoders["D"].encode_column([None])[0])

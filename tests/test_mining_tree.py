@@ -7,7 +7,6 @@ import pytest
 
 from repro.mining import (
     ConfidenceBounds,
-    Dataset,
     Leaf,
     PruningStrategy,
     TreeClassifier,
@@ -22,6 +21,7 @@ from repro.mining.tree.prune import (
     subtree_expected_error_confidence,
 )
 from repro.schema import Schema, Table, nominal, numeric
+from tests.datasets import training_dataset
 from tests.reference_lanes import predict_record
 
 BOUNDS = ConfidenceBounds(0.95)
@@ -63,7 +63,7 @@ def table():
 
 @pytest.fixture
 def dataset(table):
-    return Dataset(table, "B", ["A", "N"])
+    return training_dataset(table, "B", ["A", "N"])
 
 
 class TestGrowth:
@@ -83,7 +83,7 @@ class TestGrowth:
         for _ in range(1000):
             n = rng.randint(0, 100)
             rows.append(["low" if n < 50 else "high", n])
-        tree = _fitted_tree(Dataset(Table(schema, rows), "B", ["N"]))
+        tree = _fitted_tree(training_dataset(Table(schema, rows), "B", ["N"]))
         for value, expected in [(10, "low"), (49, "low"), (51, "high"), (90, "high")]:
             label, _, _ = predict_record(tree, {"N": value})
             assert label == expected
@@ -104,7 +104,7 @@ class TestGrowth:
 
     def test_pure_data_single_split(self):
         table = _make_table(600, RULE, noise=0.0, seed=3)
-        dataset = Dataset(table, "B", ["A", "N"])
+        dataset = training_dataset(table, "B", ["A", "N"])
         root = grow_tree(dataset, TreeConfig(bounds=BOUNDS))
         assert root.depth() == 2  # one split on A, pure leaves
 
@@ -126,7 +126,7 @@ class TestMissingValues:
             a = rng.choice(["a", "b", None])
             b = ("x" if a == "a" else "y") if a else rng.choice(["x", "y"])
             rows.append([a, b])
-        tree = _fitted_tree(Dataset(Table(schema, rows), "B", ["A"]))
+        tree = _fitted_tree(training_dataset(Table(schema, rows), "B", ["A"]))
         label, _, _ = predict_record(tree, {"A": "a"})
         assert label == "x"
 
@@ -163,7 +163,7 @@ class TestPruning:
             [rng.choice("abc"), rng.choice("xy"), rng.uniform(0, 100)]
             for _ in range(1000)
         ]
-        dataset = Dataset(Table(schema, rows), "B", ["A", "N"])
+        dataset = training_dataset(Table(schema, rows), "B", ["A", "N"])
         root = grow_tree(
             dataset,
             TreeConfig(
@@ -189,7 +189,7 @@ class TestPruning:
         # pure leaves have expErrorConf 0; the usefulness component must
         # keep them (see grow.py commentary)
         table = _make_table(900, RULE, noise=0.0, seed=6)
-        dataset = Dataset(table, "B", ["A", "N"])
+        dataset = training_dataset(table, "B", ["A", "N"])
         root = grow_tree(
             dataset,
             TreeConfig(
@@ -204,7 +204,7 @@ class TestPruning:
         rng = random.Random(7)
         schema = Schema([nominal("A", ["a", "b"]), nominal("B", ["x", "y"])])
         rows = [[rng.choice("ab"), rng.choice("xy")] for _ in range(500)]
-        dataset = Dataset(Table(schema, rows), "B", ["A"])
+        dataset = training_dataset(Table(schema, rows), "B", ["A"])
         unpruned = grow_tree(dataset, TreeConfig(bounds=BOUNDS, pruning=PruningStrategy.NONE))
         pruned = prune_pessimistic(unpruned, BOUNDS)
         assert pruned.node_count() <= unpruned.node_count()
@@ -223,7 +223,7 @@ class TestPruning:
 
     def test_min_class_instances_preprunes(self):
         table = _make_table(200, RULE, noise=0.02, seed=8)
-        dataset = Dataset(table, "B", ["A", "N"])
+        dataset = training_dataset(table, "B", ["A", "N"])
         generous = grow_tree(
             dataset,
             TreeConfig(bounds=BOUNDS, pruning=PruningStrategy.NONE, min_class_instances=None),
@@ -253,7 +253,7 @@ class TestRules:
         rng = random.Random(9)
         schema = Schema([nominal("A", ["a", "b"]), nominal("B", ["x", "y"])])
         rows = [[rng.choice("ab"), rng.choice("xy")] for _ in range(60)]
-        dataset = Dataset(Table(schema, rows), "B", ["A"])
+        dataset = training_dataset(Table(schema, rows), "B", ["A"])
         classifier = TreeClassifier(
             TreeConfig(bounds=BOUNDS, min_detection_confidence=0.8, pruning=PruningStrategy.NONE)
         )
@@ -278,7 +278,7 @@ class TestRules:
             n = rng.randint(0, 100)
             label = "wxyz"[min(3, n // 25)]
             rows.append([label, n])
-        dataset = Dataset(Table(schema, rows), "B", ["N"])
+        dataset = training_dataset(Table(schema, rows), "B", ["N"])
         classifier = TreeClassifier(TreeConfig(bounds=BOUNDS))
         classifier.fit(dataset)
         for rule in classifier.rules(drop_useless=False):

@@ -353,6 +353,34 @@ class TestServiceEndpoints:
         assert "".join(lines) == "".join(reference_lines)
         assert summary == reference
 
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_inline_rows_match_the_jsonl_source(self, service, corpus, chunk_size):
+        """Inline rows stream through the chunked audit like the JSONL
+        file whose lines they are, at any chunk size."""
+        path = corpus["root"] / "load.jsonl"
+        write_table(corpus["load"], path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        sized = {} if chunk_size is None else {"chunk_size": chunk_size}
+        summary, lines = service.audit({"model": "svc", "rows": rows, **sized})
+        reference, reference_lines = service.audit(
+            {"model": "svc", "source": str(path)}
+        )
+        assert "".join(lines) == "".join(reference_lines)
+        assert summary == reference
+
+    def test_inline_rows_are_audited_chunk_by_chunk(self, service, corpus, monkeypatch):
+        audited = []
+        audit = DataAuditor.audit
+
+        def counting(self, table):
+            audited.append(table.n_rows)
+            return audit(self, table)
+
+        monkeypatch.setattr(DataAuditor, "audit", counting)
+        rows = [record.to_dict() for record in corpus["load"].records()]
+        service.audit({"model": "svc", "rows": rows, "chunk_size": 64})
+        assert audited == [64, 64, 22]
+
     def test_model_cache_reuses_loaded_auditor(self, service):
         service.audit({"model": "svc", "rows": []})
         (cached,) = service._model_cache.values()
@@ -841,6 +869,35 @@ class TestFailureContract:
         status, payload = _raw_post(http_server, path, json.dumps(body).encode(), {})
         assert status == 400
         assert "absent.jsonl" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            ("/fit", "source"),
+            ("/audit", "source"),
+            ("/monitors", "name"),
+            ("/monitors", "source"),
+            ("/monitors", "state"),
+            ("/monitors", "findings"),
+        ],
+    )
+    def test_nul_byte_in_a_client_named_path_is_400(
+        self, http_server, corpus, tmp_path, path, field
+    ):
+        """No path holds a NUL byte; the request names the field that
+        does, instead of an internal error from ``open``."""
+        stream = tmp_path / "s.jsonl"
+        _write_stream(_structured_table(n=64, seed=3), stream)
+        body = {
+            "/fit": {"name": "n", "schema": schema_to_dict(corpus["schema"])},
+            "/audit": {"model": "svc"},
+            "/monitors": {"name": "m", "model": "svc"},
+        }[path]
+        body["source"] = str(stream)
+        body[field] = "a\x00b" if field == "name" else str(tmp_path / "x\x00.jsonl")
+        status, payload = _raw_post(http_server, path, json.dumps(body).encode(), {})
+        assert status == 400, payload
+        assert f"{field!r} must not contain a NUL byte" in payload["error"]
 
     @pytest.mark.parametrize("path", ["/fit", "/audit"])
     def test_oversized_csv_field_is_400(self, http_server, corpus, tmp_path, path):

@@ -37,10 +37,11 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core.serialize import _node_to_dict
-from repro.mining import ConfidenceBounds, Dataset, PruningStrategy, TreeConfig
+from repro.mining import ConfidenceBounds, PruningStrategy, TreeConfig
 from repro.mining.tree.grow import TreeGrower, grow_tree
 from repro.quis import generate_quis_sample
 from repro.schema import Schema, Table, nominal, numeric
+from tests.datasets import training_dataset
 from tests.reference_lanes import _ReferenceGrower, reference_grow
 
 
@@ -125,7 +126,7 @@ configs = st.builds(
 @given(table=grouped_tables(), config=configs)
 def test_level_wise_tree_equals_recursive_tree(table, config):
     base = [name for name in table.schema.names if name != "C"]
-    dataset = Dataset(table, "C", base)
+    dataset = training_dataset(table, "C", base)
     assert _tree_text(grow_tree(dataset, config)) == _tree_text(
         reference_grow(dataset, config)
     )
@@ -177,7 +178,7 @@ class _SearchCheckedGrower(TreeGrower):
 @given(table=grouped_tables(), config=configs)
 def test_every_split_search_equals_the_recursive_one(table, config):
     base = [name for name in table.schema.names if name != "C"]
-    dataset = Dataset(table, "C", base)
+    dataset = training_dataset(table, "C", base)
     root = _SearchCheckedGrower(dataset, config).grow()
     assert _tree_text(root) == _tree_text(reference_grow(dataset, config))
 
@@ -236,7 +237,7 @@ def test_carried_sorted_lists_equal_fresh_sorts(case):
     else:
         table, class_attr = _mixed_run_table(), "C"
     base = [name for name in table.schema.names if name != class_attr]
-    dataset = Dataset(table, class_attr, base)
+    dataset = training_dataset(table, class_attr, base)
     config = TreeConfig(pruning=PruningStrategy.NONE, min_instances=1)
     _CheckedGrower.levels_checked = 0
     root = _CheckedGrower(dataset, config).grow()

@@ -21,9 +21,10 @@ consistently.
 
 from __future__ import annotations
 
-from repro.mining import Dataset, PruningStrategy, TreeConfig, grow_tree
+from repro.mining import PruningStrategy, TreeConfig, grow_tree
 from repro.mining.tree.node import NominalSplit, NumericSplit
 from repro.schema import Schema, Table, nominal, numeric
+from tests.datasets import training_dataset
 
 _NO_PRUNING = TreeConfig(pruning=PruningStrategy.NONE, min_instances=1)
 
@@ -43,7 +44,7 @@ def _duplicate_nominal_table() -> Table:
 
 def test_attribute_tie_first_base_attr_wins():
     table = _duplicate_nominal_table()
-    root = grow_tree(Dataset(table, "C", ["B1", "B2"]), _NO_PRUNING)
+    root = grow_tree(training_dataset(table, "C", ["B1", "B2"]), _NO_PRUNING)
     assert isinstance(root, NominalSplit)
     assert root.attribute == "B1"
 
@@ -52,7 +53,7 @@ def test_attribute_tie_follows_base_attr_order():
     """The tie-break is positional, not alphabetical: reordering
     ``base_attrs`` flips the winner."""
     table = _duplicate_nominal_table()
-    root = grow_tree(Dataset(table, "C", ["B2", "B1"]), _NO_PRUNING)
+    root = grow_tree(training_dataset(table, "C", ["B2", "B1"]), _NO_PRUNING)
     assert isinstance(root, NominalSplit)
     assert root.attribute == "B2"
 
@@ -62,7 +63,7 @@ def test_numeric_cut_tie_lowest_cut_wins():
     symmetric (same entropy either way) — the lower one must win."""
     schema = Schema([numeric("N", 0, 10), nominal("C", ["x", "y"])])
     table = Table(schema, [[1.0, "x"], [2.0, "y"], [3.0, "x"]] * 4)
-    root = grow_tree(Dataset(table, "C", ["N"]), _NO_PRUNING)
+    root = grow_tree(training_dataset(table, "C", ["N"]), _NO_PRUNING)
     assert isinstance(root, NumericSplit)
     assert root.attribute == "N"
     assert root.threshold == 1.5
@@ -81,7 +82,7 @@ def test_numeric_attribute_tie_first_wins_with_lowest_cut():
     table = Table(
         schema, [[1.0, 1.0, "x"], [2.0, 2.0, "y"], [3.0, 3.0, "x"]] * 4
     )
-    root = grow_tree(Dataset(table, "C", ["N1", "N2"]), _NO_PRUNING)
+    root = grow_tree(training_dataset(table, "C", ["N1", "N2"]), _NO_PRUNING)
     assert isinstance(root, NumericSplit)
     assert root.attribute == "N1"
     assert root.threshold == 1.5
